@@ -169,7 +169,10 @@ fn bloom_prediction(c: &mut Criterion) {
             black_box(bf.contains(shrink_stm::VarId::from_u64(id / 2)))
         })
     });
-    group.bench_function("shrink_on_read_hook", |b| {
+    // A 64-read transaction under Shrink: what the scheduler adds is one
+    // `before_start` plus the attempt-end replay of the 64-entry read slice
+    // into the Bloom ring (compare `stm/scan32_tx` for the bare reads).
+    group.bench_function("shrink_scan64_replay", |b| {
         let shrink = Arc::new(Shrink::new(ShrinkConfig::default()));
         let rt = TmRuntime::builder().scheduler_arc(shrink).build();
         let vars: Vec<TVar<u64>> = (0..64).map(TVar::new).collect();

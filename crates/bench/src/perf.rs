@@ -289,7 +289,10 @@ pub fn resident_bytes() -> Option<u64> {
 pub fn context_switches() -> Option<u64> {
     let mut total = 0u64;
     for task in std::fs::read_dir("/proc/self/task").ok()? {
-        let status = std::fs::read_to_string(task.ok()?.path().join("status")).ok()?;
+        // A thread that exits mid-scan takes its `status` file with it.
+        let Ok(status) = std::fs::read_to_string(task.ok()?.path().join("status")) else {
+            continue;
+        };
         for line in status.lines() {
             if line.starts_with("voluntary_ctxt_switches")
                 || line.starts_with("nonvoluntary_ctxt_switches")

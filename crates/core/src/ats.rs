@@ -15,7 +15,7 @@
 use std::fmt;
 
 use parking_lot::Mutex;
-use shrink_stm::{Abort, SchedCtx, ThreadId, TxScheduler, VarId};
+use shrink_stm::{AttemptEnd, SchedCtx, ThreadId, TxScheduler, VarId};
 
 use crate::serial_lock::SerialLock;
 use crate::slots::ThreadSlots;
@@ -117,41 +117,33 @@ impl TxScheduler for Ats {
         }
     }
 
-    fn on_commit(&self, ctx: &SchedCtx<'_>, _reads: &[VarId], _writes: &[VarId]) {
+    fn on_finish(
+        &self,
+        ctx: &SchedCtx<'_>,
+        end: AttemptEnd<'_>,
+        _reads: &[VarId],
+        _writes: &[VarId],
+    ) {
         // A read-only completion carries no contention signal: decaying the
         // intensity here would let a reader launder a writer's abort history.
         if ctx.kind.is_read_only() {
             return;
         }
-        let slot = self.threads.get(ctx.thread);
-        {
-            let mut s = slot.lock();
-            s.contention_intensity *= self.config.alpha;
+        let alpha = self.config.alpha;
+        match end {
+            AttemptEnd::Committed => {
+                self.threads.get(ctx.thread).lock().contention_intensity *= alpha;
+            }
+            AttemptEnd::Aborted(_) => {
+                let slot = self.threads.get(ctx.thread);
+                let mut s = slot.lock();
+                s.contention_intensity = alpha * s.contention_intensity + (1.0 - alpha);
+            }
+            // Deliberate blocking is not contention, and an unwinding panic
+            // is neither a commit nor a conflict: the intensity average is
+            // left alone.
+            AttemptEnd::RetryWait | AttemptEnd::Abandoned => {}
         }
-        self.lock.release_if_held(ctx.thread);
-    }
-
-    fn on_retry_wait(&self, ctx: &SchedCtx<'_>, _reads: &[VarId], _writes: &[VarId]) {
-        // Deliberate blocking is not contention: the intensity average is
-        // left alone (neither the abort bump nor the commit decay applies);
-        // only a held serialization slot is handed back.
-        self.lock.release_if_held(ctx.thread);
-    }
-
-    fn on_abort(&self, ctx: &SchedCtx<'_>, _abort: &Abort, _reads: &[VarId], _writes: &[VarId]) {
-        let slot = self.threads.get(ctx.thread);
-        {
-            let mut s = slot.lock();
-            s.contention_intensity =
-                self.config.alpha * s.contention_intensity + (1.0 - self.config.alpha);
-        }
-        self.lock.release_if_held(ctx.thread);
-    }
-
-    fn on_reset(&self, ctx: &SchedCtx<'_>) {
-        // Abandoned attempt: the contention-intensity average is left
-        // untouched (an unwinding panic is neither a commit nor a
-        // conflict); only a held serialization slot is handed back.
         self.lock.release_if_held(ctx.thread);
     }
 
@@ -163,39 +155,24 @@ impl TxScheduler for Ats {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use shrink_stm::{AbortReason, NoEpochs, StaticWrites, TxnKind};
-
-    fn ctx<'a>(thread: u16, oracle: &'a StaticWrites) -> SchedCtx<'a> {
-        SchedCtx {
-            thread: ThreadId::from_u16(thread),
-            visible: oracle,
-            epochs: &NoEpochs,
-            kind: TxnKind::ReadWrite,
-        }
-    }
-
-    fn ro_ctx<'a>(thread: u16, oracle: &'a StaticWrites) -> SchedCtx<'a> {
-        SchedCtx {
-            kind: TxnKind::ReadOnly,
-            ..ctx(thread, oracle)
-        }
-    }
+    use crate::testkit::{abort, ctx, finish, ro_ctx};
+    use shrink_stm::StaticWrites;
 
     #[test]
-    fn intensity_rises_on_abort_and_decays_on_commit() {
+    fn intensity_rises_with_aborts_and_decays_with_commits() {
         let ats = Ats::new(AtsConfig::default());
         let oracle = StaticWrites::new();
         let c = ctx(1, &oracle);
         let t = ThreadId::from_u16(1);
         ats.before_start(&c);
-        ats.on_abort(&c, &Abort::new(AbortReason::WriteConflict), &[], &[]);
+        abort(&ats, &c);
         assert!((ats.contention_intensity(t).unwrap() - 0.25).abs() < 1e-12);
         ats.before_start(&c);
-        ats.on_abort(&c, &Abort::new(AbortReason::WriteConflict), &[], &[]);
+        abort(&ats, &c);
         let after_two = ats.contention_intensity(t).unwrap();
         assert!(after_two > 0.4);
         ats.before_start(&c);
-        ats.on_commit(&c, &[], &[]);
+        finish(&ats, &c, AttemptEnd::Committed);
         assert!(ats.contention_intensity(t).unwrap() < after_two);
     }
 
@@ -210,12 +187,12 @@ mod tests {
         // Two aborts with alpha 0.5: ci = 0.5, over threshold.
         for _ in 0..2 {
             ats.before_start(&c);
-            ats.on_abort(&c, &Abort::new(AbortReason::WriteConflict), &[], &[]);
+            abort(&ats, &c);
         }
         assert_eq!(ats.wait_count(), 0);
         ats.before_start(&c);
         assert_eq!(ats.wait_count(), 1, "high intensity must serialize");
-        ats.on_commit(&c, &[], &[]);
+        finish(&ats, &c, AttemptEnd::Committed);
         assert_eq!(ats.wait_count(), 0, "commit releases the queue");
     }
 
@@ -230,7 +207,7 @@ mod tests {
         let t = ThreadId::from_u16(1);
         for _ in 0..2 {
             ats.before_start(&c);
-            ats.on_abort(&c, &Abort::new(AbortReason::WriteConflict), &[], &[]);
+            abort(&ats, &c);
         }
         let intensity = ats.contention_intensity(t).unwrap();
         assert!(intensity > 0.4);
@@ -238,7 +215,7 @@ mod tests {
         // and the intensity neither bumps (abort) nor decays (commit).
         ats.before_start(&c);
         assert_eq!(ats.wait_count(), 1);
-        ats.on_retry_wait(&c, &[], &[]);
+        finish(&ats, &c, AttemptEnd::RetryWait);
         assert_eq!(ats.wait_count(), 0, "retry wait releases the queue");
         assert_eq!(ats.contention_intensity(t), Some(intensity));
     }
@@ -250,7 +227,7 @@ mod tests {
         let c = ro_ctx(1, &oracle);
         for _ in 0..20 {
             ats.before_start(&c);
-            ats.on_commit(&c, &[], &[]);
+            finish(&ats, &c, AttemptEnd::Committed);
         }
         assert_eq!(
             ats.contention_intensity(ThreadId::from_u16(1)),
@@ -268,12 +245,12 @@ mod tests {
         let ro = ro_ctx(1, &oracle);
         let t = ThreadId::from_u16(1);
         ats.before_start(&rw);
-        ats.on_abort(&rw, &Abort::new(AbortReason::WriteConflict), &[], &[]);
+        abort(&ats, &rw);
         let intensity = ats.contention_intensity(t).unwrap();
         assert!(intensity > 0.0);
         for _ in 0..8 {
             ats.before_start(&ro);
-            ats.on_commit(&ro, &[], &[]);
+            finish(&ats, &ro, AttemptEnd::Committed);
         }
         assert_eq!(
             ats.contention_intensity(t),
@@ -290,7 +267,7 @@ mod tests {
         for _ in 0..20 {
             ats.before_start(&c);
             assert_eq!(ats.wait_count(), 0);
-            ats.on_commit(&c, &[], &[]);
+            finish(&ats, &c, AttemptEnd::Committed);
         }
     }
 }

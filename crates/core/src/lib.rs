@@ -42,6 +42,8 @@ pub mod serial_lock;
 pub mod serializer;
 pub mod shrink;
 pub mod slots;
+#[cfg(test)]
+mod testkit;
 
 pub use ats::{Ats, AtsConfig};
 pub use bloom::{BloomFilter, BloomRing};

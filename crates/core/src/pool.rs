@@ -10,7 +10,7 @@
 use std::fmt;
 use std::sync::atomic::{AtomicBool, Ordering};
 
-use shrink_stm::{Abort, SchedCtx, TxScheduler, VarId};
+use shrink_stm::{AttemptEnd, SchedCtx, TxScheduler, VarId};
 
 use crate::serial_lock::{SerialLock, SerialWait};
 use crate::slots::ThreadSlots;
@@ -79,36 +79,30 @@ impl TxScheduler for Pool {
         }
     }
 
-    fn on_commit(&self, ctx: &SchedCtx<'_>, _reads: &[VarId], _writes: &[VarId]) {
+    fn on_finish(
+        &self,
+        ctx: &SchedCtx<'_>,
+        end: AttemptEnd<'_>,
+        _reads: &[VarId],
+        _writes: &[VarId],
+    ) {
         // A read-only completion must not clear the contended flag — the
         // thread's next read-write attempt still owes the queue a pass.
         if ctx.kind.is_read_only() {
             return;
         }
-        self.contended
-            .get(ctx.thread)
-            .store(false, Ordering::Relaxed);
-        self.lock.release_if_held(ctx.thread);
-    }
-
-    fn on_retry_wait(&self, ctx: &SchedCtx<'_>, _reads: &[VarId], _writes: &[VarId]) {
-        // A retry is not "facing contention": the contended flag keeps
-        // whatever value the last real outcome gave it; only a held
-        // serialization slot is handed back.
-        self.lock.release_if_held(ctx.thread);
-    }
-
-    fn on_abort(&self, ctx: &SchedCtx<'_>, _abort: &Abort, _reads: &[VarId], _writes: &[VarId]) {
-        self.contended
-            .get(ctx.thread)
-            .store(true, Ordering::Relaxed);
-        self.lock.release_if_held(ctx.thread);
-    }
-
-    fn on_reset(&self, ctx: &SchedCtx<'_>) {
-        // Abandoned attempt: the contended flag keeps its last real value
-        // (a panic says nothing about contention); only a held
-        // serialization slot is handed back.
+        let contended = match end {
+            AttemptEnd::Committed => Some(false),
+            AttemptEnd::Aborted(_) => Some(true),
+            // Neither a retry nor a panic is "facing contention": the flag
+            // keeps whatever value the last real outcome gave it.
+            AttemptEnd::RetryWait | AttemptEnd::Abandoned => None,
+        };
+        if let Some(contended) = contended {
+            self.contended
+                .get(ctx.thread)
+                .store(contended, Ordering::Relaxed);
+        }
         self.lock.release_if_held(ctx.thread);
     }
 
@@ -120,23 +114,8 @@ impl TxScheduler for Pool {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use shrink_stm::{AbortReason, NoEpochs, StaticWrites, ThreadId, TxnKind};
-
-    fn ctx<'a>(thread: u16, oracle: &'a StaticWrites) -> SchedCtx<'a> {
-        SchedCtx {
-            thread: ThreadId::from_u16(thread),
-            visible: oracle,
-            epochs: &NoEpochs,
-            kind: TxnKind::ReadWrite,
-        }
-    }
-
-    fn ro_ctx<'a>(thread: u16, oracle: &'a StaticWrites) -> SchedCtx<'a> {
-        SchedCtx {
-            kind: TxnKind::ReadOnly,
-            ..ctx(thread, oracle)
-        }
-    }
+    use crate::testkit::{abort, ctx, finish, ro_ctx};
+    use shrink_stm::StaticWrites;
 
     #[test]
     fn first_attempt_is_free_retry_is_serialized() {
@@ -145,15 +124,15 @@ mod tests {
         let c = ctx(1, &oracle);
         pool.before_start(&c);
         assert_eq!(pool.wait_count(), 0);
-        pool.on_abort(&c, &Abort::new(AbortReason::WriteConflict), &[], &[]);
+        abort(&pool, &c);
         pool.before_start(&c);
         assert_eq!(pool.wait_count(), 1, "contended thread serializes");
-        pool.on_commit(&c, &[], &[]);
+        finish(&pool, &c, AttemptEnd::Committed);
         assert_eq!(pool.wait_count(), 0);
         // After the commit the flag is clear again.
         pool.before_start(&c);
         assert_eq!(pool.wait_count(), 0);
-        pool.on_commit(&c, &[], &[]);
+        finish(&pool, &c, AttemptEnd::Committed);
     }
 
     #[test]
@@ -162,23 +141,23 @@ mod tests {
         let oracle = StaticWrites::new();
         let c = ctx(1, &oracle);
         pool.before_start(&c);
-        pool.on_retry_wait(&c, &[], &[]);
+        finish(&pool, &c, AttemptEnd::RetryWait);
         // A retry is not contention: the next start runs free.
         pool.before_start(&c);
         assert_eq!(pool.wait_count(), 0);
-        pool.on_commit(&c, &[], &[]);
+        finish(&pool, &c, AttemptEnd::Committed);
 
         // And a contended thread that retries releases the slot it held,
         // while staying contended for its next real attempt.
         pool.before_start(&c);
-        pool.on_abort(&c, &Abort::new(AbortReason::WriteConflict), &[], &[]);
+        abort(&pool, &c);
         pool.before_start(&c);
         assert_eq!(pool.wait_count(), 1);
-        pool.on_retry_wait(&c, &[], &[]);
+        finish(&pool, &c, AttemptEnd::RetryWait);
         assert_eq!(pool.wait_count(), 0, "slot released while parked");
         pool.before_start(&c);
         assert_eq!(pool.wait_count(), 1, "contended flag survives the wait");
-        pool.on_commit(&c, &[], &[]);
+        finish(&pool, &c, AttemptEnd::Committed);
     }
 
     #[test]
@@ -189,18 +168,18 @@ mod tests {
         let ro = ro_ctx(1, &oracle);
         // Mark the thread contended with a real abort.
         pool.before_start(&rw);
-        pool.on_abort(&rw, &Abort::new(AbortReason::WriteConflict), &[], &[]);
+        abort(&pool, &rw);
         // Read-only brackets run free even while the thread is contended...
         for _ in 0..5 {
             pool.before_start(&ro);
             assert_eq!(pool.wait_count(), 0, "readers never serialize");
-            pool.on_commit(&ro, &[], &[]);
+            finish(&pool, &ro, AttemptEnd::Committed);
         }
         // ...and do not clear the flag: the next read-write attempt still
         // pays the serialization toll.
         pool.before_start(&rw);
         assert_eq!(pool.wait_count(), 1, "contended flag survives ro commits");
-        pool.on_commit(&rw, &[], &[]);
+        finish(&pool, &rw, AttemptEnd::Committed);
         assert_eq!(pool.wait_count(), 0);
     }
 
@@ -210,13 +189,13 @@ mod tests {
         let oracle = StaticWrites::new();
         let c = ctx(1, &oracle);
         pool.before_start(&c);
-        pool.on_abort(&c, &Abort::new(AbortReason::WriteConflict), &[], &[]);
+        abort(&pool, &c);
         pool.before_start(&c);
         assert_eq!(pool.wait_count(), 1);
-        pool.on_abort(&c, &Abort::new(AbortReason::ReadValidation), &[], &[]);
+        abort(&pool, &c);
         assert_eq!(pool.wait_count(), 0, "abort releases the lock");
         pool.before_start(&c);
         assert_eq!(pool.wait_count(), 1, "but the retry serializes again");
-        pool.on_commit(&c, &[], &[]);
+        finish(&pool, &c, AttemptEnd::Committed);
     }
 }

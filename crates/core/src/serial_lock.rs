@@ -5,7 +5,7 @@
 //! mutex). This wrapper adds the piece Shrink needs on top: a counter of
 //! threads currently serialized (waiting for or holding the lock), which is
 //! the *serialization affinity* signal, and per-thread ownership tracking so
-//! `on_commit`/`on_abort` can release exactly when the paper's Algorithm 1
+//! `on_finish` can release exactly when the paper's Algorithm 1
 //! says "if own global lock then unlock".
 //!
 //! Since the parking rewrite the default backing is the futex-parked

@@ -17,7 +17,7 @@
 //!
 //! * **The epoch is sampled at conflict-detection time**, in the STM's
 //!   conflict path, and carried inside the [`Abort`]. Sampling it any later
-//!   (this scheduler's `on_abort` runs after rollback and log extraction)
+//!   (this scheduler's `on_finish` runs after rollback and log extraction)
 //!   races a fast enemy: the enemy may already have committed the
 //!   conflicting transaction, so a late sample would make the victim
 //!   serialize behind the enemy's *next* transaction — the mis-prediction
@@ -36,13 +36,14 @@
 //!   is skipped outright instead of being waited on in vain.
 //!
 //! [`EventCount`]: parking_lot::EventCount
+//! [`Abort`]: shrink_stm::Abort
 
 use std::fmt;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::{Duration, Instant};
 
 use parking_lot::Mutex;
-use shrink_stm::{Abort, EpochWaitOutcome, SchedCtx, ThreadId, TxScheduler, VarId};
+use shrink_stm::{AttemptEnd, EpochWaitOutcome, SchedCtx, ThreadId, TxScheduler, VarId};
 
 use crate::serial_lock::SerialWait;
 use crate::slots::ThreadSlots;
@@ -106,8 +107,8 @@ struct WaitCounters {
 
 #[derive(Debug)]
 struct ThreadState {
-    /// Set by `on_abort`: who to wait for, and the enemy's attempt epoch
-    /// observed *at conflict time* (carried by the [`Abort`]).
+    /// Set when an attempt aborts: who to wait for, and the enemy's attempt epoch
+    /// observed *at conflict time* (carried by the [`Abort`](shrink_stm::Abort)).
     pending: Mutex<Option<(ThreadId, u32)>>,
 }
 
@@ -227,34 +228,41 @@ impl TxScheduler for Serializer {
         }
     }
 
-    fn on_retry_wait(&self, _ctx: &SchedCtx<'_>, _reads: &[VarId], _writes: &[VarId]) {
-        // A deliberate retry has no enemy to schedule after: no pending
-        // wait is recorded, and the runtime parks the thread on its read
-        // set's commit events instead. Nothing to release — before_start
-        // holds no lock.
-    }
-
-    fn on_abort(&self, ctx: &SchedCtx<'_>, abort: &Abort, _reads: &[VarId], _writes: &[VarId]) {
-        // Schedule-after only when the conflict was *live* at detection
-        // time: the Abort then carries the enemy's attempt epoch sampled at
-        // that moment. An unstamped abort means the enemy had already
-        // finished the conflicting attempt (or was never identified) —
-        // there is nothing to wait for, and recording a later-sampled epoch
-        // would serialize the victim behind the enemy's next transaction.
-        if let (Some(enemy), Some(observed)) = (abort.enemy(), abort.enemy_epoch()) {
-            if enemy != ctx.thread && enemy != ThreadId::NONE {
-                *self.threads.get(ctx.thread).pending.lock() = Some((enemy, observed));
+    fn on_finish(
+        &self,
+        ctx: &SchedCtx<'_>,
+        end: AttemptEnd<'_>,
+        _reads: &[VarId],
+        _writes: &[VarId],
+    ) {
+        // No lock is ever held here; the only per-thread state is the
+        // pending schedule-after target `before_start` consumes.
+        match end {
+            // Schedule-after only when the conflict was *live* at detection
+            // time: the Abort then carries the enemy's attempt epoch sampled
+            // at that moment. An unstamped abort means the enemy had already
+            // finished the conflicting attempt (or was never identified) —
+            // there is nothing to wait for, and recording a later-sampled
+            // epoch would serialize the victim behind the enemy's next
+            // transaction.
+            AttemptEnd::Aborted(abort) => {
+                if let (Some(enemy), Some(observed)) = (abort.enemy(), abort.enemy_epoch()) {
+                    if enemy != ctx.thread && enemy != ThreadId::NONE {
+                        *self.threads.get(ctx.thread).pending.lock() = Some((enemy, observed));
+                    }
+                }
             }
+            // Abandoned attempt: its conflict evidence is stale —
+            // serializing the thread's *next* transaction behind it would
+            // be a spurious stall.
+            AttemptEnd::Abandoned => {
+                *self.threads.get(ctx.thread).pending.lock() = None;
+            }
+            // A commit consumed nothing, and a deliberate retry has no
+            // enemy to schedule after (the runtime parks the thread on its
+            // read set's commit events instead).
+            AttemptEnd::Committed | AttemptEnd::RetryWait => {}
         }
-    }
-
-    fn on_reset(&self, ctx: &SchedCtx<'_>) {
-        // Abandoned attempt: drop any pending schedule-after target. The
-        // abandoned attempt's conflict evidence is stale — serializing the
-        // thread's *next* transaction behind it would be a spurious stall,
-        // and (unlike the lock-based policies) this is the only per-thread
-        // state before_start consumes. No lock is ever held here.
-        *self.threads.get(ctx.thread).pending.lock() = None;
     }
 
     fn name(&self) -> &str {
@@ -265,7 +273,8 @@ impl TxScheduler for Serializer {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use shrink_stm::{AbortReason, AttemptEpochs, EpochTable, StaticWrites, VarId};
+    use crate::testkit::{abort, finish};
+    use shrink_stm::{Abort, AbortReason, AttemptEpochs, EpochTable, StaticWrites, VarId};
     use std::sync::Arc;
 
     fn ctx<'a>(thread: u16, oracle: &'a StaticWrites, epochs: &'a EpochTable) -> SchedCtx<'a> {
@@ -291,10 +300,10 @@ mod tests {
         let epochs = EpochTable::new();
         let c = ctx(1, &oracle, &epochs);
         s.before_start(&c);
-        s.on_abort(&c, &Abort::new(AbortReason::ReadValidation), &[], &[]);
+        abort(&s, &c);
         // Must return immediately (no pending enemy).
         s.before_start(&c);
-        s.on_commit(&c, &[], &[]);
+        finish(&s, &c, AttemptEnd::Committed);
         assert_eq!(s.wait_stats(), SerializerWaitStats::default());
     }
 
@@ -316,7 +325,7 @@ mod tests {
         let c = ctx(1, &oracle, &epochs);
         s.before_start(&c);
         let abort = Abort::on_conflict(AbortReason::WriteConflict, VarId::from_u64(1), enemy);
-        s.on_abort(&c, &abort, &[], &[]);
+        finish(&s, &c, AttemptEnd::Aborted(&abort));
         let start = Instant::now();
         s.before_start(&c);
         assert!(start.elapsed() < Duration::from_secs(5));
@@ -333,7 +342,7 @@ mod tests {
         let epochs = EpochTable::new();
         let c = ctx(1, &oracle, &epochs);
         s.before_start(&c);
-        s.on_retry_wait(&c, &[VarId::from_u64(1)], &[]);
+        finish(&s, &c, AttemptEnd::RetryWait);
         // No pending enemy: the next start must return instantly.
         let start = Instant::now();
         s.before_start(&c);
@@ -354,7 +363,11 @@ mod tests {
 
         let me = ctx(1, &oracle, &epochs);
         s.before_start(&me);
-        s.on_abort(&me, &live_conflict(&epochs, enemy), &[], &[]);
+        finish(
+            &*s,
+            &me,
+            AttemptEnd::Aborted(&live_conflict(&epochs, enemy)),
+        );
 
         let waiter = {
             let s = Arc::clone(&s);
@@ -387,9 +400,10 @@ mod tests {
     fn fast_committing_enemy_is_not_waited_for() {
         // Regression (stale-enemy-epoch bug): the enemy finishes the
         // conflicting attempt *between* conflict detection and the victim's
-        // on_abort. The conflict-time epoch carried by the Abort is already
-        // stale by then, so before_start must return instantly instead of
-        // serializing the victim behind the enemy's next transaction.
+        // abort bookkeeping. The conflict-time epoch carried by the Abort is
+        // already stale by then, so before_start must return instantly
+        // instead of serializing the victim behind the enemy's next
+        // transaction.
         let s = Serializer::new(SerializerConfig {
             max_wait: Duration::from_secs(60),
             ..SerializerConfig::default()
@@ -404,7 +418,7 @@ mod tests {
         let abort = live_conflict(&epochs, enemy);
         // The fast enemy commits before the victim's abort bookkeeping runs.
         epochs.bump(enemy);
-        s.on_abort(&me, &abort, &[], &[]);
+        finish(&s, &me, AttemptEnd::Aborted(&abort));
 
         let start = Instant::now();
         s.before_start(&me);
@@ -433,7 +447,7 @@ mod tests {
         s.before_start(&c);
         let abort = Abort::on_conflict(AbortReason::WriteConflict, VarId::from_u64(1), ghost)
             .with_enemy_epoch(0);
-        s.on_abort(&c, &abort, &[], &[]);
+        finish(&s, &c, AttemptEnd::Aborted(&abort));
         let start = Instant::now();
         s.before_start(&c);
         assert!(start.elapsed() < Duration::from_secs(5));
@@ -457,7 +471,7 @@ mod tests {
         };
 
         s.before_start(&rw);
-        s.on_abort(&rw, &live_conflict(&epochs, enemy), &[], &[]);
+        finish(&s, &rw, AttemptEnd::Aborted(&live_conflict(&epochs, enemy)));
 
         // Read-only brackets in between return instantly and leave the
         // pending schedule-after alone.
@@ -465,7 +479,7 @@ mod tests {
             let start = Instant::now();
             s.before_start(&ro);
             assert!(start.elapsed() < Duration::from_millis(5));
-            s.on_commit(&ro, &[], &[]);
+            finish(&s, &ro, AttemptEnd::Committed);
         }
         assert_eq!(s.wait_stats().parked_waits, 0, "readers never wait");
 
@@ -477,7 +491,7 @@ mod tests {
             1,
             "the schedule-after belonged to the read-write attempt"
         );
-        s.on_commit(&rw, &[], &[]);
+        finish(&s, &rw, AttemptEnd::Committed);
     }
 
     #[test]
@@ -493,13 +507,13 @@ mod tests {
         epochs.ensure(enemy);
         let me = ctx(1, &oracle, &epochs);
         s.before_start(&me);
-        s.on_abort(&me, &live_conflict(&epochs, enemy), &[], &[]);
+        finish(&s, &me, AttemptEnd::Aborted(&live_conflict(&epochs, enemy)));
         // The enemy never runs again; before_start must still return, and
         // not before the deadline.
         let start = Instant::now();
         s.before_start(&me);
         assert!(start.elapsed() >= max_wait, "deadline must be honoured");
-        s.on_commit(&me, &[], &[]);
+        finish(&s, &me, AttemptEnd::Committed);
         let stats = s.wait_stats();
         assert_eq!(stats.timed_out, 1);
         assert_eq!(stats.yield_polls, 0);
@@ -518,7 +532,7 @@ mod tests {
         epochs.ensure(enemy);
         let me = ctx(1, &oracle, &epochs);
         s.before_start(&me);
-        s.on_abort(&me, &live_conflict(&epochs, enemy), &[], &[]);
+        finish(&s, &me, AttemptEnd::Aborted(&live_conflict(&epochs, enemy)));
         // Idle enemy: the baseline burns its yield budget, visibly.
         s.before_start(&me);
         let stats = s.wait_stats();
@@ -530,7 +544,7 @@ mod tests {
         let ghost = ThreadId::from_u16(9);
         let abort = Abort::on_conflict(AbortReason::WriteConflict, VarId::from_u64(1), ghost)
             .with_enemy_epoch(0);
-        s.on_abort(&me, &abort, &[], &[]);
+        finish(&s, &me, AttemptEnd::Aborted(&abort));
         s.before_start(&me);
         assert_eq!(s.wait_stats().absent_skips, 1);
     }

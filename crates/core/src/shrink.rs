@@ -38,7 +38,7 @@ use std::collections::HashSet;
 use std::fmt;
 
 use parking_lot::Mutex;
-use shrink_stm::{Abort, SchedCtx, ThreadId, TxScheduler, VarId};
+use shrink_stm::{AttemptEnd, SchedCtx, ThreadId, TxScheduler, VarId};
 
 use crate::bloom::BloomRing;
 use crate::serial_lock::SerialLock;
@@ -130,8 +130,8 @@ impl PredictionStats {
     }
 }
 
-/// Per-thread Shrink state. Only the owning thread takes the mutex on the
-/// hot path, so it is effectively uncontended.
+/// Per-thread Shrink state. Only the owning thread takes the mutex (twice
+/// per attempt), so it is effectively uncontended.
 struct ThreadState {
     succ_rate: f64,
     ring: BloomRing,
@@ -197,48 +197,13 @@ pub struct Shrink {
     config: ShrinkConfig,
     lock: SerialLock,
     threads: ThreadSlots<Mutex<ThreadState>>,
-    /// Process-unique id keying the thread-local state cache (addresses can
-    /// be reused after a scheduler is dropped; ids cannot).
-    instance_id: u64,
-}
-
-/// One state-cache entry: (scheduler identity, thread id, shared state).
-type CachedState = (usize, u16, std::sync::Arc<Mutex<ThreadState>>);
-
-thread_local! {
-    /// Per-OS-thread cache of `(scheduler identity, thread id) → state`,
-    /// bypassing the slot registry's lock on the per-read hot path.
-    static STATE_CACHE: std::cell::RefCell<Vec<CachedState>> =
-        const { std::cell::RefCell::new(Vec::new()) };
 }
 
 impl Shrink {
-    /// Runs `f` against this thread's state, resolved through the
-    /// thread-local cache (no refcount traffic on the hot path).
-    fn with_state<R>(&self, thread: ThreadId, f: impl FnOnce(&Mutex<ThreadState>) -> R) -> R {
-        let key = self.instance_id as usize;
-        STATE_CACHE.with(|cache| {
-            {
-                let cache = cache.borrow();
-                for (k, t, state) in cache.iter() {
-                    if *k == key && *t == thread.as_u16() {
-                        return f(state);
-                    }
-                }
-            }
-            let state = self.threads.get(thread);
-            cache
-                .borrow_mut()
-                .push((key, thread.as_u16(), std::sync::Arc::clone(&state)));
-            f(&state)
-        })
-    }
-
     /// Creates a Shrink scheduler with the given configuration.
     pub fn new(config: ShrinkConfig) -> Self {
         let factory_config = config.clone();
         let counter = std::sync::atomic::AtomicU64::new(0x5EED);
-        static INSTANCE_IDS: std::sync::atomic::AtomicU64 = std::sync::atomic::AtomicU64::new(1);
         Shrink {
             config,
             lock: SerialLock::new(),
@@ -246,7 +211,6 @@ impl Shrink {
                 let seed = counter.fetch_add(0x9E37_79B9, std::sync::atomic::Ordering::Relaxed);
                 Mutex::new(ThreadState::new(&factory_config, seed))
             }),
-            instance_id: INSTANCE_IDS.fetch_add(1, std::sync::atomic::Ordering::Relaxed),
         }
     }
 
@@ -299,146 +263,125 @@ impl TxScheduler for Shrink {
             // see read-write attempts).
             return;
         }
-        self.with_state(ctx.thread, |slot| {
-            let mut s = slot.lock();
+        let slot = self.threads.get(ctx.thread);
+        let mut s = slot.lock();
 
-            if s.succ_rate < self.config.succ_threshold {
-                // Serialization affinity: consult the prediction with probability
-                // proportional to the number of already-serialized threads.
-                let r = (s.next_rand() % self.config.affinity_modulus as u64) as u32 + 1;
-                let gate = self.lock.wait_count() + self.config.affinity_bias;
-                if r <= gate {
-                    s.stats.prediction_checks += 1;
-                    let me = ctx.thread;
-                    let predicted_conflict = s
-                        .pred_reads
-                        .iter()
-                        .any(|&v| ctx.visible.is_written_by_other(v, me))
-                        || s.pred_writes
-                            .iter()
-                            .any(|&v| ctx.visible.is_written_by_other(v, me));
-                    if predicted_conflict {
-                        s.stats.serialized += 1;
-                        // Blocks until the global lock is ours; the wait itself
-                        // is what prevents the predicted conflict.
-                        self.lock.acquire(me);
-                    }
+        if s.succ_rate < self.config.succ_threshold {
+            // Serialization affinity: consult the prediction with probability
+            // proportional to the number of already-serialized threads.
+            let r = (s.next_rand() % self.config.affinity_modulus as u64) as u32 + 1;
+            let gate = self.lock.wait_count() + self.config.affinity_bias;
+            if r <= gate {
+                s.stats.prediction_checks += 1;
+                let me = ctx.thread;
+                let mut predicted = s.pred_reads.iter().chain(&s.pred_writes);
+                if predicted.any(|&v| ctx.visible.is_written_by_other(v, me)) {
+                    s.stats.serialized += 1;
+                    // Blocks until the global lock is ours; the wait itself
+                    // is what prevents the predicted conflict.
+                    self.lock.acquire(me);
                 }
             }
+        }
 
-            // Record which predictions are in force for this attempt, then reset
-            // per Algorithm 1: the read prediction survives aborts (the retry
-            // reads similar addresses), the write prediction is consumed every
-            // start.
-            if self.config.track_accuracy {
-                s.active_pred_reads = s.pred_reads.iter().copied().collect();
-                s.active_pred_writes = s.pred_writes.clone();
-            }
-            if s.last_committed {
-                s.pred_reads.clear();
-            }
-            s.pred_writes.clear();
-        });
+        // Record which predictions are in force for this attempt, then reset
+        // per Algorithm 1: the read prediction survives aborts (the retry
+        // reads similar addresses), the write prediction is consumed every
+        // start.
+        if self.config.track_accuracy {
+            s.active_pred_reads = s.pred_reads.iter().copied().collect();
+            s.active_pred_writes = s.pred_writes.clone();
+        }
+        if s.last_committed {
+            s.pred_reads.clear();
+        }
+        s.pred_writes.clear();
     }
 
-    fn on_read(&self, ctx: &SchedCtx<'_>, var: VarId) {
-        self.with_state(ctx.thread, |slot| {
-            let mut s = slot.lock();
-            if s.ring.current_mut().insert_if_absent(var) {
-                // The Bloom history above is always maintained; the predicted
-                // read set is only worth computing once the thread's success
-                // rate has dropped into the range where `before_start` will
-                // consult it (the filters are already warm at that point, so
-                // predictions are available from the first struggling
-                // transaction).
-                if s.succ_rate < self.config.succ_threshold {
-                    let confidence = s.ring.confidence(var, &self.config.confidence_weights);
-                    if confidence >= self.config.confidence_threshold
-                        && s.pred_reads.len() < self.config.max_pred_set
-                    {
-                        s.pred_reads.insert(var);
-                    }
-                }
-            }
-        });
-    }
-
-    fn on_commit(&self, ctx: &SchedCtx<'_>, reads: &[VarId], writes: &[VarId]) {
+    fn on_finish(
+        &self,
+        ctx: &SchedCtx<'_>,
+        end: AttemptEnd<'_>,
+        reads: &[VarId],
+        writes: &[VarId],
+    ) {
         if ctx.kind.is_read_only() {
-            // Completion of a read-only transaction: no lock was acquired in
-            // `before_start`, and folding it into the success rate or
-            // rotating the locality ring would dilute the read-write history
-            // the predictions are built from.
+            // No lock was acquired in `before_start`, and folding a
+            // read-only completion into the success rate or rotating the
+            // locality ring would dilute the read-write history the
+            // predictions are built from.
             return;
         }
-        self.with_state(ctx.thread, |slot| {
-            let mut s = slot.lock();
-            s.succ_rate = (s.succ_rate + self.config.success) / 2.0;
-            s.last_committed = true;
-            s.ring.rotate();
-            if self.config.track_accuracy {
-                if !s.active_pred_reads.is_empty() {
-                    let actual: HashSet<VarId> = reads.iter().copied().collect();
-                    s.stats.read_predicted += s.active_pred_reads.len() as u64;
-                    s.stats.read_correct += s
-                        .active_pred_reads
-                        .iter()
-                        .filter(|v| actual.contains(v))
-                        .count() as u64;
+        let slot = self.threads.get(ctx.thread);
+        let mut s = slot.lock();
+        // "On transactional read of addr", replayed in program order (an
+        // abandoned attempt reports none): the prediction is only consulted
+        // at the next `before_start`, so building it here is
+        // indistinguishable from per-read hooks. The Bloom history is always
+        // maintained; the predicted read set is only worth computing once
+        // the thread's success rate has dropped into the range where
+        // `before_start` will consult it (the filters are already warm at
+        // that point, so predictions are available from the first
+        // struggling transaction).
+        for &var in reads {
+            if s.ring.current_mut().insert_if_absent(var)
+                && s.succ_rate < self.config.succ_threshold
+                && s.ring.confidence(var, &self.config.confidence_weights)
+                    >= self.config.confidence_threshold
+                && s.pred_reads.len() < self.config.max_pred_set
+            {
+                s.pred_reads.insert(var);
+            }
+        }
+        match end {
+            AttemptEnd::Committed => {
+                s.succ_rate = (s.succ_rate + self.config.success) / 2.0;
+                s.last_committed = true;
+                s.ring.rotate();
+                if self.config.track_accuracy {
+                    let s = &mut *s;
+                    score(
+                        &mut s.active_pred_reads,
+                        reads,
+                        &mut s.stats.read_predicted,
+                        &mut s.stats.read_correct,
+                    );
+                    score(
+                        &mut s.active_pred_writes,
+                        writes,
+                        &mut s.stats.write_predicted,
+                        &mut s.stats.write_correct,
+                    );
                 }
-                if !s.active_pred_writes.is_empty() {
-                    let actual: HashSet<VarId> = writes.iter().copied().collect();
-                    s.stats.write_predicted += s.active_pred_writes.len() as u64;
-                    s.stats.write_correct += s
-                        .active_pred_writes
-                        .iter()
-                        .filter(|v| actual.contains(v))
-                        .count() as u64;
-                }
+            }
+            AttemptEnd::Aborted(_) => {
+                s.succ_rate /= 2.0;
+                s.last_committed = false;
+                // "copy write set of transaction into pred_write_set": the
+                // retry is expected to mimic the aborted attempt's writes.
+                s.pred_writes.clear();
+                s.pred_writes
+                    .extend(writes.iter().take(self.config.max_pred_set));
+                // Temporal locality spans committed *and* aborted
+                // transactions.
+                s.ring.rotate();
+            }
+            // A deliberate `Tx::retry` wait is not a conflict: the success
+            // rate and predicted write set stay untouched, and the ring is
+            // not rotated (the re-run after the wake re-reads the same
+            // addresses into the current filter).
+            AttemptEnd::RetryWait => {}
+            // Panic unwind, or a non-retryable error: the attempt never
+            // completed, so neither success rate nor prediction accuracy
+            // can be judged. Drop its active predictions unscored.
+            AttemptEnd::Abandoned => {
                 s.active_pred_reads.clear();
                 s.active_pred_writes.clear();
             }
-        });
-        self.lock.release_if_held(ctx.thread);
-    }
-
-    fn on_retry_wait(&self, ctx: &SchedCtx<'_>, _reads: &[VarId], _writes: &[VarId]) {
-        // A deliberate `Tx::retry` wait is not a conflict: the success rate,
-        // predicted sets and locality ring stay untouched (the re-run after
-        // the wake re-reads the same addresses into the current filter).
-        // Only the serialization lock, if this start acquired it, is
-        // released — the waiting thread must not serialize everybody else.
-        self.lock.release_if_held(ctx.thread);
-    }
-
-    fn on_abort(&self, ctx: &SchedCtx<'_>, _abort: &Abort, _reads: &[VarId], writes: &[VarId]) {
-        self.with_state(ctx.thread, |slot| {
-            let mut s = slot.lock();
-            s.succ_rate /= 2.0;
-            s.last_committed = false;
-            // "copy write set of transaction into pred_write_set": the retry is
-            // expected to mimic the aborted attempt's writes.
-            s.pred_writes.clear();
-            s.pred_writes.extend_from_slice(writes);
-            if s.pred_writes.len() > self.config.max_pred_set {
-                s.pred_writes.truncate(self.config.max_pred_set);
-            }
-            // Temporal locality spans committed *and* aborted transactions.
-            s.ring.rotate();
-        });
-        self.lock.release_if_held(ctx.thread);
-    }
-
-    fn on_reset(&self, ctx: &SchedCtx<'_>) {
-        // Abandoned attempt (panic unwind, or a non-retryable error): the
-        // attempt never completed, so neither success-rate nor prediction
-        // accuracy can be judged. Drop its active predictions unscored and
-        // hand back the serialization lock if this start took it.
-        self.with_state(ctx.thread, |slot| {
-            let mut s = slot.lock();
-            s.active_pred_reads.clear();
-            s.active_pred_writes.clear();
-        });
+        }
+        drop(s);
+        // "if own global lock then unlock" — the waiting (or unwinding)
+        // thread must not serialize everybody else.
         self.lock.release_if_held(ctx.thread);
     }
 
@@ -447,22 +390,49 @@ impl TxScheduler for Shrink {
     }
 }
 
+/// Scores the predictions that were in force for a committed attempt
+/// against what it actually accessed, and consumes them.
+fn score(predicted: &mut Vec<VarId>, actual: &[VarId], total: &mut u64, correct: &mut u64) {
+    if !predicted.is_empty() {
+        let actual: HashSet<VarId> = actual.iter().copied().collect();
+        *total += predicted.len() as u64;
+        *correct += predicted.iter().filter(|v| actual.contains(v)).count() as u64;
+        predicted.clear();
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
-    use shrink_stm::{AbortReason, NoEpochs, StaticWrites, TxnKind};
+    use crate::testkit::ctx;
+    use shrink_stm::{Abort, AbortReason, StaticWrites, TxnKind};
 
-    fn ctx<'a>(thread: u16, oracle: &'a StaticWrites) -> SchedCtx<'a> {
-        SchedCtx {
-            thread: ThreadId::from_u16(thread),
-            visible: oracle,
-            epochs: &NoEpochs,
-            kind: TxnKind::ReadWrite,
-        }
+    /// One attempt that reads `reads` and commits.
+    fn commit(s: &Shrink, c: &SchedCtx<'_>, reads: &[VarId]) {
+        s.before_start(c);
+        s.on_finish(c, AttemptEnd::Committed, reads, &[]);
     }
 
-    fn commit_empty(s: &Shrink, c: &SchedCtx<'_>) {
-        s.on_commit(c, &[], &[]);
+    /// One attempt that reads `reads`, writes `writes` and aborts.
+    fn abort(s: &Shrink, c: &SchedCtx<'_>, reads: &[VarId], writes: &[VarId]) {
+        s.before_start(c);
+        let abort = Abort::new(AbortReason::WriteConflict);
+        s.on_finish(c, AttemptEnd::Aborted(&abort), reads, writes);
+    }
+
+    fn pred_reads(s: &Shrink, thread: u16) -> Vec<u64> {
+        let slot = s.threads.get(ThreadId::from_u16(thread));
+        let mut ids: Vec<u64> = slot.lock().pred_reads.iter().map(|v| v.as_u64()).collect();
+        ids.sort_unstable();
+        ids
+    }
+
+    fn pred_writes(s: &Shrink, thread: u16) -> Vec<VarId> {
+        s.threads
+            .get(ThreadId::from_u16(thread))
+            .lock()
+            .pred_writes
+            .clone()
     }
 
     #[test]
@@ -471,17 +441,13 @@ mod tests {
         let oracle = StaticWrites::new();
         let c = ctx(1, &oracle);
         let t = ThreadId::from_u16(1);
-        s.before_start(&c);
-        commit_empty(&s, &c);
+        commit(&s, &c, &[]);
         assert_eq!(s.success_rate(t), Some(1.0));
-        s.before_start(&c);
-        s.on_abort(&c, &Abort::new(AbortReason::WriteConflict), &[], &[]);
+        abort(&s, &c, &[], &[]);
         assert_eq!(s.success_rate(t), Some(0.5));
-        s.before_start(&c);
-        s.on_abort(&c, &Abort::new(AbortReason::WriteConflict), &[], &[]);
+        abort(&s, &c, &[], &[]);
         assert_eq!(s.success_rate(t), Some(0.25));
-        s.before_start(&c);
-        commit_empty(&s, &c);
+        commit(&s, &c, &[]);
         assert_eq!(s.success_rate(t), Some(0.625));
     }
 
@@ -496,18 +462,12 @@ mod tests {
         let c = ctx(1, &oracle);
         let addr = VarId::from_u64(99);
 
-        // Two aborted attempts reading `addr`: the first seeds the history,
-        // the second (success rate now 0.5 -> 0.25 territory) predicts.
+        // Aborted attempts reading `addr`: the first seeds the history, a
+        // later one (success rate now in 0.5 -> 0.25 territory) predicts.
         for _ in 0..3 {
-            s.before_start(&c);
-            s.on_read(&c, addr);
-            s.on_abort(&c, &Abort::new(AbortReason::ReadValidation), &[addr], &[]);
+            abort(&s, &c, &[addr], &[]);
         }
-        {
-            let slot = s.threads.get(ThreadId::from_u16(1));
-            let st = slot.lock();
-            assert!(st.pred_reads.contains(&addr), "confidence 3 must predict");
-        }
+        assert_eq!(pred_reads(&s, 1), [99], "confidence 3 must predict");
     }
 
     #[test]
@@ -515,50 +475,43 @@ mod tests {
         let s = Shrink::new(ShrinkConfig::default());
         let oracle = StaticWrites::new();
         let c = ctx(1, &oracle);
-        let addr = VarId::from_u64(99);
         for _ in 0..5 {
-            s.before_start(&c);
-            s.on_read(&c, addr);
-            commit_empty(&s, &c);
+            commit(&s, &c, &[VarId::from_u64(99)]);
         }
-        let slot = s.threads.get(ThreadId::from_u16(1));
         assert!(
-            slot.lock().pred_reads.is_empty(),
+            pred_reads(&s, 1).is_empty(),
             "a thread that always commits never pays for predicted sets"
         );
     }
 
-    #[test]
-    fn serializes_on_predicted_conflict_when_unlucky_thread_checks() {
-        // Force prediction on: affinity gate always passes.
-        let config = ShrinkConfig {
+    /// A scheduler whose affinity gate always passes, driven until thread 1
+    /// struggles and predicts `addr`, which `enemy` is writing: the next
+    /// `before_start` serializes.
+    fn about_to_serialize(oracle: &StaticWrites, addr: VarId) -> Shrink {
+        let s = Shrink::new(ShrinkConfig {
             affinity_bias: 32,
             ..ShrinkConfig::default()
-        };
-        let s = Shrink::new(config);
-        let addr = VarId::from_u64(5);
-        let enemy = ThreadId::from_u16(9);
-        let oracle = StaticWrites::new().with_writer(addr, enemy);
-        let c = ctx(1, &oracle);
-        let t = ThreadId::from_u16(1);
-
-        // Build up a read prediction for `addr` and drive the rate down.
-        s.before_start(&c);
-        s.on_read(&c, addr);
-        commit_empty(&s, &c);
+        });
+        let c = ctx(1, oracle);
+        commit(&s, &c, &[addr]);
         for _ in 0..3 {
-            s.before_start(&c);
-            s.on_read(&c, addr);
-            s.on_abort(&c, &Abort::new(AbortReason::WriteConflict), &[addr], &[]);
+            abort(&s, &c, &[addr], &[]);
         }
-        assert!(s.success_rate(t).unwrap() < 0.5);
+        assert!(s.success_rate(ThreadId::from_u16(1)).unwrap() < 0.5);
+        s
+    }
+
+    #[test]
+    fn serializes_on_predicted_conflict_when_unlucky_thread_checks() {
+        let addr = VarId::from_u64(5);
+        let oracle = StaticWrites::new().with_writer(addr, ThreadId::from_u16(9));
+        let s = about_to_serialize(&oracle, addr);
+        let c = ctx(1, &oracle);
 
         s.before_start(&c);
         assert_eq!(s.wait_count(), 1, "thread must be serialized");
-        let stats = s.prediction_stats();
-        assert!(stats.serialized >= 1);
-        s.on_read(&c, addr);
-        commit_empty(&s, &c);
+        assert!(s.prediction_stats().serialized >= 1);
+        s.on_finish(&c, AttemptEnd::Committed, &[addr], &[]);
         assert_eq!(s.wait_count(), 0, "commit releases the global lock");
     }
 
@@ -568,44 +521,32 @@ mod tests {
         let oracle = StaticWrites::new();
         let c = ctx(1, &oracle);
         let t = ThreadId::from_u16(1);
-        s.before_start(&c);
-        commit_empty(&s, &c);
+        commit(&s, &c, &[]);
         assert_eq!(s.success_rate(t), Some(1.0));
         // Ten deliberate waits in a row: the rate must not decay — a
         // blocked consumer is not a struggling transaction.
         for _ in 0..10 {
             s.before_start(&c);
-            s.on_retry_wait(&c, &[VarId::from_u64(1)], &[]);
+            s.on_finish(&c, AttemptEnd::RetryWait, &[VarId::from_u64(1)], &[]);
         }
         assert_eq!(s.success_rate(t), Some(1.0));
         assert_eq!(s.wait_count(), 0, "no serialization slot leaks");
     }
 
     #[test]
-    fn retry_wait_releases_a_held_serialization_lock() {
-        // Same setup that serializes in `before_start`, but the body then
-        // retries: on_retry_wait must hand the global lock back.
-        let config = ShrinkConfig {
-            affinity_bias: 32,
-            ..ShrinkConfig::default()
-        };
-        let s = Shrink::new(config);
+    fn retry_wait_and_abandonment_release_a_held_serialization_lock() {
+        // Serialized in `before_start`, but the body then retries (or
+        // panics): the completion must hand the global lock back.
         let addr = VarId::from_u64(5);
-        let enemy = ThreadId::from_u16(9);
-        let oracle = StaticWrites::new().with_writer(addr, enemy);
-        let c = ctx(1, &oracle);
-        s.before_start(&c);
-        s.on_read(&c, addr);
-        commit_empty(&s, &c);
-        for _ in 0..3 {
+        let oracle = StaticWrites::new().with_writer(addr, ThreadId::from_u16(9));
+        for end in [AttemptEnd::RetryWait, AttemptEnd::Abandoned] {
+            let s = about_to_serialize(&oracle, addr);
+            let c = ctx(1, &oracle);
             s.before_start(&c);
-            s.on_read(&c, addr);
-            s.on_abort(&c, &Abort::new(AbortReason::WriteConflict), &[addr], &[]);
+            assert_eq!(s.wait_count(), 1, "thread must be serialized");
+            s.on_finish(&c, end, &[], &[]);
+            assert_eq!(s.wait_count(), 0, "{end:?} releases the global lock");
         }
-        s.before_start(&c);
-        assert_eq!(s.wait_count(), 1, "thread must be serialized");
-        s.on_retry_wait(&c, &[addr], &[]);
-        assert_eq!(s.wait_count(), 0, "retry wait releases the global lock");
     }
 
     #[test]
@@ -614,8 +555,7 @@ mod tests {
         let oracle = StaticWrites::new();
         let c = ctx(1, &oracle);
         for _ in 0..50 {
-            s.before_start(&c);
-            commit_empty(&s, &c);
+            commit(&s, &c, &[]);
         }
         assert_eq!(s.prediction_stats().prediction_checks, 0);
     }
@@ -626,20 +566,14 @@ mod tests {
         let oracle = StaticWrites::new();
         let c = ctx(1, &oracle);
         let w = VarId::from_u64(44);
-        s.before_start(&c);
-        s.on_abort(&c, &Abort::new(AbortReason::WriteConflict), &[], &[w]);
-        {
-            let slot = s.threads.get(ThreadId::from_u16(1));
-            let st = slot.lock();
-            assert_eq!(st.pred_writes, vec![w]);
-        }
+        abort(&s, &c, &[], &[w]);
+        assert_eq!(pred_writes(&s, 1), vec![w]);
         // The next start consumes it.
         s.before_start(&c);
-        {
-            let slot = s.threads.get(ThreadId::from_u16(1));
-            let st = slot.lock();
-            assert!(st.pred_writes.is_empty(), "write prediction is one-shot");
-        }
+        assert!(
+            pred_writes(&s, 1).is_empty(),
+            "write prediction is one-shot"
+        );
     }
 
     #[test]
@@ -659,15 +593,10 @@ mod tests {
 
         // Two transactions reading {hit, miss} to build predictions.
         for _ in 0..2 {
-            s.before_start(&c);
-            s.on_read(&c, hit);
-            s.on_read(&c, miss);
-            commit_empty(&s, &c);
+            commit(&s, &c, &[hit, miss]);
         }
         // Third transaction reads only `hit`; both were predicted.
-        s.before_start(&c);
-        s.on_read(&c, hit);
-        s.on_commit(&c, &[hit], &[]);
+        commit(&s, &c, &[hit]);
 
         let stats = s.prediction_stats();
         assert_eq!(stats.read_predicted, 2);
@@ -682,8 +611,7 @@ mod tests {
         let mut c = ctx(1, &oracle);
         c.kind = TxnKind::ReadOnly;
         for _ in 0..20 {
-            s.before_start(&c);
-            s.on_commit(&c, &[], &[]);
+            commit(&s, &c, &[]);
         }
         // No per-thread state was even created: the success-rate EMA, the
         // locality ring and the prediction counters never saw the reader.
@@ -700,14 +628,12 @@ mod tests {
         let oracle = StaticWrites::new();
         let c = ctx(1, &oracle);
         let t = ThreadId::from_u16(1);
-        s.before_start(&c);
-        s.on_abort(&c, &Abort::new(AbortReason::WriteConflict), &[], &[]);
+        abort(&s, &c, &[], &[]);
         assert_eq!(s.success_rate(t), Some(0.5));
         let mut ro = ctx(1, &oracle);
         ro.kind = TxnKind::ReadOnly;
         for _ in 0..8 {
-            s.before_start(&ro);
-            s.on_commit(&ro, &[], &[]);
+            commit(&s, &ro, &[]);
         }
         assert_eq!(s.success_rate(t), Some(0.5), "scans must not heal the EMA");
     }
@@ -721,30 +647,100 @@ mod tests {
         let oracle = StaticWrites::new();
         let c = ctx(1, &oracle);
         let addr = VarId::from_u64(7);
-        let t = ThreadId::from_u16(1);
 
-        s.before_start(&c);
-        s.on_read(&c, addr);
-        commit_empty(&s, &c);
-        s.before_start(&c);
-        s.on_read(&c, addr); // predicted now
-        s.on_abort(&c, &Abort::new(AbortReason::ReadValidation), &[addr], &[]);
+        commit(&s, &c, &[addr]);
+        abort(&s, &c, &[addr], &[]); // predicted now
 
         // After an abort the prediction must survive the next start.
         s.before_start(&c);
-        {
-            let slot = s.threads.get(t);
-            assert!(slot.lock().pred_reads.contains(&addr));
-        }
-        s.on_read(&c, addr);
-        commit_empty(&s, &c);
+        assert_eq!(pred_reads(&s, 1), [7]);
+        s.on_finish(&c, AttemptEnd::Committed, &[addr], &[]);
 
         // After a commit the next start clears it.
         s.before_start(&c);
-        {
-            let slot = s.threads.get(t);
-            assert!(slot.lock().pred_reads.is_empty());
+        assert!(pred_reads(&s, 1).is_empty());
+        s.on_finish(&c, AttemptEnd::Committed, &[], &[]);
+    }
+
+    /// Equivalence with the per-access implementation this scheduler used
+    /// to be (a hook dispatch per transactional read, one completion hook
+    /// per outcome): a scripted single-thread history whose expected state
+    /// after every attempt was captured from that implementation (commit
+    /// bfba885). One intended deviation is outside the script: the reads of
+    /// an `Abandoned` attempt used to enter the current Bloom generation as
+    /// they happened and are now dropped with the attempt (the script's
+    /// abandoned attempt reads nothing).
+    #[test]
+    fn slice_replay_matches_the_per_read_goldens() {
+        #[derive(Clone, Copy)]
+        enum End {
+            Commit,
+            Conflict,
+            RetryWait,
+            Abandon,
         }
-        commit_empty(&s, &c);
+        use End::*;
+        type Step = (&'static [u64], &'static [u64], End);
+        /// succ_rate, pred_reads (sorted), pred_writes, then PredictionStats
+        /// as [read_predicted, read_correct, write_predicted, write_correct,
+        /// serialized, prediction_checks].
+        type Golden = (f64, &'static [u64], &'static [u64], [u64; 6]);
+        #[rustfmt::skip]
+        let script: [(Step, Golden); 14] = [
+            ((&[1, 2, 1], &[10], Commit),       (1.0, &[], &[], [0, 0, 0, 0, 0, 0])),
+            ((&[1, 2, 3], &[], Commit),         (1.0, &[], &[], [0, 0, 0, 0, 0, 0])),
+            ((&[1, 3, 3], &[10, 11], Conflict), (0.5, &[], &[10, 11], [0, 0, 0, 0, 0, 0])),
+            ((&[1, 3], &[10], Conflict),        (0.25, &[], &[10], [0, 0, 0, 0, 0, 0])),
+            // Struggling from here on: prediction is maintained and checked.
+            ((&[1, 2, 3, 1], &[11], Conflict),  (0.125, &[1, 3], &[11], [0, 0, 0, 0, 0, 1])),
+            // 3 is predicted and being written: this start serializes.
+            ((&[1, 4, 2], &[], RetryWait),      (0.125, &[1, 2, 3], &[], [0, 0, 0, 0, 1, 2])),
+            ((&[1, 4, 2], &[10], Commit),       (0.5625, &[1, 2, 3], &[], [3, 2, 0, 0, 2, 3])),
+            ((&[2], &[], Commit),               (0.78125, &[], &[], [6, 3, 0, 0, 2, 3])),
+            ((&[4, 4, 2], &[10, 11], Conflict), (0.390625, &[], &[10, 11], [6, 3, 0, 0, 2, 3])),
+            ((&[4, 2, 3], &[11], Conflict),     (0.1953125, &[2, 4], &[11], [6, 3, 0, 0, 2, 4])),
+            ((&[], &[], Abandon),               (0.1953125, &[2, 4], &[], [6, 3, 0, 0, 2, 5])),
+            ((&[1, 2, 3, 4], &[10], Commit),    (0.59765625, &[2, 3, 4], &[], [8, 5, 0, 0, 2, 6])),
+            ((&[1, 1, 2], &[10], Conflict),     (0.298828125, &[], &[10], [8, 5, 0, 0, 2, 6])),
+            ((&[1, 2], &[10], Commit),          (0.6494140625, &[1, 2], &[], [8, 5, 1, 1, 2, 7])),
+        ];
+        let ids = |raw: &[u64]| raw.iter().map(|&v| VarId::from_u64(v)).collect::<Vec<_>>();
+
+        let s = Shrink::new(ShrinkConfig {
+            affinity_bias: 32,
+            ..ShrinkConfig::default()
+        });
+        assert!(s.config().track_accuracy);
+        let oracle = StaticWrites::new().with_writer(VarId::from_u64(3), ThreadId::from_u16(9));
+        let c = ctx(1, &oracle);
+        let conflict = Abort::new(AbortReason::WriteConflict);
+        for (step, ((reads, writes, end), golden)) in script.into_iter().enumerate() {
+            s.before_start(&c);
+            let end = match end {
+                Commit => AttemptEnd::Committed,
+                Conflict => AttemptEnd::Aborted(&conflict),
+                RetryWait => AttemptEnd::RetryWait,
+                Abandon => AttemptEnd::Abandoned,
+            };
+            s.on_finish(&c, end, &ids(reads), &ids(writes));
+            assert_eq!(s.wait_count(), 0, "step {step}: lock released");
+
+            let stats = s.prediction_stats();
+            let got = (
+                s.success_rate(ThreadId::from_u16(1)).unwrap(),
+                pred_reads(&s, 1),
+                pred_writes(&s, 1),
+                [
+                    stats.read_predicted,
+                    stats.read_correct,
+                    stats.write_predicted,
+                    stats.write_correct,
+                    stats.serialized,
+                    stats.prediction_checks,
+                ],
+            );
+            let want = (golden.0, golden.1.to_vec(), ids(golden.2), golden.3);
+            assert_eq!(got, want, "step {step}");
+        }
     }
 }

@@ -2,7 +2,7 @@
 //!
 //! Every registered thread carries an [`EventCount`](parking_lot::EventCount)
 //! that the runtime advances (bump **and wake**) each time an attempt
-//! finishes — after the `on_commit`/`on_abort` scheduler hooks have run, so
+//! finishes — after the scheduler's `on_finish` hook has run, so
 //! a woken waiter observes the enemy's bookkeeping fully settled. The
 //! CAR-STM-style Serializer uses this to *sleep* until its enemy finishes
 //! the conflicting transaction instead of burning a `yield_now` poll loop

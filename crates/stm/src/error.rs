@@ -37,8 +37,8 @@ pub enum AbortReason {
     /// to run an alternative branch, and the runtime's retry loop **parks**
     /// the thread on the per-stripe commit event counts of its read set
     /// instead of spinning the attempt again (DESIGN.md §9). Schedulers see
-    /// it through [`on_retry_wait`](crate::sched::TxScheduler::on_retry_wait)
-    /// rather than `on_abort`, so a deliberate wait is never booked as a
+    /// it as [`AttemptEnd::RetryWait`](crate::sched::AttemptEnd::RetryWait)
+    /// rather than `Aborted`, so a deliberate wait is never booked as a
     /// conflict abort.
     Retry,
     /// The body touched a [`TVar`](crate::TVar) owned by a different
@@ -81,11 +81,11 @@ impl fmt::Display for AbortReason {
 ///
 /// Carries the reason plus, when known, the variable, the competing thread,
 /// and the competing thread's *attempt epoch sampled while the conflict was
-/// live*. Schedulers receive this information through the
-/// [`TxScheduler::on_abort`](crate::sched::TxScheduler::on_abort) hook.
+/// live*. Schedulers receive this information through
+/// [`AttemptEnd::Aborted`](crate::sched::AttemptEnd::Aborted).
 ///
 /// The epoch matters for schedule-after-conflict policies: by the time
-/// `on_abort` runs (after rollback and log extraction), a fast enemy may
+/// `on_finish` runs (after rollback and log extraction), a fast enemy may
 /// already have committed the conflicting transaction and be deep into its
 /// next one. A scheduler that sampled the enemy's epoch *then* would make
 /// the victim wait behind the wrong transaction; the conflict-time sample

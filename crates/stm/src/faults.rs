@@ -71,11 +71,11 @@ pub enum FaultSite {
     /// After the scheduler's `before_start` hook returned (serialization
     /// may be held).
     SchedBeforeStart = 6,
-    /// After the scheduler's `on_commit` hook returned.
+    /// After the scheduler's `on_finish(Committed)` hook returned.
     SchedOnCommit = 7,
-    /// After the scheduler's `on_abort` hook returned.
+    /// After the scheduler's `on_finish(Aborted)` hook returned.
     SchedOnAbort = 8,
-    /// After the scheduler's `on_retry_wait` hook returned.
+    /// After the scheduler's `on_finish(RetryWait)` hook returned.
     SchedOnRetryWait = 9,
     /// An `EventCount` park (waitlist parker or attempt-epoch wait);
     /// spurious wake here returns as if notified.
@@ -92,6 +92,10 @@ pub enum FaultSite {
     /// The select's park point, inside the registered-but-not-deregistered
     /// window (spurious wake here skips the park as if a commit fired).
     RegistryWake = 15,
+    /// `Tx::read` between confirming a stripe newer than the snapshot and
+    /// the timestamp extension's clock sample — the window in which a
+    /// commit to that stripe makes the loaded value stale.
+    ReadExtend = 16,
 }
 
 /// What an active schedule may inject at a site.
@@ -145,7 +149,7 @@ impl fmt::Display for FaultKind {
 
 impl FaultSite {
     /// Every instrumented site, in catalog order.
-    pub const ALL: [FaultSite; 16] = [
+    pub const ALL: [FaultSite; 17] = [
         FaultSite::OrecAcquire,
         FaultSite::OrecRelease,
         FaultSite::CommitInstall,
@@ -162,6 +166,7 @@ impl FaultSite {
         FaultSite::EpochRetire,
         FaultSite::RegistryRegister,
         FaultSite::RegistryWake,
+        FaultSite::ReadExtend,
     ];
 
     #[cfg_attr(not(feature = "faults"), allow(dead_code))]
@@ -181,7 +186,7 @@ impl FaultSite {
         const P: u8 = 8;
         match self {
             FaultSite::OrecAcquire | FaultSite::CommitInstall => D | A | P,
-            FaultSite::OrecRelease | FaultSite::EventWake => D,
+            FaultSite::OrecRelease | FaultSite::EventWake | FaultSite::ReadExtend => D,
             FaultSite::WaitRegister | FaultSite::WaitWake | FaultSite::RegistryRegister => D | P,
             FaultSite::WaitValidate | FaultSite::EventPark | FaultSite::RegistryWake => D | W,
             FaultSite::SchedBeforeStart
@@ -216,6 +221,7 @@ impl FaultSite {
             FaultSite::EpochRetire => "epoch_retire",
             FaultSite::RegistryRegister => "registry_register",
             FaultSite::RegistryWake => "registry_wake",
+            FaultSite::ReadExtend => "read_extend",
         }
     }
 
@@ -584,18 +590,21 @@ mod tests {
                 assert_ne!(a.name(), b.name());
             }
         }
-        assert_eq!(FaultSite::ALL.len(), 16);
+        assert_eq!(FaultSite::ALL.len(), 17);
     }
 
     #[test]
     fn kind_masks_respect_unwind_safety() {
-        // Sites that run during drops/unwinds must never panic or abort.
+        // Sites that run during drops/unwinds must never panic or abort;
+        // nor may the pure race-window widener in `Tx::read`.
         for site in [
             FaultSite::OrecRelease,
             FaultSite::EventWake,
             FaultSite::EpochAdvance,
             FaultSite::EpochRetire,
+            FaultSite::ReadExtend,
         ] {
+            assert!(site.allows(FaultKind::Delay), "{site}");
             assert!(!site.allows(FaultKind::Panic), "{site}");
             assert!(!site.allows(FaultKind::SpuriousAbort), "{site}");
         }

@@ -34,11 +34,12 @@
 //! Dropping a suspended `TxFuture` is the async analogue of a panic
 //! unwinding out of [`TmRuntime::run`]: the drop handler deregisters the
 //! parker from every watched bucket (no waitlist slot leaks, no stray wake
-//! reaches a dead task) and fires the scheduler's
-//! [`on_reset`](crate::sched::TxScheduler::on_reset) hook so policies that
-//! tracked the blocked transaction can clean up. No stripe lock can be
-//! held at that point — a future only suspends after its attempt rolled
-//! back — so the reset never observes locked stripes.
+//! reaches a dead task) and reports
+//! [`AttemptEnd::Abandoned`](crate::sched::AttemptEnd::Abandoned) to the
+//! scheduler so policies that tracked the blocked transaction can clean
+//! up. No stripe lock can be held at that point — a future only suspends
+//! after its attempt rolled back — so the report never observes locked
+//! stripes.
 //!
 //! # What never happens here
 //!
@@ -56,16 +57,14 @@ use std::fmt;
 use std::future::Future;
 use std::marker::PhantomData;
 use std::pin::Pin;
-use std::sync::atomic::Ordering;
 use std::sync::Arc;
 use std::task::{Context, Poll};
 
 use crate::config::TxnKind;
-use crate::error::{AbortReason, TmError, TxResult};
-use crate::faults::FaultSite;
-use crate::runtime::{AttemptGuard, TmRuntime};
-use crate::sched::SchedCtx;
-use crate::thread::ThreadCtx;
+use crate::error::TxResult;
+use crate::runtime::{Attempt, TmRuntime};
+use crate::sched::AttemptEnd;
+use crate::thread::ThreadId;
 use crate::txn::Tx;
 use crate::waitlist::{AsyncParker, AsyncRegisterOutcome};
 
@@ -83,10 +82,10 @@ struct Suspension {
     /// The parker epoch sampled before registration; an unequal value on
     /// re-poll proves a commit bumped a watched stripe since.
     observed: u32,
-    /// The thread context the suspending attempt ran under — kept so a
+    /// The thread the suspending attempt ran under — kept so a
     /// drop-while-suspended can report the cancellation to the scheduler
-    /// under the same identity the `on_retry_wait` hook used.
-    ctx: Arc<ThreadCtx>,
+    /// under the same identity the `RetryWait` report used.
+    thread: ThreadId,
 }
 
 /// A transaction running as a future — created by [`atomically_async`].
@@ -187,46 +186,20 @@ where
         let inner = &*this.rt.inner;
         let mut consecutive_aborts: u32 = 0;
         loop {
-            // Same bracket as the thread path (`run_attempts`): guard
-            // first, `tx` second, so a body panic unwinding out of `poll`
-            // rolls the attempt back before the guard resets the scheduler.
-            let guard = AttemptGuard::new(inner, &ctx, TxnKind::ReadWrite);
-            inner.scheduler.before_start(&guard.sched_ctx());
-            let _ = crate::failpoint!(FaultSite::SchedBeforeStart);
-            let mut tx = Tx::begin(inner, &ctx);
-            let committed = match (this.body)(&mut tx) {
-                Ok(value) => tx.try_commit().map(|()| value),
-                Err(abort) => Err(abort),
-            };
-            match committed {
-                Ok(value) => {
-                    let (reads, writes) = tx.take_logs();
-                    drop(tx);
-                    ctx.commits.fetch_add(1, Ordering::Relaxed);
-                    inner
-                        .scheduler
-                        .on_commit(&guard.sched_ctx(), &reads, &writes);
-                    let _ = crate::failpoint!(FaultSite::SchedOnCommit);
-                    guard.complete();
+            // The same attempt step as the thread path; a body panic
+            // unwinding out of `poll` closes the bracket inside it.
+            match inner.attempt(&ctx, &mut this.body) {
+                Attempt::Committed(value) => {
                     this.done = true;
                     return Poll::Ready(value);
                 }
-                Err(abort) if abort.reason() == AbortReason::Retry => {
+                // `run` panics on this too: it is a program bug, not a
+                // schedulable condition, and `poll` has no error lane.
+                Attempt::Fatal(err) => panic!("{err}"),
+                Attempt::Blocked(wait_plan) => {
                     // Deliberate blocking: suspend the task instead of
-                    // parking the thread.
-                    tx.rollback();
-                    let wait_plan = tx.retry_wait_plan();
-                    let (reads, writes) = tx.take_logs();
-                    drop(tx);
-                    ctx.retry_waits.fetch_add(1, Ordering::Relaxed);
-                    inner
-                        .scheduler
-                        .on_retry_wait(&guard.sched_ctx(), &reads, &writes);
-                    let _ = crate::failpoint!(FaultSite::SchedOnRetryWait);
-                    // Close the scheduler bracket *before* suspending, like
-                    // the thread path does before parking: no hook bracket
-                    // stays open across Pending.
-                    guard.complete();
+                    // parking the thread. The scheduler bracket is already
+                    // closed — none stays open across Pending.
                     // Waker before registration, epoch before registration:
                     // a commit landing between the epoch sample and the
                     // registration also changed an orec, which the
@@ -245,37 +218,13 @@ where
                             this.suspended = Some(Suspension {
                                 buckets,
                                 observed,
-                                ctx,
+                                thread: ctx.id(),
                             });
                             return Poll::Pending;
                         }
                     }
                 }
-                Err(abort) if abort.reason() == AbortReason::ForeignTVar => {
-                    tx.rollback();
-                    let info = tx.foreign_access().expect("foreign abort carries details");
-                    drop(tx);
-                    // `run` panics on this too: it is a program bug, not a
-                    // schedulable condition, and `poll` has no error lane.
-                    panic!(
-                        "{}",
-                        TmError::ForeignTVar {
-                            var: info.var,
-                            owner: info.owner,
-                            runtime: inner.id,
-                        }
-                    );
-                }
-                Err(abort) => {
-                    tx.rollback();
-                    let (reads, writes) = tx.take_logs();
-                    drop(tx);
-                    ctx.aborts.fetch_add(1, Ordering::Relaxed);
-                    inner
-                        .scheduler
-                        .on_abort(&guard.sched_ctx(), &abort, &reads, &writes);
-                    let _ = crate::failpoint!(FaultSite::SchedOnAbort);
-                    guard.complete();
+                Attempt::Aborted => {
                     consecutive_aborts += 1;
                     if consecutive_aborts >= ABORTS_PER_POLL {
                         // Cooperative backoff: re-enqueue instead of
@@ -303,16 +252,17 @@ impl<T, F> Drop for TxFuture<T, F> {
         inner
             .retry_waits
             .deregister_async(&susp.buckets, &self.parker);
-        // The suspension held no scheduler bracket open (`on_retry_wait` +
-        // complete ran before Pending), but policies that tracked the
-        // blocked transaction still hear about the abandonment — `on_reset`
-        // is specified to tolerate firing with nothing held.
-        inner.scheduler.on_reset(&SchedCtx {
-            thread: susp.ctx.id(),
-            visible: &inner.orecs,
-            epochs: &inner.registry,
-            kind: TxnKind::ReadWrite,
-        });
+        // The suspension held no scheduler bracket open (the `RetryWait`
+        // report closed it before Pending), but policies that tracked the
+        // blocked transaction still hear about the abandonment —
+        // `Abandoned` is specified to tolerate arriving with nothing held.
+        // No attempt ran, so the attempt epoch stays put.
+        inner.scheduler.on_finish(
+            &inner.sched_ctx(susp.thread, TxnKind::ReadWrite),
+            AttemptEnd::Abandoned,
+            &[],
+            &[],
+        );
     }
 }
 

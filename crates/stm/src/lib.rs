@@ -106,7 +106,7 @@ pub use registry::{
     lookup_runtime, retry_select, retry_select_deadline, select_stats, SelectArm, SelectStats,
 };
 pub use runtime::{atomically, quiesce, TmBuilder, TmRuntime};
-pub use sched::{NoopScheduler, SchedCtx, TxScheduler};
+pub use sched::{AttemptEnd, NoopScheduler, SchedCtx, TxScheduler};
 pub use stats::{ThreadStats, TmStats};
 pub use tarray::TArray;
 pub use thread::ThreadId;

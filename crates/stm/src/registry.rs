@@ -223,11 +223,8 @@ impl<T> fmt::Debug for SelectArm<'_, T> {
 /// assert_eq!((winner, value), (1, 7));
 /// ```
 pub fn retry_select<T>(arms: &mut [SelectArm<'_, T>]) -> (usize, T) {
-    match select_rounds(arms, None) {
-        Ok(v) => v,
-        Err(err @ TmError::ForeignTVar { .. }) => panic!("{err}"),
-        Err(_) => unreachable!("unbounded selects cannot time out"),
-    }
+    // Without a deadline the only error left is the foreign `TVar`.
+    select_rounds(arms, None).unwrap_or_else(|err| panic!("{err}"))
 }
 
 /// [`retry_select`] with a blocking bound: once `deadline` passes while
@@ -259,7 +256,11 @@ fn select_rounds<T>(
     loop {
         SELECT_ROUNDS.fetch_add(1, Ordering::Relaxed);
         for (i, arm) in arms.iter_mut().enumerate() {
-            match arm.rt.run_until_block(&mut *arm.body)? {
+            let ctx = arm.rt.current_ctx();
+            match arm
+                .rt
+                .run_until_block(&ctx, &mut 0, u64::MAX, &mut *arm.body)?
+            {
                 BlockOutcome::Committed(value) => return Ok((i, value)),
                 BlockOutcome::Blocked(plan) => plans[i] = plan,
             }

@@ -14,12 +14,13 @@ use crate::config::{BackendKind, CmPolicy, TmConfig, TxnKind, WaitPolicy};
 use crate::error::{AbortReason, TmError, TxResult};
 use crate::faults::FaultSite;
 use crate::orec::OrecTable;
-use crate::sched::{NoopScheduler, SchedCtx, TxScheduler};
+use crate::sched::{AttemptEnd, NoopScheduler, SchedCtx, TxScheduler};
 use crate::stats::{ThreadStats, TmStats};
-use crate::thread::{ThreadCtx, ThreadRegistry};
+use crate::thread::{ThreadCtx, ThreadId, ThreadRegistry};
 use crate::txn::{ReadTx, Tx};
+use crate::varid::VarId;
 use crate::visible::VisibleWrites;
-use crate::waitlist::{RetryStats, StripeWaitlist};
+use crate::waitlist::{RetryStats, RetryWaitOutcome, StripeWaitlist};
 
 static NEXT_RUNTIME_ID: AtomicU64 = AtomicU64::new(1);
 
@@ -64,81 +65,184 @@ impl Drop for RuntimeInner {
     }
 }
 
+/// How one read-write attempt left the transaction — what
+/// [`RuntimeInner::attempt`] hands its drivers. The drivers differ only in
+/// how they wait on `Blocked` and `Aborted` (DESIGN.md §12.2).
+pub(crate) enum Attempt<T> {
+    /// The attempt committed.
+    Committed(T),
+    /// The body ended in [`Tx::retry`] and was rolled back: the
+    /// deduplicated `(stripe, observed version)` pairs of the attempt's
+    /// read set — what a commit must touch to make re-running worthwhile.
+    Blocked(Vec<(usize, u64)>),
+    /// The attempt lost a conflict (booked as an abort); re-run it.
+    Aborted,
+    /// A non-retryable error ended the transaction.
+    Fatal(TmError),
+}
+
 /// How [`run_until_block`](TmRuntime::run_until_block) left the
 /// transaction: committed with a value, or rolled back at a deliberate
 /// [`Tx::retry`] with the wait plan it would have parked on.
 pub(crate) enum BlockOutcome<T> {
     /// An attempt committed.
     Committed(T),
-    /// The body retried: the deduplicated `(stripe, observed version)`
-    /// pairs of the attempt's read set — what a commit must touch to make
-    /// re-running worthwhile.
+    /// The body retried; see [`Attempt::Blocked`].
     Blocked(Vec<(usize, u64)>),
 }
 
-/// RAII bracket around one transaction attempt.
+/// The scheduler bracket around one transaction attempt — the only place
+/// the runtime talks to its [`TxScheduler`].
 ///
-/// Armed before the scheduler's `before_start` hook and disarmed by
-/// [`complete`](AttemptGuard::complete) after a normal completion hook ran.
-/// If the attempt is abandoned instead — the body panicked and unwinding is
-/// in progress, or a non-retryable error (foreign `TVar`) returned early —
-/// the drop handler restores the invariants a completion hook would have:
-/// it tells the scheduler to reset per-thread state (releasing any
-/// serialization taken in `before_start`) and advances the attempt epoch so
-/// threads serialized behind this one wake instead of stalling their full
-/// wait bound.
+/// [`begin`](AttemptGuard::begin) opens the bracket (`before_start`),
+/// [`finish`](AttemptGuard::finish) closes it (per-thread stats bump, the
+/// `on_finish` dispatch) and the drop advances the attempt epoch. If the
+/// attempt is abandoned instead — the body panicked and is unwinding, or a
+/// non-retryable error (foreign `TVar`) returned early — the drop first
+/// closes it as [`AttemptEnd::Abandoned`], so the scheduler releases any
+/// serialization taken in `before_start` and threads serialized behind
+/// this one wake instead of stalling their full wait bound.
 ///
-/// Declared *before* the `Tx` in the attempt loop, so during an unwind the
+/// Declared *before* the `Tx` in the attempt step, so during an unwind the
 /// `Tx` drops first (rollback: stripe locks released, versions restored)
-/// and this guard second — the scheduler reset never observes the attempt's
-/// stripes still locked.
-pub(crate) struct AttemptGuard<'a> {
+/// and this guard second — the scheduler never observes the abandoned
+/// attempt's stripes still locked.
+struct AttemptGuard<'a> {
     inner: &'a RuntimeInner,
     ctx: &'a ThreadCtx,
     kind: TxnKind,
-    armed: bool,
+    open: bool,
 }
 
 impl<'a> AttemptGuard<'a> {
-    pub(crate) fn new(inner: &'a RuntimeInner, ctx: &'a ThreadCtx, kind: TxnKind) -> Self {
+    fn new(inner: &'a RuntimeInner, ctx: &'a ThreadCtx, kind: TxnKind) -> Self {
         AttemptGuard {
             inner,
             ctx,
             kind,
-            armed: true,
+            open: false,
         }
     }
 
-    pub(crate) fn sched_ctx(&self) -> SchedCtx<'_> {
-        SchedCtx {
-            thread: self.ctx.id(),
-            visible: &self.inner.orecs,
-            epochs: &self.inner.registry,
-            kind: self.kind,
-        }
-    }
-
-    /// Normal completion: a completion hook ran; advance the attempt epoch
-    /// (read-write attempts only — read-only transactions never advance
-    /// epochs, in either completion mode) and disarm.
-    pub(crate) fn complete(mut self) {
-        self.armed = false;
+    /// Opens the bracket. A method on the guard in its final place rather
+    /// than a constructor: returning the opened guard by value copies it
+    /// right after its flags were written — a store-forwarding stall on
+    /// every attempt.
+    #[inline]
+    fn begin(&mut self) {
+        self.open = true;
+        let sched_ctx = self.inner.sched_ctx(self.ctx.id(), self.kind);
+        self.inner.scheduler.before_start(&sched_ctx);
         if self.kind == TxnKind::ReadWrite {
-            // Bump-and-wake *after* the hook: a victim released here
-            // observes the enemy's scheduler bookkeeping settled.
-            self.ctx.finish_attempt();
+            // Hazard probe with serialization possibly held: a panic here
+            // must release it through the guard's drop.
+            let _ = crate::failpoint!(FaultSite::SchedBeforeStart);
+        }
+    }
+
+    /// Closes the bracket; the guard's drop, at the end of the caller's
+    /// scope, then only advances the attempt epoch. By reference for the
+    /// same reason as [`begin`](AttemptGuard::begin).
+    #[inline]
+    fn finish(&mut self, end: AttemptEnd<'_>, reads: &[VarId], writes: &[VarId]) {
+        debug_assert!(self.open, "an attempt finishes once");
+        // Closed first: a panic below (scheduler bug, injected fault) must
+        // not make the drop handler dispatch a second completion.
+        self.open = false;
+        let read_write = self.kind == TxnKind::ReadWrite;
+        let (counter, site) = match end {
+            AttemptEnd::Committed if read_write => {
+                (Some(&self.ctx.commits), Some(FaultSite::SchedOnCommit))
+            }
+            AttemptEnd::Committed => (Some(&self.ctx.ro_commits), None),
+            AttemptEnd::Aborted(_) => (Some(&self.ctx.aborts), Some(FaultSite::SchedOnAbort)),
+            AttemptEnd::RetryWait => (
+                Some(&self.ctx.retry_waits),
+                Some(FaultSite::SchedOnRetryWait),
+            ),
+            AttemptEnd::Abandoned => (None, None),
+        };
+        if let Some(counter) = counter {
+            counter.fetch_add(1, Ordering::Relaxed);
+        }
+        let ctx = self.inner.sched_ctx(self.ctx.id(), self.kind);
+        self.inner.scheduler.on_finish(&ctx, end, reads, writes);
+        if let Some(site) = site {
+            let _ = crate::failpoint!(site);
         }
     }
 }
 
 impl Drop for AttemptGuard<'_> {
+    #[inline]
     fn drop(&mut self) {
-        if !self.armed {
-            return;
+        if self.open {
+            self.finish(AttemptEnd::Abandoned, &[], &[]);
         }
-        self.inner.scheduler.on_reset(&self.sched_ctx());
+        // Bump-and-wake *after* the hook: a victim released here observes
+        // the enemy's scheduler bookkeeping settled. Read-only transactions
+        // never advance epochs.
         if self.kind == TxnKind::ReadWrite {
             self.ctx.finish_attempt();
+        }
+    }
+}
+
+impl RuntimeInner {
+    pub(crate) fn sched_ctx(&self, thread: ThreadId, kind: TxnKind) -> SchedCtx<'_> {
+        SchedCtx {
+            thread,
+            visible: &self.orecs,
+            epochs: &self.registry,
+            kind,
+        }
+    }
+
+    /// Runs `body` as one read-write attempt: `begin → body → commit |
+    /// blocked | aborted | fatal`, with the scheduler bracket, stats and
+    /// failpoints owned by the [`AttemptGuard`]. Every read-write entry
+    /// point drives this step.
+    #[inline]
+    pub(crate) fn attempt<T>(
+        &self,
+        ctx: &ThreadCtx,
+        body: impl FnOnce(&mut Tx<'_>) -> TxResult<T>,
+    ) -> Attempt<T> {
+        // Guard first, `tx` second: on an unwind the transaction rolls back
+        // (stripes released) before the guard closes the scheduler bracket
+        // and advances the attempt epoch.
+        let mut guard = AttemptGuard::new(self, ctx, TxnKind::ReadWrite);
+        guard.begin();
+        let mut tx = Tx::begin(self, ctx);
+        let abort = match body(&mut tx).and_then(|value| tx.try_commit().map(|()| value)) {
+            Ok(value) => {
+                let (reads, writes) = tx.take_logs();
+                drop(tx);
+                guard.finish(AttemptEnd::Committed, &reads, &writes);
+                return Attempt::Committed(value);
+            }
+            Err(abort) => abort,
+        };
+        tx.rollback();
+        if abort.reason() == AbortReason::ForeignTVar {
+            // Not retryable, and not a conflict either: no abort is booked;
+            // the guard's drop closes the bracket as `Abandoned`.
+            return Attempt::Fatal(tx.refusal.expect("foreign abort carries details"));
+        }
+        let wait_plan = abort.reason().is_retry().then(|| tx.retry_wait_plan());
+        let (reads, writes) = tx.take_logs();
+        drop(tx);
+        match wait_plan {
+            // Deliberate blocking, not a conflict: the driver waits for a
+            // commit to overwrite something the attempt read.
+            Some(plan) => {
+                guard.finish(AttemptEnd::RetryWait, &reads, &writes);
+                Attempt::Blocked(plan)
+            }
+            None => {
+                guard.finish(AttemptEnd::Aborted(&abort), &reads, &writes);
+                Attempt::Aborted
+            }
         }
     }
 }
@@ -368,7 +472,6 @@ impl TmRuntime {
                 return Arc::clone(&reg.0);
             }
             let ctx = self.inner.registry.register();
-            self.inner.scheduler.on_thread_register(ctx.id());
             map.insert(self.inner.id, Registration(Arc::clone(&ctx)));
             ctx
         })
@@ -401,11 +504,9 @@ impl TmRuntime {
     /// [`run_budgeted`]: TmRuntime::run_budgeted
     /// [`run_with_deadline`]: TmRuntime::run_with_deadline
     pub fn run<T>(&self, body: impl FnMut(&mut Tx<'_>) -> TxResult<T>) -> T {
-        match self.run_attempts(u64::MAX, None, body) {
-            Ok(v) => v,
-            Err(err @ TmError::ForeignTVar { .. }) => panic!("{err}"),
-            Err(_) => unreachable!("unbounded retries cannot be exhausted"),
-        }
+        // Unbounded: the only error left is the foreign `TVar` program bug.
+        self.run_attempts(u64::MAX, None, body)
+            .unwrap_or_else(|err| panic!("{err}"))
     }
 
     /// Runs `body` as a transaction but gives up after `max_attempts`
@@ -519,7 +620,7 @@ impl TmRuntime {
     ///   support; a read-only body that cannot proceed should return its
     ///   "not ready" answer and let the caller decide;
     /// * **invisible to the scheduler** — the single
-    ///   `before_start`/`on_commit` hook pair fires with
+    ///   `before_start`/`on_finish(Committed)` hook pair fires with
     ///   [`TxnKind::ReadOnly`], which Shrink/ATS/Serializer treat as "skip
     ///   conflict bookkeeping", and internal restarts fire no hooks at all.
     ///
@@ -549,11 +650,8 @@ impl TmRuntime {
     /// assert_eq!(stats.commits, 0, "read-only is not a commit");
     /// ```
     pub fn read_only<T>(&self, body: impl FnMut(&mut ReadTx<'_>) -> TxResult<T>) -> T {
-        match self.read_only_attempts(u64::MAX, body) {
-            Ok(v) => v,
-            Err(err @ TmError::ForeignTVar { .. }) => panic!("{err}"),
-            Err(_) => unreachable!("unbounded retries cannot be exhausted"),
-        }
+        self.read_only_attempts(u64::MAX, body)
+            .unwrap_or_else(|err| panic!("{err}"))
     }
 
     /// Runs `body` as a read-only transaction like
@@ -582,14 +680,12 @@ impl TmRuntime {
         let ctx = self.current_ctx();
         let inner = &*self.inner;
         // One bracket per read-only transaction, kind-tagged: internal
-        // snapshot restarts are invisible to the scheduler. The guard turns
-        // every abnormal exit (body panic, foreign access, exhausted
-        // budget) into an `on_reset`, so the bracket opened by
-        // `before_start` below is always closed.
-        let guard = AttemptGuard::new(inner, &ctx, TxnKind::ReadOnly);
-        inner.scheduler.before_start(&guard.sched_ctx());
+        // snapshot restarts are invisible to the scheduler. Every abnormal
+        // exit (body panic, foreign access, exhausted budget) drops the
+        // guard, which closes the bracket as `Abandoned`.
+        let mut guard = AttemptGuard::new(inner, &ctx, TxnKind::ReadOnly);
+        guard.begin();
         let mut attempts: u64 = 0;
-        let mut restarts: u32 = 0;
         loop {
             attempts += 1;
             let mut tx = ReadTx::begin(inner, ctx.id());
@@ -598,112 +694,59 @@ impl TmRuntime {
             ctx.ro_reads.fetch_add(reads, Ordering::Relaxed);
             ctx.ro_revalidations
                 .fetch_add(revalidations, Ordering::Relaxed);
-            match outcome {
-                Ok(value) => {
-                    ctx.ro_commits.fetch_add(1, Ordering::Relaxed);
-                    inner.scheduler.on_commit(&guard.sched_ctx(), &[], &[]);
-                    guard.complete();
-                    return Ok(value);
-                }
-                Err(abort) if abort.reason() == AbortReason::ForeignTVar => {
-                    let info = tx.foreign_access().expect("foreign abort carries details");
-                    // Not retryable: a fresh snapshot cannot change which
-                    // runtime owns the variable. The guard fires on_reset.
-                    return Err(TmError::ForeignTVar {
-                        var: info.var,
-                        owner: info.owner,
-                        runtime: inner.id,
-                    });
-                }
-                Err(_) => {
-                    // A concurrent writer invalidated the snapshot (or the
-                    // body asked to restart). Not an abort — no lock was
-                    // held, no writer was harmed. Grant the writer a short
-                    // pause, then re-run on a fresh snapshot.
-                    ctx.ro_revalidations.fetch_add(1, Ordering::Relaxed);
-                    if attempts >= max_attempts {
-                        return Err(TmError::RetryLimitExceeded { attempts });
-                    }
-                    restarts = restarts.saturating_add(1);
-                    pause(inner.config.wait_policy, restarts);
-                }
+            if let Ok(value) = outcome {
+                guard.finish(AttemptEnd::Committed, &[], &[]);
+                return Ok(value);
             }
+            if let Some(refusal) = tx.refusal {
+                // Not retryable: a fresh snapshot cannot change which
+                // runtime owns the variable.
+                return Err(refusal);
+            }
+            // A concurrent writer invalidated the snapshot (or the body
+            // asked to restart). Not an abort — no lock was held, no writer
+            // was harmed. Grant the writer a short pause, then re-run on a
+            // fresh snapshot.
+            ctx.ro_revalidations.fetch_add(1, Ordering::Relaxed);
+            if attempts >= max_attempts {
+                return Err(TmError::RetryLimitExceeded { attempts });
+            }
+            pause(
+                inner.config.wait_policy,
+                u32::try_from(attempts).unwrap_or(u32::MAX),
+            );
         }
     }
 
-    /// Runs `body` until it either commits or deliberately blocks — the
-    /// building block of the cross-runtime select
-    /// ([`registry::retry_select`](crate::registry::retry_select)).
-    ///
-    /// Identical to one iteration class of [`run_attempts`]: conflict
-    /// aborts re-run internally with the usual backoff and every scheduler
-    /// hook fires exactly as in [`run`](TmRuntime::run). The difference is
-    /// the `Retry` branch: instead of parking on this runtime's waitlist,
-    /// the rolled-back attempt's wait plan is handed to the caller, who
-    /// parks one parker across *several* runtimes' waitlists.
-    ///
-    /// [`run_attempts`]: TmRuntime::run_attempts
+    /// Runs `body` until it either commits or deliberately blocks: the
+    /// abort loop every thread driver shares. Conflict aborts re-run the
+    /// attempt step with the usual backoff, counting into `attempts` and
+    /// giving up once an aborted attempt exhausts `max_attempts`; a blocked
+    /// attempt's wait plan is handed to the caller — [`run`](TmRuntime::run)
+    /// and its siblings park on this runtime's waitlist with it, the
+    /// cross-runtime select
+    /// ([`registry::retry_select`](crate::registry::retry_select)) parks one
+    /// parker across *several* runtimes' waitlists.
     pub(crate) fn run_until_block<T>(
         &self,
-        body: &mut dyn FnMut(&mut Tx<'_>) -> TxResult<T>,
+        ctx: &ThreadCtx,
+        attempts: &mut u64,
+        max_attempts: u64,
+        mut body: impl FnMut(&mut Tx<'_>) -> TxResult<T>,
     ) -> Result<BlockOutcome<T>, TmError> {
-        let ctx = self.current_ctx();
         let inner = &*self.inner;
         let mut consecutive_aborts: u32 = 0;
         loop {
-            let guard = AttemptGuard::new(inner, &ctx, TxnKind::ReadWrite);
-            inner.scheduler.before_start(&guard.sched_ctx());
-            let _ = crate::failpoint!(FaultSite::SchedBeforeStart);
-            let mut tx = Tx::begin(inner, &ctx);
-            let committed = match body(&mut tx) {
-                Ok(value) => tx.try_commit().map(|()| value),
-                Err(abort) => Err(abort),
-            };
-            match committed {
-                Ok(value) => {
-                    let (reads, writes) = tx.take_logs();
-                    drop(tx);
-                    ctx.commits.fetch_add(1, Ordering::Relaxed);
-                    inner
-                        .scheduler
-                        .on_commit(&guard.sched_ctx(), &reads, &writes);
-                    let _ = crate::failpoint!(FaultSite::SchedOnCommit);
-                    guard.complete();
-                    return Ok(BlockOutcome::Committed(value));
+            *attempts += 1;
+            let attempts = *attempts;
+            match inner.attempt(ctx, &mut body) {
+                Attempt::Committed(value) => return Ok(BlockOutcome::Committed(value)),
+                Attempt::Blocked(plan) => return Ok(BlockOutcome::Blocked(plan)),
+                Attempt::Fatal(err) => return Err(err),
+                Attempt::Aborted if attempts >= max_attempts => {
+                    return Err(TmError::RetryLimitExceeded { attempts });
                 }
-                Err(abort) if abort.reason() == AbortReason::Retry => {
-                    tx.rollback();
-                    let wait_plan = tx.retry_wait_plan();
-                    let (reads, writes) = tx.take_logs();
-                    drop(tx);
-                    ctx.retry_waits.fetch_add(1, Ordering::Relaxed);
-                    inner
-                        .scheduler
-                        .on_retry_wait(&guard.sched_ctx(), &reads, &writes);
-                    let _ = crate::failpoint!(FaultSite::SchedOnRetryWait);
-                    guard.complete();
-                    return Ok(BlockOutcome::Blocked(wait_plan));
-                }
-                Err(abort) if abort.reason() == AbortReason::ForeignTVar => {
-                    tx.rollback();
-                    let info = tx.foreign_access().expect("foreign abort carries details");
-                    drop(tx);
-                    return Err(TmError::ForeignTVar {
-                        var: info.var,
-                        owner: info.owner,
-                        runtime: inner.id,
-                    });
-                }
-                Err(abort) => {
-                    tx.rollback();
-                    let (reads, writes) = tx.take_logs();
-                    drop(tx);
-                    ctx.aborts.fetch_add(1, Ordering::Relaxed);
-                    inner
-                        .scheduler
-                        .on_abort(&guard.sched_ctx(), &abort, &reads, &writes);
-                    let _ = crate::failpoint!(FaultSite::SchedOnAbort);
-                    guard.complete();
+                Attempt::Aborted => {
                     consecutive_aborts += 1;
                     retry_backoff(
                         inner.config.wait_policy,
@@ -726,109 +769,36 @@ impl TmRuntime {
         let inner = &*self.inner;
         // Sampled only for deadline-bounded runs, to report `waited`.
         let started = deadline.map(|_| Instant::now());
-        let mut consecutive_aborts: u32 = 0;
         let mut attempts: u64 = 0;
         loop {
-            attempts += 1;
-            // Guard first, `tx` second: on an unwind the transaction rolls
-            // back (stripes released) before the guard resets the scheduler
-            // and advances the attempt epoch.
-            let guard = AttemptGuard::new(inner, &ctx, TxnKind::ReadWrite);
-            inner.scheduler.before_start(&guard.sched_ctx());
-            // Hazard probe with serialization possibly held: a panic here
-            // must release it through the guard's on_reset.
-            let _ = crate::failpoint!(FaultSite::SchedBeforeStart);
-            let mut tx = Tx::begin(inner, &ctx);
-            let committed = match body(&mut tx) {
-                Ok(value) => tx.try_commit().map(|()| value),
-                Err(abort) => Err(abort),
+            // Waking from the park below is progress, not an abort storm:
+            // each round starts its backoff afresh.
+            let outcome = self.run_until_block(&ctx, &mut attempts, max_attempts, &mut body)?;
+            let wait_plan = match outcome {
+                BlockOutcome::Committed(value) => return Ok(value),
+                BlockOutcome::Blocked(plan) => plan,
             };
-            match committed {
-                Ok(value) => {
-                    let (reads, writes) = tx.take_logs();
-                    drop(tx);
-                    ctx.commits.fetch_add(1, Ordering::Relaxed);
-                    inner
-                        .scheduler
-                        .on_commit(&guard.sched_ctx(), &reads, &writes);
-                    let _ = crate::failpoint!(FaultSite::SchedOnCommit);
-                    guard.complete();
-                    return Ok(value);
-                }
-                Err(abort) if abort.reason() == AbortReason::Retry => {
-                    // Deliberate blocking, not a conflict: park until a
-                    // commit overwrites something the attempt read.
-                    tx.rollback();
-                    let wait_plan = tx.retry_wait_plan();
-                    let (reads, writes) = tx.take_logs();
-                    drop(tx);
-                    ctx.retry_waits.fetch_add(1, Ordering::Relaxed);
-                    inner
-                        .scheduler
-                        .on_retry_wait(&guard.sched_ctx(), &reads, &writes);
-                    let _ = crate::failpoint!(FaultSite::SchedOnRetryWait);
-                    guard.complete();
-                    if attempts >= max_attempts {
-                        return Err(TmError::RetryLimitExceeded { attempts });
-                    }
-                    let round = Instant::now() + inner.config.retry_wait;
-                    // A deadline-bounded run never parks past its deadline;
-                    // once the deadline passed the wait degenerates to one
-                    // registration-and-revalidate pass.
-                    let bound = deadline.map_or(round, |d| round.min(d));
-                    let outcome =
-                        inner
-                            .retry_waits
-                            .wait(&inner.orecs, &wait_plan, &ctx.retry_parker, bound);
-                    if let Some(d) = deadline {
-                        // A real wake (or a changed read set) earns one more
-                        // attempt even at the deadline; only an expired wait
-                        // with nothing new gives up.
-                        if outcome == crate::waitlist::RetryWaitOutcome::TimedOut
-                            && Instant::now() >= d
-                        {
-                            return Err(TmError::RetryTimeout {
-                                waited: started.expect("deadline implies start").elapsed(),
-                            });
-                        }
-                    }
-                    // Waking (or revalidating after the bounded deadline)
-                    // is progress, not an abort storm: no backoff.
-                    consecutive_aborts = 0;
-                }
-                Err(abort) if abort.reason() == AbortReason::ForeignTVar => {
-                    tx.rollback();
-                    let info = tx.foreign_access().expect("foreign abort carries details");
-                    drop(tx);
-                    // Not retryable, and not a conflict either: no abort is
-                    // booked and no completion hook fires — the guard's
-                    // on_reset closes the scheduler bracket.
-                    return Err(TmError::ForeignTVar {
-                        var: info.var,
-                        owner: info.owner,
-                        runtime: inner.id,
+            if attempts >= max_attempts {
+                return Err(TmError::RetryLimitExceeded { attempts });
+            }
+            // Park until a commit overwrites something the attempt read. A
+            // deadline-bounded run never parks past its deadline; once the
+            // deadline passed the wait degenerates to one
+            // registration-and-revalidate pass.
+            let round = Instant::now() + inner.config.retry_wait;
+            let bound = deadline.map_or(round, |d| round.min(d));
+            let outcome =
+                inner
+                    .retry_waits
+                    .wait(&inner.orecs, &wait_plan, &ctx.retry_parker, bound);
+            if let Some(d) = deadline {
+                // A real wake (or a changed read set) earns one more
+                // attempt even at the deadline; only an expired wait with
+                // nothing new gives up.
+                if outcome == RetryWaitOutcome::TimedOut && Instant::now() >= d {
+                    return Err(TmError::RetryTimeout {
+                        waited: started.expect("deadline implies start").elapsed(),
                     });
-                }
-                Err(abort) => {
-                    tx.rollback();
-                    let (reads, writes) = tx.take_logs();
-                    drop(tx);
-                    ctx.aborts.fetch_add(1, Ordering::Relaxed);
-                    inner
-                        .scheduler
-                        .on_abort(&guard.sched_ctx(), &abort, &reads, &writes);
-                    let _ = crate::failpoint!(FaultSite::SchedOnAbort);
-                    guard.complete();
-                    if attempts >= max_attempts {
-                        return Err(TmError::RetryLimitExceeded { attempts });
-                    }
-                    consecutive_aborts += 1;
-                    retry_backoff(
-                        inner.config.wait_policy,
-                        consecutive_aborts,
-                        inner.config.backoff_ceiling,
-                        ctx.id().as_u16() as u64,
-                    );
                 }
             }
         }

@@ -2,29 +2,25 @@
 //!
 //! A *TM scheduler* in the paper's sense is "a software component
 //! encapsulating a policy that decides when a particular transaction
-//! executes". The runtime drives an implementation of [`TxScheduler`]
-//! through six hooks that correspond one-to-one with the integration points
-//! of the paper's Algorithm 1:
+//! executes". Algorithm 1 consults it at two moments only — when an
+//! attempt starts and when it ends — and [`TxScheduler`] has exactly those
+//! two hooks:
 //!
 //! * [`before_start`](TxScheduler::before_start) — "On transactional start";
 //!   this is where a scheduler may block the thread (serialize it through a
 //!   global lock) based on its prediction.
-//! * [`on_read`](TxScheduler::on_read) — "On transactional read of addr";
-//!   feeds the read-set predictor.
-//! * [`on_write`](TxScheduler::on_write) — symmetric hook for writes.
-//! * [`on_commit`](TxScheduler::on_commit) — success-rate bookkeeping and
-//!   release of the serialization lock.
-//! * [`on_abort`](TxScheduler::on_abort) — write-set prediction (the aborted
-//!   write set becomes the prediction for the retry) and success-rate decay.
-//! * [`on_thread_register`](TxScheduler::on_thread_register) — one-time
-//!   per-thread setup.
+//! * [`on_finish`](TxScheduler::on_finish) — how the attempt ended
+//!   ([`AttemptEnd`]) together with its access sets: success-rate
+//!   bookkeeping, the read-set predictor ("On transactional read of addr",
+//!   fed from the `reads` slice), write-set prediction (the aborted write
+//!   set becomes the prediction for the retry) and release of the
+//!   serialization lock.
 //!
-//! A seventh hook goes beyond the paper's listing:
-//! [`on_retry_wait`](TxScheduler::on_retry_wait) fires *instead of*
-//! `on_abort` when the attempt ended in [`Tx::retry`](crate::Tx::retry) — a
-//! deliberate wait for the read set to change, which success-rate and
-//! contention-intensity accounting must not book as a conflict
-//! (DESIGN.md §9).
+//! Nothing is dispatched per transactional access: the scheduler's
+//! prediction is only ever consulted at the next `before_start`, so the
+//! access sets handed over at the end carry everything a per-read hook
+//! could have seen. Both hooks fire from one place, the runtime's attempt
+//! step (DESIGN.md §12.2).
 //!
 //! Concrete schedulers (Shrink, ATS, Pool, Serializer) live in the
 //! `shrink-core` crate; this crate ships only [`NoopScheduler`], the
@@ -68,95 +64,76 @@ impl fmt::Debug for SchedCtx<'_> {
     }
 }
 
+/// How a transaction attempt ended, as reported to
+/// [`TxScheduler::on_finish`].
+#[derive(Clone, Copy, Debug)]
+pub enum AttemptEnd<'a> {
+    /// The attempt committed.
+    Committed,
+    /// The attempt lost a conflict (or was restarted by its body) and will
+    /// be re-run. Never carries
+    /// [`AbortReason::Retry`](crate::AbortReason::Retry) — those attempts
+    /// end as [`RetryWait`](AttemptEnd::RetryWait).
+    Aborted(&'a Abort),
+    /// The attempt ended in [`Tx::retry`](crate::Tx::retry): a deliberate
+    /// wait for the read set to change, reported *before* the runtime parks
+    /// the thread (or suspends the future). Policies reacting to conflicts
+    /// (success-rate decay, contention intensity, schedule-after) must stay
+    /// untouched (DESIGN.md §9).
+    RetryWait,
+    /// The attempt was abandoned without a normal completion: the body
+    /// panicked (the hook then runs during unwinding), or a non-retryable
+    /// error such as a foreign-`TVar` access cut it short. The access sets
+    /// are empty. Also reported, with no bracket open, when a suspended
+    /// [`TxFuture`](crate::future::TxFuture) is dropped.
+    Abandoned,
+}
+
 /// A pluggable transaction scheduling policy.
 ///
 /// Hooks run on the transacting thread itself. `before_start` is allowed to
-/// block (that is how serialization is implemented); the others should be
-/// fast, as `on_read`/`on_write` sit on the transactional hot path.
+/// block (that is how serialization is implemented); `on_finish` should be
+/// fast and must not panic (it also runs during unwinding).
 ///
 /// # Contract
 ///
 /// * Every attempt is bracketed: `before_start` is followed by exactly one
-///   of `on_commit`, `on_abort` or `on_retry_wait` for the same thread —
-///   or, when the attempt is abandoned without a normal completion (the
-///   body panicked and is unwinding, or a non-retryable error such as a
-///   foreign-`TVar` access cut the attempt short), by
-///   [`on_reset`](TxScheduler::on_reset).
-/// * `reads` and `writes` slices passed to the completion hooks list the
-///   variables accessed by the finished attempt. `reads` may contain
-///   duplicates (one entry per dynamic read); `writes` is duplicate-free.
+///   `on_finish` for the same thread.
+/// * `reads` and `writes` list the variables accessed by the finished
+///   attempt. `reads` has one entry per dynamic read, in program order
+///   (duplicates and reads of the attempt's own writes included); `writes`
+///   is duplicate-free, in first-write order.
 /// * A scheduler that acquires a lock in `before_start` **must** release it
-///   in all three completion hooks (`on_commit`, `on_abort`,
-///   `on_retry_wait`).
+///   in `on_finish`, whatever the [`AttemptEnd`], and must leave its
+///   per-thread attempt state (pending schedule-after targets, active
+///   predictions) ready for the thread's next `before_start` — this is
+///   what makes a panicking transaction body recoverable instead of fatal
+///   for the runtime. [`AttemptEnd::Abandoned`] can arrive with nothing
+///   held (a dropped suspended future); release conditionally.
 /// * A *read-only* transaction
 ///   ([`TmRuntime::read_only`](crate::TmRuntime::read_only)) fires exactly
-///   one `before_start`/`on_commit` pair with
-///   [`SchedCtx::kind`] set to [`TxnKind::ReadOnly`] — internal snapshot
-///   restarts are invisible — and never fires `on_read`, `on_write`,
-///   `on_abort` or `on_retry_wait`. Schedulers must not serialize or book
-///   conflicts for these.
+///   one `before_start`/`on_finish(Committed)` pair with empty access sets
+///   and [`SchedCtx::kind`] set to [`TxnKind::ReadOnly`] — internal
+///   snapshot restarts are invisible. Schedulers must not serialize or
+///   book conflicts for these.
 pub trait TxScheduler: Send + Sync + fmt::Debug {
-    /// Called once when a thread registers with the runtime.
-    fn on_thread_register(&self, thread: ThreadId) {
-        let _ = thread;
-    }
-
     /// Called before every transaction attempt (first try and retries).
     /// May block to serialize the transaction.
     fn before_start(&self, ctx: &SchedCtx<'_>) {
         let _ = ctx;
     }
 
-    /// Called on every transactional read of `var`.
-    fn on_read(&self, ctx: &SchedCtx<'_>, var: VarId) {
-        let _ = (ctx, var);
-    }
-
-    /// Called on every transactional write of `var`.
-    fn on_write(&self, ctx: &SchedCtx<'_>, var: VarId) {
-        let _ = (ctx, var);
-    }
-
-    /// Called after a successful commit with the attempt's access sets.
-    fn on_commit(&self, ctx: &SchedCtx<'_>, reads: &[VarId], writes: &[VarId]) {
-        let _ = (ctx, reads, writes);
-    }
-
-    /// Called after an aborted attempt with the abort cause and access sets.
-    ///
-    /// Never fired for [`AbortReason::Retry`](crate::AbortReason::Retry) —
-    /// those attempts complete through
-    /// [`on_retry_wait`](TxScheduler::on_retry_wait) instead.
-    fn on_abort(&self, ctx: &SchedCtx<'_>, abort: &Abort, reads: &[VarId], writes: &[VarId]) {
-        let _ = (ctx, abort, reads, writes);
-    }
-
-    /// Called when an attempt ended in [`Tx::retry`](crate::Tx::retry),
-    /// *before* the runtime parks the thread on its read set's commit
-    /// events. Fired instead of [`on_abort`](TxScheduler::on_abort): the
-    /// transaction chose to wait, so policies reacting to conflicts
-    /// (success-rate decay, contention intensity, schedule-after) must stay
-    /// untouched. A scheduler holding a serialization lock from
-    /// `before_start` must release it here, exactly as in the other two
-    /// completion hooks.
-    fn on_retry_wait(&self, ctx: &SchedCtx<'_>, reads: &[VarId], writes: &[VarId]) {
-        let _ = (ctx, reads, writes);
-    }
-
-    /// Called when an attempt is abandoned without a normal completion hook:
-    /// the body panicked (this runs during unwinding, from the runtime's
-    /// attempt drop-guard), or a non-retryable error ended the retry loop
-    /// mid-attempt. The implementation **must** release any serialization
-    /// acquired in [`before_start`](TxScheduler::before_start) and clear
-    /// per-thread attempt state (pending schedule-after targets, active
-    /// predictions), leaving the scheduler ready for the thread's next
-    /// `before_start` — this is what makes a panicking transaction body
-    /// recoverable instead of fatal for the runtime. May be called when no
-    /// serialization is held (it can fire after a completion hook already
-    /// ran); implementations must tolerate that, e.g. by releasing
-    /// conditionally. Must not panic.
-    fn on_reset(&self, ctx: &SchedCtx<'_>) {
-        let _ = ctx;
+    /// Called once when the attempt opened by
+    /// [`before_start`](TxScheduler::before_start) ends, with how it ended
+    /// and its access sets.
+    fn on_finish(
+        &self,
+        ctx: &SchedCtx<'_>,
+        end: AttemptEnd<'_>,
+        reads: &[VarId],
+        writes: &[VarId],
+    ) {
+        let _ = (ctx, end, reads, writes);
     }
 
     /// A short name for reports ("noop", "shrink", "ats", ...).
@@ -197,19 +174,16 @@ mod tests {
             epochs: &crate::epoch::NoEpochs,
             kind: TxnKind::ReadWrite,
         };
-        s.on_thread_register(ctx.thread);
         s.before_start(&ctx);
-        s.on_read(&ctx, VarId::from_u64(1));
-        s.on_write(&ctx, VarId::from_u64(1));
-        s.on_commit(&ctx, &[], &[]);
-        s.on_abort(
-            &ctx,
-            &Abort::new(crate::AbortReason::ReadValidation),
-            &[],
-            &[],
-        );
-        s.on_retry_wait(&ctx, &[], &[]);
-        s.on_reset(&ctx);
+        let abort = Abort::new(crate::AbortReason::ReadValidation);
+        for end in [
+            AttemptEnd::Committed,
+            AttemptEnd::Aborted(&abort),
+            AttemptEnd::RetryWait,
+            AttemptEnd::Abandoned,
+        ] {
+            s.on_finish(&ctx, end, &[VarId::from_u64(1)], &[]);
+        }
         assert_eq!(s.name(), "noop");
     }
 

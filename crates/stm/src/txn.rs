@@ -36,11 +36,10 @@ use std::time::Instant;
 
 use crate::backoff::{parked_nap_due, pause, PARK_NAP};
 use crate::config::{BackendKind, CmPolicy, TxnKind, WaitPolicy};
-use crate::error::{Abort, AbortReason, TxResult};
+use crate::error::{Abort, AbortReason, TmError, TxResult};
 use crate::faults::FaultSite;
 use crate::orec::OrecSnapshot;
 use crate::runtime::RuntimeInner;
-use crate::sched::SchedCtx;
 use crate::thread::{ThreadCtx, ThreadId};
 use crate::tvar::{TVar, TVarInner, TxValue};
 use crate::varid::VarId;
@@ -109,14 +108,25 @@ struct Checkpoint {
     overwrites: Vec<(usize, Box<dyn PendingWrite>)>,
 }
 
-/// Details of a rejected cross-runtime access, recorded by the owner check
-/// so the retry loop can build the full
-/// [`TmError::ForeignTVar`](crate::error::TmError) (the [`Abort`] itself
-/// only carries the reason).
-#[derive(Clone, Copy, Debug)]
-pub(crate) struct ForeignAccess {
-    pub(crate) var: VarId,
-    pub(crate) owner: u64,
+/// Binds `inner` to runtime `rt` on first transactional use, or refuses the
+/// access when it is already bound to a different one (orec striping and
+/// retry waitlists are per-runtime). The full [`TmError::ForeignTVar`] is
+/// left in `refusal` for the attempt step; the [`Abort`] itself only
+/// carries the reason.
+#[inline]
+fn check_owner<T>(
+    rt: &RuntimeInner,
+    inner: &TVarInner<T>,
+    refusal: &mut Option<TmError>,
+) -> TxResult<()> {
+    inner.bind_owner(rt.id).map_err(|owner| {
+        *refusal = Some(TmError::ForeignTVar {
+            var: inner.id,
+            owner,
+            runtime: rt.id,
+        });
+        Abort::new(AbortReason::ForeignTVar)
+    })
 }
 
 /// An in-flight transaction attempt.
@@ -140,8 +150,9 @@ pub struct Tx<'rt> {
     owned_order: Vec<usize>,
     /// Active [`or_else`](Tx::or_else) rollback points, innermost last.
     checkpoints: Vec<Checkpoint>,
-    /// Set when the body touched a `TVar` bound to another runtime.
-    foreign: Option<ForeignAccess>,
+    /// The refused access, once the body touched a `TVar` bound to another
+    /// runtime (the abort was [`AbortReason::ForeignTVar`]).
+    pub(crate) refusal: Option<TmError>,
     finished: bool,
 }
 
@@ -163,7 +174,7 @@ impl<'rt> Tx<'rt> {
             owned_orecs: HashSet::new(),
             owned_order: Vec::new(),
             checkpoints: Vec::new(),
-            foreign: None,
+            refusal: None,
             finished: false,
         }
     }
@@ -352,15 +363,6 @@ impl<'rt> Tx<'rt> {
         }
     }
 
-    fn sched_ctx(&self) -> SchedCtx<'_> {
-        SchedCtx {
-            thread: self.me,
-            visible: &self.rt.orecs,
-            epochs: &self.rt.registry,
-            kind: TxnKind::ReadWrite,
-        }
-    }
-
     /// Builds a conflict abort against `owner`, stamping the owner's
     /// attempt epoch **only if the conflict is still live** (the owner
     /// still holds stripe `idx` after the sample). A live sample identifies
@@ -411,30 +413,6 @@ impl<'rt> Tx<'rt> {
         }
     }
 
-    /// Binds `tvar` to this runtime on first transactional use, or rejects
-    /// the access when it is already bound to a different runtime (orec
-    /// striping and retry waitlists are per-runtime; see
-    /// [`TmError::ForeignTVar`](crate::error::TmError)).
-    #[inline]
-    fn check_owner<T>(&mut self, inner: &TVarInner<T>) -> TxResult<()> {
-        match inner.bind_owner(self.rt.id) {
-            Ok(()) => Ok(()),
-            Err(owner) => {
-                self.foreign = Some(ForeignAccess {
-                    var: inner.id,
-                    owner,
-                });
-                Err(Abort::new(AbortReason::ForeignTVar))
-            }
-        }
-    }
-
-    /// The rejected cross-runtime access, when the last abort was
-    /// [`AbortReason::ForeignTVar`].
-    pub(crate) fn foreign_access(&self) -> Option<ForeignAccess> {
-        self.foreign
-    }
-
     /// Transactionally reads `tvar`.
     ///
     /// # Errors
@@ -443,7 +421,7 @@ impl<'rt> Tx<'rt> {
     /// wait timeout, or a contention-manager kill.
     pub fn read<T: TxValue>(&mut self, tvar: &TVar<T>) -> TxResult<T> {
         self.check_kill()?;
-        self.check_owner(&tvar.inner)?;
+        check_owner(self.rt, &tvar.inner, &mut self.refusal)?;
         self.ctx.bump_accesses();
         let var = tvar.inner.id;
 
@@ -454,7 +432,6 @@ impl<'rt> Tx<'rt> {
                 .downcast_ref::<TypedWrite<T>>()
                 .expect("write log entry type mismatch");
             self.read_vars.push(var);
-            self.rt.scheduler.on_read(&self.sched_ctx(), var);
             return Ok(w.value.clone());
         }
 
@@ -465,87 +442,57 @@ impl<'rt> Tx<'rt> {
             let orec = self.rt.orecs.at(idx);
             let s1 = orec.snapshot();
 
-            if s1.locked_by(self.me) {
-                // Stripe aliasing: I own the stripe through a write to some
-                // other variable. Buffered writes install only at commit, so
-                // the cell still holds the committed value, guarded by the
-                // preserved pre-lock version.
-                let value = tvar.inner.cell.load();
-                if s1.version() > self.start_ts {
-                    self.extend()?;
-                }
-                self.record_read(idx, s1.version(), var);
-                return Ok(value);
-            }
-
             if s1.locked_by_other(self.me) {
-                match self.rt.config.backend {
-                    BackendKind::Swiss => {
-                        if s1.committing() {
-                            // Owner is installing values; wait briefly.
-                            if spins >= self.rt.config.read_spin_budget {
-                                return Err(self.conflict(
-                                    AbortReason::LockTimeout,
-                                    var,
-                                    idx,
-                                    s1.owner(),
-                                ));
-                            }
-                            self.contended_pause(spins, s1.owner());
-                            spins += 1;
-                            continue;
-                        }
-                        // Owner still executing: its writes are buffered, so
-                        // the committed value is still in the cell.
-                        let value = tvar.inner.cell.load();
-                        let s2 = orec.snapshot();
-                        if s2 != s1 {
-                            spins += 1;
-                            continue;
-                        }
-                        if s1.version() > self.start_ts {
-                            self.extend()?;
-                        }
-                        self.record_read(idx, s1.version(), var);
-                        return Ok(value);
+                // Swiss reads *through* a lock whose owner is still
+                // executing (its writes are buffered, so the committed
+                // value is still in the cell) and waits briefly only while
+                // the owner installs values; Tiny busy-waits for the writer
+                // (encounter-time locking).
+                let wait_budget = match self.rt.config.backend {
+                    BackendKind::Swiss if !s1.committing() => None,
+                    BackendKind::Swiss => Some(self.rt.config.read_spin_budget),
+                    BackendKind::Tiny => Some(self.rt.config.lock_spin_budget),
+                };
+                if let Some(budget) = wait_budget {
+                    if spins >= budget {
+                        return Err(self.conflict(AbortReason::LockTimeout, var, idx, s1.owner()));
                     }
-                    BackendKind::Tiny => {
-                        // Encounter-time locking: busy-wait for the writer.
-                        if spins >= self.rt.config.lock_spin_budget {
-                            return Err(self.conflict(
-                                AbortReason::LockTimeout,
-                                var,
-                                idx,
-                                s1.owner(),
-                            ));
-                        }
-                        self.contended_pause(spins, s1.owner());
-                        spins += 1;
-                        continue;
-                    }
+                    self.contended_pause(spins, s1.owner());
+                    spins += 1;
+                    continue;
                 }
             }
 
-            // Unlocked: load, then confirm the orec did not move under us.
+            // Unlocked, read-through, or stripe aliasing (I own the stripe
+            // through a write to some other variable; buffered writes
+            // install only at commit): the cell holds the committed value,
+            // guarded by the (pre-lock) version. Load, then confirm the
+            // orec did not move under us.
             let value = tvar.inner.cell.load();
-            let s2 = orec.snapshot();
-            if s2 != s1 {
+            if orec.snapshot() != s1 {
                 spins += 1;
                 continue;
             }
             if s1.version() > self.start_ts {
+                // Delay-only site: widens the window between the confirm
+                // above and the extension's clock sample.
+                let _ = crate::failpoint!(FaultSite::ReadExtend);
                 self.extend()?;
+                // The extension only vouches for the read log; `value`/`s1`
+                // predate its clock sample. Re-snapshot and re-load under
+                // the advanced timestamp (see the same step in
+                // `ReadTx::read`).
+                if spins >= self.rt.config.read_spin_budget {
+                    return Err(Abort::new(AbortReason::ReadValidation));
+                }
+                spins += 1;
+                continue;
             }
-            self.record_read(idx, s1.version(), var);
+            let version = s1.version();
+            self.read_log.push(ReadEntry { orec: idx, version });
+            self.read_vars.push(var);
             return Ok(value);
         }
-    }
-
-    #[inline]
-    fn record_read(&mut self, orec: usize, version: u64, var: VarId) {
-        self.read_log.push(ReadEntry { orec, version });
-        self.read_vars.push(var);
-        self.rt.scheduler.on_read(&self.sched_ctx(), var);
     }
 
     /// Transactionally writes `value` into `tvar`.
@@ -559,7 +506,7 @@ impl<'rt> Tx<'rt> {
     /// lock wait timeout, or a contention-manager kill.
     pub fn write<T: TxValue>(&mut self, tvar: &TVar<T>, value: T) -> TxResult<()> {
         self.check_kill()?;
-        self.check_owner(&tvar.inner)?;
+        check_owner(self.rt, &tvar.inner, &mut self.refusal)?;
         self.ctx.bump_accesses();
         let var = tvar.inner.id;
 
@@ -590,7 +537,6 @@ impl<'rt> Tx<'rt> {
         }));
         self.write_index.insert(var, self.write_log.len() - 1);
         self.write_vars.push(var);
-        self.rt.scheduler.on_write(&self.sched_ctx(), var);
         Ok(())
     }
 
@@ -685,6 +631,8 @@ impl<'rt> Tx<'rt> {
             if s1.version() > self.start_ts {
                 self.extend()?;
             }
+            // Extend-then-lock needs no re-snapshot: the CAS compares
+            // against `s1`, so a commit that slipped in fails it.
             if orec.try_lock(s1, self.me) {
                 self.ctx
                     .orec_acquires
@@ -955,8 +903,9 @@ pub struct ReadTx<'rt> {
     /// Timestamp extensions performed by this attempt (flushed to
     /// `ThreadCtx::ro_revalidations`; restarts are counted by the driver).
     revalidations: u64,
-    /// Set when the body touched a `TVar` bound to another runtime.
-    foreign: Option<ForeignAccess>,
+    /// The refused access, once the body touched a `TVar` bound to another
+    /// runtime (the abort was [`AbortReason::ForeignTVar`]).
+    pub(crate) refusal: Option<TmError>,
 }
 
 impl<'rt> ReadTx<'rt> {
@@ -968,14 +917,8 @@ impl<'rt> ReadTx<'rt> {
             read_log: Vec::new(),
             reads: 0,
             revalidations: 0,
-            foreign: None,
+            refusal: None,
         }
-    }
-
-    /// The rejected cross-runtime access, when the last abort was
-    /// [`AbortReason::ForeignTVar`].
-    pub(crate) fn foreign_access(&self) -> Option<ForeignAccess> {
-        self.foreign
     }
 
     /// The id of the thread running this transaction.
@@ -1015,13 +958,7 @@ impl<'rt> ReadTx<'rt> {
         // A foreign read would validate against the wrong runtime's orec
         // table — a torn multi-variable snapshot, not just a lost wakeup —
         // so the owner stamp is enforced on this path too.
-        if let Err(owner) = tvar.inner.bind_owner(self.rt.id) {
-            self.foreign = Some(ForeignAccess {
-                var: tvar.inner.id,
-                owner,
-            });
-            return Err(Abort::new(AbortReason::ForeignTVar));
-        }
+        check_owner(self.rt, &tvar.inner, &mut self.refusal)?;
         self.reads += 1;
         let idx = self.rt.orecs.index_of(tvar.inner.id);
         let mut spins: u32 = 0;

@@ -8,7 +8,7 @@
 //!   and the next poll resumes and completes;
 //! * **cancellation** — dropping a suspended future deregisters its parker
 //!   (waiter count back to zero), leaves no stray wake for a later commit,
-//!   and reports the abandonment to the scheduler through `on_reset`;
+//!   and reports the abandonment to the scheduler as `Abandoned`;
 //! * **wake/drop race** — dropping after the wake fired but before the
 //!   re-poll still cleans up;
 //! * **selective cancellation** — cancelled and surviving futures on the
@@ -21,7 +21,7 @@ use std::sync::Arc;
 use std::task::{Context, Poll, Wake, Waker};
 
 use shrink::prelude::*;
-use shrink::stm::SchedCtx;
+use shrink::stm::{AttemptEnd, SchedCtx, VarId};
 
 /// A waker that only counts. `Wake::wake` and `wake_by_ref` both land here,
 /// so the count is exactly the number of wake deliveries the waitlist made.
@@ -47,41 +47,22 @@ impl Wake for CountingWaker {
 }
 
 /// Scheduler double recording the hooks the async path must fire: the
-/// retry-wait bracket around each suspension and the `on_reset` a
+/// retry-wait bracket around each suspension and the `Abandoned` report a
 /// cancellation must deliver.
 #[derive(Debug, Default)]
 struct RecordingScheduler {
-    starts: AtomicU64,
-    commits: AtomicU64,
     retry_waits: AtomicU64,
     resets: AtomicU64,
 }
 
 impl TxScheduler for RecordingScheduler {
-    fn before_start(&self, _ctx: &SchedCtx<'_>) {
-        self.starts.fetch_add(1, Ordering::SeqCst);
-    }
-
-    fn on_commit(
-        &self,
-        _ctx: &SchedCtx<'_>,
-        _reads: &[shrink::stm::VarId],
-        _writes: &[shrink::stm::VarId],
-    ) {
-        self.commits.fetch_add(1, Ordering::SeqCst);
-    }
-
-    fn on_retry_wait(
-        &self,
-        _ctx: &SchedCtx<'_>,
-        _reads: &[shrink::stm::VarId],
-        _writes: &[shrink::stm::VarId],
-    ) {
-        self.retry_waits.fetch_add(1, Ordering::SeqCst);
-    }
-
-    fn on_reset(&self, _ctx: &SchedCtx<'_>) {
-        self.resets.fetch_add(1, Ordering::SeqCst);
+    fn on_finish(&self, _ctx: &SchedCtx<'_>, end: AttemptEnd<'_>, _r: &[VarId], _w: &[VarId]) {
+        let counter = match end {
+            AttemptEnd::RetryWait => &self.retry_waits,
+            AttemptEnd::Abandoned => &self.resets,
+            AttemptEnd::Committed | AttemptEnd::Aborted(_) => return,
+        };
+        counter.fetch_add(1, Ordering::SeqCst);
     }
 
     fn name(&self) -> &str {

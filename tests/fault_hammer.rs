@@ -418,3 +418,85 @@ fn async_futures_survive_spurious_wakes() {
         "the wake storm never fired: {injected}"
     );
 }
+
+/// Regression for the `Tx::read` stale-read-after-extension window: a read
+/// that found its stripe newer than the snapshot used to extend and then
+/// return the value it had loaded *before* the extension sampled the clock,
+/// so a commit landing in between went unnoticed — a zombie attempt
+/// (panicking in the tree's delete fix-up) or, where commit validation is
+/// skipped, a committed stale read. Delays at exactly that window
+/// (`ReadExtend`) make the race routine: a 64-key tree under 100 % updates
+/// must finish with no body panic and equal to the sequential model.
+#[test]
+fn delayed_read_extension_never_admits_a_stale_read() {
+    use std::collections::BTreeMap;
+
+    let _serial = serialize();
+    let _quiet = quiet();
+    const KEYS: u64 = 64;
+    let threads = if stress_factor() > 1 { 4 } else { 3 };
+    let ops = 4000 * stress_factor();
+    let rt = TmRuntime::new();
+    let tree = TxRbTree::new();
+    let _guard = ScheduleBuilder::new(16)
+        .rate_per_mille(1000)
+        .sites(&[FaultSite::ReadExtend])
+        .kinds(&[FaultKind::Delay])
+        .install();
+    faults::reset_stats();
+
+    // Each thread owns the keys congruent to its index, so the final
+    // content is the union of per-thread sequential models — while the
+    // threads still collide on the tree's shared interior all the time.
+    let models: Vec<(BTreeMap<u64, u64>, u64)> = std::thread::scope(|scope| {
+        let handles: Vec<_> = (0..threads)
+            .map(|t| {
+                let (rt, tree) = (&rt, &tree);
+                scope.spawn(move || {
+                    let mut model = BTreeMap::new();
+                    let mut panics = 0u64;
+                    let mut state = 0x9E37_79B9u64 + t;
+                    for i in 0..ops as u64 {
+                        state = state.wrapping_mul(6364136223846793005).wrapping_add(1);
+                        let key = (state >> 33) % (KEYS / threads) * threads + t;
+                        let insert = (state >> 20) & 1 == 0;
+                        let ran = catch_unwind(AssertUnwindSafe(|| {
+                            rt.run(|tx| {
+                                if insert {
+                                    tree.insert(tx, key, i).map(|_| ())
+                                } else {
+                                    tree.remove(tx, key).map(|_| ())
+                                }
+                            })
+                        }));
+                        match ran {
+                            Ok(()) if insert => drop(model.insert(key, i)),
+                            Ok(()) => drop(model.remove(&key)),
+                            Err(_) => panics += 1,
+                        }
+                    }
+                    (model, panics)
+                })
+            })
+            .collect();
+        handles.into_iter().map(|h| h.join().unwrap()).collect()
+    });
+
+    let injected = faults::stats();
+    assert!(injected.delays > 0, "the window was never hit: {injected}");
+    let panics: u64 = models.iter().map(|(_, p)| p).sum();
+    assert_eq!(
+        panics, 0,
+        "zombie attempts panicked in the body ({injected})"
+    );
+    let expected: BTreeMap<u64, u64> = models.into_iter().flat_map(|(m, _)| m).collect();
+    let (content, shape) = rt.run(|tx| {
+        let mut content = BTreeMap::new();
+        for key in tree.keys(tx)? {
+            content.insert(key, tree.get(tx, key)?.expect("listed key"));
+        }
+        Ok((content, tree.check_invariants(tx)?))
+    });
+    assert_eq!(content, expected, "tree diverged from the sequential model");
+    shape.expect("red-black invariants");
+}

@@ -455,7 +455,7 @@ fn queue_hammer_conserves_items_and_loses_no_wakeups() {
 
 /// The composable API under a real scheduler: the pipeline shape (pop from
 /// one queue, push to the next, one transaction) with Shrink installed,
-/// exercising `on_retry_wait` release paths under contention.
+/// exercising the `RetryWait` release paths under contention.
 #[test]
 fn pipeline_hops_work_under_the_shrink_scheduler() {
     let hops = 3usize;

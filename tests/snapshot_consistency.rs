@@ -20,7 +20,7 @@
 //!
 //! Set `SHRINK_STRESS=1` to raise thread counts and rounds.
 
-use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 
 use shrink::prelude::*;
@@ -35,12 +35,14 @@ fn snapshot_stress(backend: BackendKind, wait: WaitPolicy, kind: SchedulerKind) 
         .build();
     let vars: Arc<Vec<TVar<u64>>> = Arc::new((0..VARS).map(|_| TVar::new(0)).collect());
     let stop = Arc::new(AtomicBool::new(false));
+    let observed = Arc::new(AtomicU64::new(0));
 
     let readers: Vec<_> = (0..3)
         .map(|_| {
             let rt = rt.clone();
             let vars = Arc::clone(&vars);
             let stop = Arc::clone(&stop);
+            let observed = Arc::clone(&observed);
             std::thread::spawn(move || {
                 let mut observations = 0u64;
                 while !stop.load(Ordering::Relaxed) {
@@ -55,6 +57,7 @@ fn snapshot_stress(backend: BackendKind, wait: WaitPolicy, kind: SchedulerKind) 
                         values.windows(2).all(|w| w[0] == w[1]),
                         "torn snapshot observed: {values:?}"
                     );
+                    observed.fetch_add(1, Ordering::Relaxed);
                     observations += 1;
                 }
                 observations
@@ -62,7 +65,12 @@ fn snapshot_stress(backend: BackendKind, wait: WaitPolicy, kind: SchedulerKind) 
         })
         .collect();
 
-    for round in 1..=WRITER_ROUNDS {
+    // At least WRITER_ROUNDS, and on until a reader got a look in: on a
+    // small host an optimized writer can finish before any reader is
+    // scheduled at all.
+    let mut round = 0;
+    while round < WRITER_ROUNDS || observed.load(Ordering::Relaxed) == 0 {
+        round += 1;
         rt.run(|tx| {
             for v in vars.iter() {
                 tx.write(v, round)?;
@@ -73,7 +81,7 @@ fn snapshot_stress(backend: BackendKind, wait: WaitPolicy, kind: SchedulerKind) 
     stop.store(true, Ordering::Relaxed);
     let total: u64 = readers.into_iter().map(|r| r.join().unwrap()).sum();
     assert!(total > 0, "readers must have observed snapshots");
-    assert!(vars.iter().all(|v| v.snapshot() == WRITER_ROUNDS));
+    assert!(vars.iter().all(|v| v.snapshot() == round));
 }
 
 /// Stress scaling: 1 in normal runs, larger under `SHRINK_STRESS=1`.
