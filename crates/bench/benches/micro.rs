@@ -221,6 +221,55 @@ fn stmbench7_ops(c: &mut Criterion) {
     group.finish();
 }
 
+/// Boxed-value churn on runtimes that share nothing: each thread owns a
+/// runtime, a `TVar<Vec<u64>>` and a `TxRbTree`, so whatever keeps the
+/// 2-thread cell from twice the 1-thread rate is process-global state under
+/// the STM — the allocator and the epoch reclaimer every boxed store
+/// retires through (DESIGN.md §7). One iteration is `OPS` operations on
+/// every thread: scaling = 2 × `threads_1` ns/iter ÷ `threads_2` ns/iter.
+fn independent_runtimes_boxed_churn(c: &mut Criterion) {
+    const OPS: u64 = 10_000;
+    const KEYS: u64 = 256;
+    let mut group = c.benchmark_group("independent_runtimes_boxed_churn");
+    group.sample_size(10);
+    for threads in [1usize, 2] {
+        let lanes: Vec<(TmRuntime, TVar<Vec<u64>>, TxRbTree)> = (0..threads)
+            .map(|_| {
+                let rt = TmRuntime::new();
+                let tree = TxRbTree::new();
+                for k in (0..KEYS).step_by(2) {
+                    rt.run(|tx| tree.insert(tx, k, k));
+                }
+                (rt, TVar::new(vec![0u64; 16]), tree)
+            })
+            .collect();
+        group.bench_function(format!("threads_{threads}"), |b| {
+            b.iter(|| {
+                std::thread::scope(|scope| {
+                    for (rt, var, tree) in &lanes {
+                        scope.spawn(move || {
+                            for i in 0..OPS {
+                                let key = i.wrapping_mul(0x9E37_79B9) % KEYS;
+                                rt.run(|tx| {
+                                    let mut v = tx.read(var)?;
+                                    v[(i % 16) as usize] += 1;
+                                    tx.write(var, v)?;
+                                    if i % 2 == 0 {
+                                        tree.insert(tx, key, i).map(drop)
+                                    } else {
+                                        tree.remove(tx, key).map(drop)
+                                    }
+                                });
+                            }
+                        });
+                    }
+                });
+            })
+        });
+    }
+    group.finish();
+}
+
 criterion_group!(
     benches,
     read_path,
@@ -228,6 +277,7 @@ criterion_group!(
     scheduler_overhead,
     bloom_prediction,
     theory_simulators,
-    stmbench7_ops
+    stmbench7_ops,
+    independent_runtimes_boxed_churn
 );
 criterion_main!(benches);

@@ -873,18 +873,23 @@ pub fn atomically<T>(rt: &TmRuntime, body: impl FnMut(&mut Tx<'_>) -> TxResult<T
 ///
 /// Boxed `TVar` values replaced at commit are not freed immediately — their
 /// destruction is deferred until every reader pinned at the time of
-/// replacement has moved on (see DESIGN.md §7). Reclamation normally runs
-/// piggybacked on the read path; call this from a thread that holds no
-/// transaction when you need the backlog drained *now* — after joining
-/// worker threads, between benchmark phases, or in tests asserting exact
-/// drop counts. The epoch collector is process-global, not per-runtime.
+/// replacement has moved on, and then falls to the thread that replaced
+/// them (see DESIGN.md §7). Reclamation normally runs piggybacked on the
+/// read and commit paths; call this from a thread that holds no transaction
+/// when you need the backlog drained *now* — after joining worker threads,
+/// between benchmark phases, or in tests asserting exact drop counts. The
+/// epoch collector is process-global, not per-runtime.
 ///
 /// Each call seals the calling thread's deferral bag and attempts a bounded
 /// number of epoch advances; when no thread is pinned, everything retired
-/// before the call has been dropped by the time it returns.
+/// before the call by this thread or by threads that have since exited has
+/// been dropped by the time it returns. Out of its reach is what a thread
+/// that is still alive but idle retired last (a few hundred values at
+/// most): that thread frees it when it next runs a transaction, calls
+/// `quiesce` itself, or exits.
 pub fn quiesce() {
-    // Two epoch advances make any previously sealed bag eligible; a few
-    // extra rounds cover bags sealed concurrently by exiting threads.
+    // Two epoch advances make any previously sealed bag eligible; the
+    // spare rounds cover advances lost to a concurrent pin.
     for _ in 0..4 {
         crossbeam::epoch::flush();
     }

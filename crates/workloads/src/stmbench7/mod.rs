@@ -184,9 +184,15 @@ pub(crate) enum AssemblyChildren {
 
 /// Registry resolving atomic-part ids to handles.
 ///
-/// Physical allocation is non-transactional (append-only, tolerating
-/// orphans from aborted creations); *logical* membership is governed by the
-/// transactional part index, so consistency is unaffected.
+/// Physical allocation is non-transactional; *logical* membership is
+/// governed by the transactional part index, so consistency is unaffected.
+/// A part is published before the transaction that links it runs and
+/// withdrawn after the transaction that unlinked it has committed, so the
+/// registry holds the indexed parts plus those of operations in flight (and
+/// of an SM2 that panicked between its commit and the withdrawal). Ids
+/// are never reused: a transaction still working from a part list that
+/// names a withdrawn id finds `None` here, and fails validation on the list
+/// it read.
 #[derive(Debug, Default)]
 pub(crate) struct PartRegistry {
     parts: RwLock<HashMap<u64, Arc<AtomicPart>>>,
@@ -199,6 +205,13 @@ impl PartRegistry {
 
     pub(crate) fn publish(&self, part: Arc<AtomicPart>) {
         self.parts.write().insert(part.id, part);
+    }
+
+    /// Drops the part `id` resolves to. Call only once no committed state
+    /// names `id`: after the transaction that unlinked it has committed, or
+    /// when the one that would have linked it never will.
+    pub(crate) fn withdraw(&self, id: u64) {
+        self.parts.write().remove(&id);
     }
 
     pub(crate) fn physical_len(&self) -> usize {
@@ -244,8 +257,7 @@ impl Sb7 {
                     .map(|_| {
                         let id = next_part_id;
                         next_part_id += 1;
-                        let part = AtomicPart::new(id, rng.random());
-                        registry.publish(part);
+                        registry.publish(AtomicPart::new(id, rng.random()));
                         id
                     })
                     .collect();
@@ -348,7 +360,8 @@ impl Sb7 {
         &self.config
     }
 
-    /// Runs the workload's consistency audit.
+    /// Runs the workload's consistency audit. Call it with no operation in
+    /// flight: the part registry is read outside the audit's snapshot.
     ///
     /// # Errors
     ///
@@ -402,6 +415,35 @@ impl TxWorkload for Sb7Workload {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::collections::HashSet;
+    use std::panic::{catch_unwind, AssertUnwindSafe};
+    use std::sync::atomic::{AtomicBool, Ordering};
+
+    use shrink_stm::sched::{AttemptEnd, SchedCtx, TxScheduler};
+    use shrink_stm::VarId;
+
+    /// Stress scaling: 1 in normal runs, larger under `SHRINK_STRESS=1`.
+    fn stress_factor() -> u64 {
+        match std::env::var("SHRINK_STRESS") {
+            Ok(v) if !v.is_empty() && v != "0" => 4,
+            _ => 1,
+        }
+    }
+
+    fn indexed_parts(bench: &Sb7, rt: &TmRuntime) -> usize {
+        rt.read_only(|tx| bench.part_index.len(tx))
+    }
+
+    fn registry_ids(bench: &Sb7) -> HashSet<u64> {
+        bench.registry.parts.read().keys().copied().collect()
+    }
+
+    /// With no operation in flight the registry holds exactly the indexed
+    /// parts, and the graph audits clean.
+    fn assert_registry_is_the_live_population(bench: &Sb7, rt: &TmRuntime) {
+        bench.audit(rt).expect("graph must stay consistent");
+        assert_eq!(bench.registry.physical_len(), indexed_parts(bench, rt));
+    }
 
     #[test]
     fn build_produces_expected_shape() {
@@ -469,5 +511,122 @@ mod tests {
             Arc::new(Sb7Workload::new(&rt, Sb7Config::tiny(), Sb7Mix::ReadWrite));
         crate::harness::run_fixed_steps(&rt, &workload, 4, 150, 0xAB);
         workload.verify(&rt).expect("graph must stay consistent");
+    }
+
+    /// Removed parts are physically freed: however long SM1/SM2 churn runs,
+    /// the registry is as large as the live population, not as the history.
+    #[test]
+    fn registry_does_not_grow_with_run_length() {
+        for config in [Sb7Config::tiny(), Sb7Config::default()] {
+            let rt = TmRuntime::new();
+            let workload = Sb7Workload::new(&rt, config, Sb7Mix::WriteDominated);
+            let bench = Arc::clone(workload.bench());
+            let built = bench.registry.physical_len();
+
+            // One thread, structural modifications only.
+            let mut rng = StdRng::seed_from_u64(0x5B7);
+            let mut withdrawn = Vec::new();
+            for _ in 0..20_000 * stress_factor() {
+                if rng.random_bool(0.5) {
+                    ops::sm1_add_part(&bench, &rt, &mut rng);
+                } else if withdrawn.len() < 8 {
+                    let before = registry_ids(&bench);
+                    ops::sm2_remove_part(&bench, &rt, &mut rng);
+                    withdrawn.extend(before.difference(&registry_ids(&bench)));
+                } else {
+                    ops::sm2_remove_part(&bench, &rt, &mut rng);
+                }
+            }
+            assert_registry_is_the_live_population(&bench, &rt);
+            assert!(!withdrawn.is_empty(), "no SM2 removed anything");
+            for id in withdrawn {
+                assert!(
+                    bench.registry.get(id).is_none(),
+                    "removed part {id} resolves"
+                );
+                assert_eq!(rt.read_only(|tx| bench.part_index.get(tx, id)), None);
+            }
+
+            // Four threads, the whole write-dominated mix.
+            let workload: Arc<dyn TxWorkload> = Arc::new(workload);
+            crate::harness::run_fixed_steps(&rt, &workload, 4, 5_000 * stress_factor(), 0xC0DE);
+            assert_registry_is_the_live_population(&bench, &rt);
+
+            // SM1 and SM2 are equally likely, so the population random-walks
+            // around its built size; the ids handed out show how much history
+            // the registry would hold had it kept every part.
+            let created = bench.next_part_id.load(Ordering::Relaxed) as usize - 1;
+            assert!(
+                created > 4 * built,
+                "churn too short to tell: {created} ids"
+            );
+            assert!(
+                bench.registry.physical_len() < created / 2,
+                "registry holds {} of {created} parts ever created",
+                bench.registry.physical_len()
+            );
+        }
+    }
+
+    /// Panics out of one scheduler hook while armed.
+    #[derive(Debug)]
+    struct PanickingScheduler {
+        armed: AtomicBool,
+        after_commit: bool,
+    }
+
+    impl PanickingScheduler {
+        fn fire(&self) {
+            if self.armed.swap(false, Ordering::SeqCst) {
+                panic!("injected scheduler panic");
+            }
+        }
+    }
+
+    impl TxScheduler for PanickingScheduler {
+        fn before_start(&self, _ctx: &SchedCtx<'_>) {
+            if !self.after_commit {
+                self.fire();
+            }
+        }
+
+        fn on_finish(&self, _: &SchedCtx<'_>, end: AttemptEnd<'_>, _: &[VarId], _: &[VarId]) {
+            if self.after_commit && matches!(end, AttemptEnd::Committed) {
+                self.fire();
+            }
+        }
+
+        fn name(&self) -> &str {
+            "panicking"
+        }
+    }
+
+    /// An SM1 that unwinds before its transaction commits takes its
+    /// published part back; one that unwinds after the commit leaves it.
+    #[test]
+    fn an_unwinding_sm1_leaves_no_orphan() {
+        for after_commit in [false, true] {
+            let scheduler = Arc::new(PanickingScheduler {
+                armed: AtomicBool::new(false),
+                after_commit,
+            });
+            let rt = TmRuntime::builder()
+                .scheduler_arc(Arc::clone(&scheduler) as Arc<dyn TxScheduler>)
+                .build();
+            let bench = Sb7::build(&rt, Sb7Config::tiny(), Sb7Mix::WriteDominated);
+            let built = bench.registry.physical_len();
+            let mut rng = StdRng::seed_from_u64(7);
+
+            scheduler.armed.store(true, Ordering::SeqCst);
+            let unwound = catch_unwind(AssertUnwindSafe(|| {
+                ops::sm1_add_part(&bench, &rt, &mut rng);
+            }));
+            assert!(unwound.is_err(), "the armed hook must have fired");
+            assert!(!scheduler.armed.load(Ordering::SeqCst));
+
+            let committed = usize::from(after_commit);
+            assert_eq!(bench.registry.physical_len(), built + committed);
+            assert_registry_is_the_live_population(&bench, &rt);
+        }
     }
 }

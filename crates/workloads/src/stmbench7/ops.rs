@@ -149,7 +149,7 @@ fn op_update_part(bench: &Arc<Sb7>, rt: &TmRuntime, rng: &mut StdRng) {
 
 /// SM1: create an atomic part, wire it into a composite and the index, and
 /// stamp the assembly spine above a random base assembly.
-fn sm1_add_part(bench: &Arc<Sb7>, rt: &TmRuntime, rng: &mut StdRng) {
+pub(super) fn sm1_add_part(bench: &Arc<Sb7>, rt: &TmRuntime, rng: &mut StdRng) {
     let cid = random_composite(bench, rng);
     let composite = Arc::clone(&bench.composites[cid]);
     let new_id = bench.next_part_id.fetch_add(1, Ordering::Relaxed);
@@ -162,6 +162,11 @@ fn sm1_add_part(bench: &Arc<Sb7>, rt: &TmRuntime, rng: &mut StdRng) {
         to: TVar::new(Vec::new()),
     });
     bench.registry.publish(Arc::clone(&part));
+    let undo = UndoPublish {
+        bench,
+        rt,
+        id: new_id,
+    };
     let turns: u64 = rng.random();
     rt.run(|tx| {
         let mut parts = tx.read(&composite.parts)?;
@@ -178,23 +183,48 @@ fn sm1_add_part(bench: &Arc<Sb7>, rt: &TmRuntime, rng: &mut StdRng) {
         bench.part_index.insert(tx, new_id, cid as u64)?;
         stamp_spine(bench, tx, turns)
     });
+    std::mem::forget(undo);
 }
 
-/// SM2: delete a non-root atomic part from a composite.
-fn sm2_remove_part(bench: &Arc<Sb7>, rt: &TmRuntime, rng: &mut StdRng) {
+/// Withdraws the part `sm1_add_part` published if the call unwinds, so an
+/// aborted creation leaves no orphan in the registry.
+struct UndoPublish<'a> {
+    bench: &'a Sb7,
+    rt: &'a TmRuntime,
+    id: u64,
+}
+
+impl Drop for UndoPublish<'_> {
+    fn drop(&mut self) {
+        // A panic can also come out of `rt.run` *after* the commit (a
+        // scheduler's commit hook): then the index names the part and it
+        // has to stay resolvable.
+        let linked = self
+            .rt
+            .read_only(|tx| self.bench.part_index.get(tx, self.id))
+            .is_some();
+        if !linked {
+            self.bench.registry.withdraw(self.id);
+        }
+    }
+}
+
+/// SM2: delete a non-root atomic part from a composite, and free it once
+/// the deletion has committed.
+pub(super) fn sm2_remove_part(bench: &Arc<Sb7>, rt: &TmRuntime, rng: &mut StdRng) {
     let cid = random_composite(bench, rng);
     let composite = Arc::clone(&bench.composites[cid]);
     let turns: u64 = rng.random();
-    rt.run(|tx| {
+    let removed = rt.run(|tx| {
         let mut parts = tx.read(&composite.parts)?;
         if parts.len() <= 1 {
-            return Ok(());
+            return Ok(None);
         }
         let root = tx.read(&composite.root_part)?;
         let pick = (turns % parts.len() as u64) as usize;
         let victim = parts[pick];
         if victim == root {
-            return Ok(());
+            return Ok(None);
         }
         parts.remove(pick);
         tx.write(&composite.parts, parts.clone())?;
@@ -209,8 +239,12 @@ fn sm2_remove_part(bench: &Arc<Sb7>, rt: &TmRuntime, rng: &mut StdRng) {
                 }
             }
         }
-        stamp_spine(bench, tx, turns)
+        stamp_spine(bench, tx, turns)?;
+        Ok(Some(victim))
     });
+    if let Some(victim) = removed {
+        bench.registry.withdraw(victim);
+    }
 }
 
 /// OP-style document rewrite.

@@ -42,4 +42,16 @@ fn main() {
         }
     }
     println!("all post-run audits passed (indexes, part graphs, RB invariants)");
+    // Removed parts are freed, so this stays near the size of six object
+    // graphs however long the mixes run (DESIGN.md §4).
+    if let Some(kb) = peak_rss_kb() {
+        println!("peak resident set (VmHWM): {:.1} MB", kb as f64 / 1024.0);
+    }
+}
+
+/// `VmHWM` of this process in kB, where `/proc` has it.
+fn peak_rss_kb() -> Option<u64> {
+    let status = std::fs::read_to_string("/proc/self/status").ok()?;
+    let line = status.lines().find_map(|l| l.strip_prefix("VmHWM:"))?;
+    line.split_whitespace().next()?.parse().ok()
 }
