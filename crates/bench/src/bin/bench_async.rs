@@ -12,12 +12,11 @@
 //!    watches; measures how fast the whole population drains (commit →
 //!    last consumer finished), async wake-and-poll vs. futex wake.
 //! 3. `retry_wake_latency/1/async` — the single-consumer commit→resume
-//!    round trip, the async row matching `bench_retry`'s parked row
-//!    (reproduced here as `/thread` so the ledger is self-contained).
+//!    round trip, against the thread-parked round trip as `/thread`.
 //!
 //! Results print as a table and are written to `BENCH_async.json`
-//! (regenerated and uploaded by CI's `bench-smoke` job alongside the other
-//! perf ledgers).
+//! (regenerated and uploaded by CI's `ledger-smoke` job alongside
+//! `BENCH_service.json`).
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
@@ -138,10 +137,6 @@ fn async_population(consumers: u64, records: &mut Vec<Record>) -> PopulationOutc
         threads: WORKERS,
         ops_per_s: consumers as f64 / suspend_wall_s,
         ns_per_op: None,
-        cpu_util: None,
-        victim_ops_per_s: None,
-        ctxt_per_op: None,
-        wasted_per_op: None,
         bytes_per_op: Some(bytes_per_consumer),
         wall_s: suspend_wall_s,
         ..Record::default()
@@ -159,10 +154,6 @@ fn async_population(consumers: u64, records: &mut Vec<Record>) -> PopulationOutc
         threads: WORKERS,
         ops_per_s: consumers as f64 / drain_wall_s,
         ns_per_op: Some(drain_wall_s * 1e9 / consumers as f64),
-        cpu_util: None,
-        victim_ops_per_s: None,
-        ctxt_per_op: None,
-        wasted_per_op: None,
         bytes_per_op: None,
         wall_s: drain_wall_s,
         ..Record::default()
@@ -228,10 +219,6 @@ fn thread_population(threads: u64, records: &mut Vec<Record>) -> PopulationOutco
         threads: threads as usize,
         ops_per_s: threads as f64 / suspend_wall_s,
         ns_per_op: None,
-        cpu_util: None,
-        victim_ops_per_s: None,
-        ctxt_per_op: None,
-        wasted_per_op: None,
         bytes_per_op: Some(bytes_per_consumer),
         wall_s: suspend_wall_s,
         ..Record::default()
@@ -247,10 +234,6 @@ fn thread_population(threads: u64, records: &mut Vec<Record>) -> PopulationOutco
         threads: threads as usize,
         ops_per_s: threads as f64 / drain_wall_s,
         ns_per_op: Some(drain_wall_s * 1e9 / threads as f64),
-        cpu_util: None,
-        victim_ops_per_s: None,
-        ctxt_per_op: None,
-        wasted_per_op: None,
         bytes_per_op: None,
         wall_s: drain_wall_s,
         ..Record::default()
@@ -315,10 +298,6 @@ fn wake_latency_async(rounds: u32, records: &mut Vec<Record>) -> f64 {
         threads: 1,
         ops_per_s: rounds as f64 / wall,
         ns_per_op: Some(med),
-        cpu_util: None,
-        victim_ops_per_s: None,
-        ctxt_per_op: None,
-        wasted_per_op: None,
         bytes_per_op: None,
         wall_s: wall,
         ..Record::default()
@@ -326,8 +305,8 @@ fn wake_latency_async(rounds: u32, records: &mut Vec<Record>) -> f64 {
     med
 }
 
-/// Single-consumer wake latency, thread-parked flavour — `bench_retry`'s
-/// parked probe reproduced so this ledger carries its own baseline.
+/// Single-consumer wake latency, thread-parked flavour — the baseline the
+/// async row is judged against.
 fn wake_latency_thread(rounds: u32, records: &mut Vec<Record>) -> f64 {
     let rt = TmRuntime::builder()
         .retry_wait(Duration::from_secs(30))
@@ -367,10 +346,6 @@ fn wake_latency_thread(rounds: u32, records: &mut Vec<Record>) -> f64 {
         threads: 1,
         ops_per_s: rounds as f64 / wall,
         ns_per_op: Some(med),
-        cpu_util: None,
-        victim_ops_per_s: None,
-        ctxt_per_op: None,
-        wasted_per_op: None,
         bytes_per_op: None,
         wall_s: wall,
         ..Record::default()

@@ -1,25 +1,19 @@
-//! Shared machinery of the perf-trajectory ledgers (`BENCH_*.json`).
+//! Shared machinery of the two perf ledgers, `BENCH_async.json`
+//! (`bench_async`) and `BENCH_service.json` (`bench_service`). Both report
+//! the same record shape and write the same hand-rolled JSON (the ledger
+//! must not depend on a serde vendored stub). This module holds the common
+//! pieces:
 //!
-//! The lock (`bench_locks`) and scheduler (`bench_sched`) micro benchmarks
-//! report the same record shape — throughput plus the *CPU-burn* signals
-//! that discriminate parked from polling waiters on any core count — and
-//! write the same hand-rolled JSON (the ledger must not depend on a serde
-//! vendored stub). This module holds the common pieces:
-//!
-//! * [`cpu_seconds`] / [`context_switches`] — `/proc` readers for process
-//!   CPU time and per-thread context switches (the *scheduler tax*: every
-//!   yield-poll round is a voluntary switch, visible even on one saturated
-//!   core where `cpu_util` reads 1.0 either way);
-//! * [`with_cpu`] / [`with_cpu_and_switches`] — measurement brackets;
+//! * [`resident_bytes`] — the `/proc` RSS reader behind the blocked-
+//!   consumer footprint probes;
 //! * [`LatencyHistogram`] — a fixed-bucket log-linear histogram for
-//!   latency percentiles (p50/p99/p999): the open-loop service bench and
-//!   the wake-latency probes report tails, not just means, because tail
-//!   latency is where overload shows first;
+//!   latency percentiles (p50/p99/p999): the open-loop service bench
+//!   reports tails, not just means, because tail latency is where overload
+//!   shows first;
 //! * [`Record`] / [`write_json`] — one ledger row and the writer.
 
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::Arc;
-use std::time::{Duration, Instant};
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::time::Duration;
 
 /// One measurement row of a perf ledger.
 #[derive(Clone, Debug)]
@@ -32,18 +26,6 @@ pub struct Record {
     pub ops_per_s: f64,
     /// Nanoseconds per operation (latency probes only).
     pub ns_per_op: Option<f64>,
-    /// Process CPU seconds consumed per wall second during the window
-    /// (utime+stime delta; `None` off-Linux). 1.0 = one core pegged.
-    pub cpu_util: Option<f64>,
-    /// Progress of a co-running plain compute thread (iterations/s), the
-    /// core-count-independent CPU-burn signal: spinning waiters steal its
-    /// quanta, parked waiters leave them to it (convoy probes only).
-    pub victim_ops_per_s: Option<f64>,
-    /// Context switches per operation — the scheduler tax.
-    pub ctxt_per_op: Option<f64>,
-    /// Wasted wakeups per operation: wake syscalls issued that released no
-    /// thread (`bench_sched` epoch-futex probes only).
-    pub wasted_per_op: Option<f64>,
     /// Resident memory per operation unit, bytes — e.g. RSS per blocked
     /// consumer in `bench_async`'s footprint probes (`None` elsewhere).
     pub bytes_per_op: Option<f64>,
@@ -67,10 +49,6 @@ impl Default for Record {
             threads: 0,
             ops_per_s: 0.0,
             ns_per_op: None,
-            cpu_util: None,
-            victim_ops_per_s: None,
-            ctxt_per_op: None,
-            wasted_per_op: None,
             bytes_per_op: None,
             p50_ns: None,
             p99_ns: None,
@@ -256,20 +234,6 @@ pub fn median(samples: &mut [f64]) -> f64 {
     }
 }
 
-/// utime+stime of this process, in seconds, from `/proc/self/stat`.
-/// USER_HZ is 100 on every Linux configuration this repo targets.
-pub fn cpu_seconds() -> Option<f64> {
-    let stat = std::fs::read_to_string("/proc/self/stat").ok()?;
-    // Fields after the parenthesized comm (which may contain spaces):
-    // state ppid pgrp session tty_nr tpgid flags minflt cminflt majflt
-    // cmajflt utime stime ...  → utime/stime are at indices 11/12.
-    let after = &stat[stat.rfind(')')? + 2..];
-    let fields: Vec<&str> = after.split_whitespace().collect();
-    let utime: u64 = fields.get(11)?.parse().ok()?;
-    let stime: u64 = fields.get(12)?.parse().ok()?;
-    Some((utime + stime) as f64 / 100.0)
-}
-
 /// Resident set size of this process, in bytes, from `/proc/self/status`
 /// (`VmRSS`). The footprint probes (`bench_async`) difference it around a
 /// population of blocked waiters; note it counts touched pages only, so a
@@ -279,75 +243,6 @@ pub fn resident_bytes() -> Option<u64> {
     let line = status.lines().find(|l| l.starts_with("VmRSS"))?;
     let kb: u64 = line.split_whitespace().nth(1)?.parse().ok()?;
     Some(kb * 1024)
-}
-
-/// Context switches (voluntary + involuntary) summed over every thread of
-/// this process. Spin-then-yield waiting pays one voluntary switch per poll
-/// round — the scheduler tax that stays visible even when a single core is
-/// saturated either way. Threads that already exited are not counted, so
-/// call this while workers are still alive.
-pub fn context_switches() -> Option<u64> {
-    let mut total = 0u64;
-    for task in std::fs::read_dir("/proc/self/task").ok()? {
-        // A thread that exits mid-scan takes its `status` file with it.
-        let Ok(status) = std::fs::read_to_string(task.ok()?.path().join("status")) else {
-            continue;
-        };
-        for line in status.lines() {
-            if line.starts_with("voluntary_ctxt_switches")
-                || line.starts_with("nonvoluntary_ctxt_switches")
-            {
-                total += line
-                    .rsplit_once('\t')
-                    .and_then(|(_, v)| v.trim().parse::<u64>().ok())
-                    .unwrap_or(0);
-            }
-        }
-    }
-    Some(total)
-}
-
-/// Measures wall time and CPU burn around `f`: `(result, wall_s, cpu_util)`.
-pub fn with_cpu<R>(f: impl FnOnce() -> R) -> (R, f64, Option<f64>) {
-    let cpu_before = cpu_seconds();
-    let start = Instant::now();
-    let result = f();
-    let wall = start.elapsed().as_secs_f64();
-    let cpu = match (cpu_before, cpu_seconds()) {
-        (Some(a), Some(b)) => Some(((b - a) / wall.max(1e-9)).max(0.0)),
-        _ => None,
-    };
-    (result, wall, cpu)
-}
-
-/// Like [`with_cpu`], but also reports the context-switch delta. `f` joins
-/// its own worker threads (whose counters disappear with them), so a
-/// sampler thread polls `/proc/self/task` every 10 ms and the last total
-/// observed while the workers were alive is used.
-pub fn with_cpu_and_switches<R>(f: impl FnOnce() -> R) -> (R, f64, Option<f64>, Option<u64>) {
-    let baseline = context_switches();
-    let stop = Arc::new(AtomicBool::new(false));
-    let last = Arc::new(AtomicU64::new(0));
-    let sampler = {
-        let stop = Arc::clone(&stop);
-        let last = Arc::clone(&last);
-        std::thread::spawn(move || {
-            while !stop.load(Ordering::Relaxed) {
-                if let Some(total) = context_switches() {
-                    // Keep the maximum: a sample taken after `f` joined its
-                    // workers no longer sees their counters and would
-                    // otherwise collapse the delta to ~zero.
-                    last.fetch_max(total, Ordering::Relaxed);
-                }
-                std::thread::sleep(Duration::from_millis(10));
-            }
-        })
-    };
-    let (result, wall, cpu) = with_cpu(f);
-    stop.store(true, Ordering::Relaxed);
-    sampler.join().unwrap();
-    let switches = baseline.map(|base| last.load(Ordering::Relaxed).saturating_sub(base));
-    (result, wall, cpu, switches)
 }
 
 /// Writes a perf ledger. Hand-rolled JSON: the ledger must not depend on a
@@ -376,15 +271,11 @@ pub fn write_json(path: &str, bench: &str, quick: bool, records: &[Record]) {
     out.push_str("  \"results\": [\n");
     for (i, r) in records.iter().enumerate() {
         out.push_str(&format!(
-            "    {{\"name\": \"{}\", \"threads\": {}, \"ops_per_s\": {}, \"ns_per_op\": {}, \"cpu_util\": {}, \"victim_ops_per_s\": {}, \"ctxt_per_op\": {}, \"wasted_per_op\": {}, \"bytes_per_op\": {}, \"p50_ns\": {}, \"p99_ns\": {}, \"p999_ns\": {}, \"wall_s\": {}}}{}\n",
+            "    {{\"name\": \"{}\", \"threads\": {}, \"ops_per_s\": {}, \"ns_per_op\": {}, \"bytes_per_op\": {}, \"p50_ns\": {}, \"p99_ns\": {}, \"p999_ns\": {}, \"wall_s\": {}}}{}\n",
             r.name,
             r.threads,
             num(r.ops_per_s),
             r.ns_per_op.map_or("null".into(), num),
-            r.cpu_util.map_or("null".into(), num),
-            r.victim_ops_per_s.map_or("null".into(), num),
-            r.ctxt_per_op.map_or("null".into(), |v| format!("{v:.6}")),
-            r.wasted_per_op.map_or("null".into(), |v| format!("{v:.6}")),
             r.bytes_per_op.map_or("null".into(), |v| format!("{v:.1}")),
             r.p50_ns.map_or("null".into(), num),
             r.p99_ns.map_or("null".into(), num),
@@ -403,25 +294,6 @@ mod tests {
     use super::*;
 
     #[test]
-    fn cpu_and_switch_probes_work_on_this_host() {
-        // The repo targets Linux containers; both probes must parse /proc.
-        if cfg!(target_os = "linux") {
-            assert!(cpu_seconds().is_some());
-            assert!(context_switches().is_some());
-        }
-    }
-
-    #[test]
-    fn with_cpu_reports_positive_wall_time() {
-        let (value, wall, _cpu) = with_cpu(|| {
-            std::thread::sleep(Duration::from_millis(5));
-            42
-        });
-        assert_eq!(value, 42);
-        assert!(wall >= 0.005);
-    }
-
-    #[test]
     fn ledger_json_is_well_formed_enough() {
         let dir = std::env::temp_dir().join(format!("perf_ledger_test_{}", std::process::id()));
         std::fs::create_dir_all(&dir).unwrap();
@@ -431,7 +303,7 @@ mod tests {
             threads: 1,
             ops_per_s: 10.0,
             ns_per_op: Some(1.5),
-            ctxt_per_op: Some(0.25),
+            bytes_per_op: Some(291.0),
             p99_ns: Some(1234.0),
             wall_s: 0.1,
             ..Record::default()
@@ -440,7 +312,7 @@ mod tests {
         let body = std::fs::read_to_string(&path).unwrap();
         assert!(body.contains("\"bench\": \"test\""));
         assert!(body.contains("\"probe/1/variant\""));
-        assert!(body.contains("\"ctxt_per_op\": 0.250000"));
+        assert!(body.contains("\"bytes_per_op\": 291.0"));
         assert!(body.contains("\"p99_ns\": 1234.000"));
         assert!(body.contains("\"p50_ns\": null"));
         std::fs::remove_dir_all(&dir).unwrap();

@@ -49,7 +49,7 @@ pub use ats::{Ats, AtsConfig};
 pub use bloom::{BloomFilter, BloomRing};
 pub use kind::SchedulerKind;
 pub use pool::Pool;
-pub use serial_lock::{SerialLock, SerialWait};
+pub use serial_lock::SerialLock;
 pub use serializer::{Serializer, SerializerConfig, SerializerWaitStats};
 pub use shrink::{PredictionStats, Shrink, ShrinkConfig};
 pub use slots::ThreadSlots;

@@ -5,14 +5,15 @@
 //! scheduler that serializes all threads that face contention". A thread
 //! that aborts runs its retry through the global lock; a commit sets it free
 //! again. Comparing Pool against base and Shrink variants (Figure 5) is what
-//! motivates the serialization-affinity heuristic.
+//! motivates the serialization-affinity heuristic. Serialized threads queue
+//! on the parked [`SerialLock`], sleeping rather than spinning.
 
 use std::fmt;
 use std::sync::atomic::{AtomicBool, Ordering};
 
 use shrink_stm::{AttemptEnd, SchedCtx, TxScheduler, VarId};
 
-use crate::serial_lock::{SerialLock, SerialWait};
+use crate::serial_lock::SerialLock;
 use crate::slots::ThreadSlots;
 
 /// The Pool scheduler.
@@ -34,15 +35,8 @@ pub struct Pool {
 impl Pool {
     /// Creates a Pool scheduler (parked serialization lock).
     pub fn new() -> Self {
-        Self::with_wait(SerialWait::Parked)
-    }
-
-    /// Creates a Pool scheduler with an explicit serialization waiting
-    /// strategy — `SerialWait::SpinYield` reproduces the pre-parking
-    /// behaviour for baseline measurements (`bench_locks`).
-    pub fn with_wait(wait: SerialWait) -> Self {
         Pool {
-            lock: SerialLock::with_wait(wait),
+            lock: SerialLock::new(),
             contended: ThreadSlots::new(|| AtomicBool::new(false)),
         }
     }

@@ -8,75 +8,24 @@
 //! `on_finish` can release exactly when the paper's Algorithm 1
 //! says "if own global lock then unlock".
 //!
-//! Since the parking rewrite the default backing is the futex-parked
-//! [`RawMutex`]: a queued transaction sleeps in the kernel instead of
-//! burning its core, which is precisely the regime (more threads than
-//! cores, everything serialized) where the paper's Figures 7/9 live. The
-//! old spin-then-yield behaviour survives behind
-//! [`SerialWait::SpinYield`] so benchmarks can quantify the difference
-//! (`bench_locks`, DESIGN.md §8).
+//! The backing is the futex-parked [`RawMutex`]: a queued transaction
+//! sleeps in the kernel instead of burning its core, which is precisely the
+//! regime (more threads than cores, everything serialized) where the
+//! paper's Figures 7/9 live (DESIGN.md §8.4).
 
 use std::fmt;
 use std::sync::atomic::{AtomicU32, Ordering};
 
 use parking_lot::lock_api::RawMutex as _;
-use parking_lot::{RawMutex, SpinRawMutex};
+use parking_lot::RawMutex;
 use shrink_stm::ThreadId;
 
 use crate::slots::ThreadSlots;
 
-/// How a [`SerialLock`] waits when contended.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, Default)]
-pub enum SerialWait {
-    /// Park in the kernel (futex wait; portable parker elsewhere). Queued
-    /// threads release their core — the default.
-    #[default]
-    Parked,
-    /// Spin briefly, then `yield_now` in a loop. Retained as the benchmark
-    /// baseline; every queued thread keeps burning a scheduling quantum.
-    SpinYield,
-}
-
-impl fmt::Display for SerialWait {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            SerialWait::Parked => f.write_str("parked"),
-            SerialWait::SpinYield => f.write_str("spin-yield"),
-        }
-    }
-}
-
-/// The raw mutex actually backing the lock.
-enum RawImpl {
-    Parked(RawMutex),
-    SpinYield(SpinRawMutex),
-}
-
-impl RawImpl {
-    fn lock(&self) {
-        match self {
-            RawImpl::Parked(raw) => raw.lock(),
-            RawImpl::SpinYield(raw) => raw.lock(),
-        }
-    }
-
-    /// # Safety
-    ///
-    /// The calling thread must hold the lock.
-    unsafe fn unlock(&self) {
-        match self {
-            // SAFETY: forwarded contract.
-            RawImpl::Parked(raw) => unsafe { raw.unlock() },
-            // SAFETY: forwarded contract.
-            RawImpl::SpinYield(raw) => unsafe { raw.unlock() },
-        }
-    }
-}
-
 /// A global mutex with a serialized-thread counter and per-thread ownership
 /// bookkeeping.
 pub struct SerialLock {
-    raw: RawImpl,
+    raw: RawMutex,
     /// Exact count of threads between `acquire`'s entry and
     /// `release_if_held`'s exit — i.e. blocked on or holding the lock.
     ///
@@ -96,16 +45,8 @@ pub struct SerialLock {
 impl SerialLock {
     /// Creates an unheld, futex-parked lock.
     pub fn new() -> Self {
-        Self::with_wait(SerialWait::Parked)
-    }
-
-    /// Creates an unheld lock with an explicit waiting strategy.
-    pub fn with_wait(wait: SerialWait) -> Self {
         SerialLock {
-            raw: match wait {
-                SerialWait::Parked => RawImpl::Parked(RawMutex::INIT),
-                SerialWait::SpinYield => RawImpl::SpinYield(SpinRawMutex::INIT),
-            },
+            raw: RawMutex::INIT,
             waiting: AtomicU32::new(0),
             holds: ThreadSlots::new(|| AtomicU32::new(0)),
         }
@@ -119,8 +60,8 @@ impl SerialLock {
     }
 
     /// Serializes the calling thread: counts it as waiting, then blocks
-    /// (parked, by default) until the lock is acquired. No-op if the thread
-    /// already holds it.
+    /// (parked) until the lock is acquired. No-op if the thread already
+    /// holds it.
     pub fn acquire(&self, me: ThreadId) {
         let held = self.holds.get(me);
         if held.load(Ordering::Relaxed) != 0 {
@@ -186,18 +127,16 @@ mod tests {
 
     #[test]
     fn acquire_release_round_trip() {
-        for wait in [SerialWait::Parked, SerialWait::SpinYield] {
-            let lock = SerialLock::with_wait(wait);
-            let me = tid(1);
-            assert_eq!(lock.wait_count(), 0);
-            lock.acquire(me);
-            assert!(lock.is_held_by(me));
-            assert_eq!(lock.wait_count(), 1);
-            assert!(lock.release_if_held(me));
-            assert!(!lock.is_held_by(me));
-            assert_eq!(lock.wait_count(), 0);
-            assert!(!lock.release_if_held(me), "double release is a no-op");
-        }
+        let lock = SerialLock::new();
+        let me = tid(1);
+        assert_eq!(lock.wait_count(), 0);
+        lock.acquire(me);
+        assert!(lock.is_held_by(me));
+        assert_eq!(lock.wait_count(), 1);
+        assert!(lock.release_if_held(me));
+        assert!(!lock.is_held_by(me));
+        assert_eq!(lock.wait_count(), 0);
+        assert!(!lock.release_if_held(me), "double release is a no-op");
     }
 
     #[test]
@@ -213,32 +152,30 @@ mod tests {
 
     #[test]
     fn contending_threads_serialize() {
-        for wait in [SerialWait::Parked, SerialWait::SpinYield] {
-            let lock = Arc::new(SerialLock::with_wait(wait));
-            let shared = Arc::new(AtomicU32::new(0));
-            let handles: Vec<_> = (1..=4u16)
-                .map(|raw| {
-                    let lock = Arc::clone(&lock);
-                    let shared = Arc::clone(&shared);
-                    std::thread::spawn(move || {
-                        let me = tid(raw);
-                        for _ in 0..100 {
-                            lock.acquire(me);
-                            // Critical section: non-atomic-looking increment.
-                            let v = shared.load(Ordering::Relaxed);
-                            std::hint::spin_loop();
-                            shared.store(v + 1, Ordering::Relaxed);
-                            assert!(lock.release_if_held(me));
-                        }
-                    })
+        let lock = Arc::new(SerialLock::new());
+        let shared = Arc::new(AtomicU32::new(0));
+        let handles: Vec<_> = (1..=4u16)
+            .map(|raw| {
+                let lock = Arc::clone(&lock);
+                let shared = Arc::clone(&shared);
+                std::thread::spawn(move || {
+                    let me = tid(raw);
+                    for _ in 0..100 {
+                        lock.acquire(me);
+                        // Critical section: non-atomic-looking increment.
+                        let v = shared.load(Ordering::Relaxed);
+                        std::hint::spin_loop();
+                        shared.store(v + 1, Ordering::Relaxed);
+                        assert!(lock.release_if_held(me));
+                    }
                 })
-                .collect();
-            for h in handles {
-                h.join().unwrap();
-            }
-            assert_eq!(shared.load(Ordering::Relaxed), 400);
-            assert_eq!(lock.wait_count(), 0);
+            })
+            .collect();
+        for h in handles {
+            h.join().unwrap();
         }
+        assert_eq!(shared.load(Ordering::Relaxed), 400);
+        assert_eq!(lock.wait_count(), 0);
     }
 
     #[test]

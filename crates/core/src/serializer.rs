@@ -27,13 +27,11 @@
 //! * **The wait parks on an epoch futex** ([`EventCount`] per thread,
 //!   advanced bump-and-wake by the runtime when an attempt finishes, or
 //!   when the thread exits). The victim sleeps in the kernel and is woken
-//!   by the enemy's commit/abort; the previous bounded `yield_now` poll
-//!   loop survives only as the [`SerialWait::SpinYield`] benchmark
-//!   baseline (`bench_sched`, `BENCH_sched.json`). The deadline bound
-//!   against enemies that have gone idle is a wall-clock duration
-//!   ([`SerializerConfig::max_wait`]), not a yield count, and an enemy
-//!   whose epoch slot is absent (never registered, or its thread exited)
-//!   is skipped outright instead of being waited on in vain.
+//!   by the enemy's commit/abort — there is no poll loop. The deadline
+//!   bound against enemies that have gone idle is a wall-clock duration
+//!   ([`SerializerConfig::max_wait`]), and an enemy whose epoch slot is
+//!   absent (never registered, or its thread exited) is skipped outright
+//!   instead of being waited on in vain.
 //!
 //! [`EventCount`]: parking_lot::EventCount
 //! [`Abort`]: shrink_stm::Abort
@@ -45,40 +43,28 @@ use std::time::{Duration, Instant};
 use parking_lot::Mutex;
 use shrink_stm::{AttemptEnd, EpochWaitOutcome, SchedCtx, ThreadId, TxScheduler, VarId};
 
-use crate::serial_lock::SerialWait;
 use crate::slots::ThreadSlots;
 
 /// Tuning parameters of [`Serializer`].
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct SerializerConfig {
-    /// How the victim waits for its enemy to finish: parked on the epoch
-    /// futex (default), or the legacy bounded yield-poll loop kept as the
-    /// benchmark baseline.
-    pub wait: SerialWait,
-    /// Longest a [`SerialWait::Parked`] victim sleeps before running anyway
+    /// Longest a victim sleeps on its enemy's epoch before running anyway
     /// — the bound against enemies that have gone idle.
     pub max_wait: Duration,
-    /// Maximum yields of the [`SerialWait::SpinYield`] baseline before
-    /// running anyway.
-    pub max_wait_yields: u32,
 }
 
 impl Default for SerializerConfig {
     fn default() -> Self {
         SerializerConfig {
-            wait: SerialWait::Parked,
             // Generous against real transactions (µs of work) while keeping
-            // the idle-enemy stall far below the old yield bound's
-            // worst case on a loaded box.
+            // the idle-enemy stall short on a loaded box.
             max_wait: Duration::from_millis(2),
-            max_wait_yields: 1 << 14,
         }
     }
 }
 
 /// Wait-op counters of a [`Serializer`] — how `before_start` actually
-/// waited. The acceptance bar for the epoch futex lives here: on the parked
-/// path `yield_polls` stays 0 no matter how long victims wait.
+/// waited.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct SerializerWaitStats {
     /// Parked epoch waits issued (each may sleep up to `max_wait`).
@@ -86,14 +72,11 @@ pub struct SerializerWaitStats {
     /// Waits that ended because the enemy's epoch advanced (including
     /// instantly, when the conflicting attempt was already over).
     pub advanced: u64,
-    /// Waits that hit the idle-enemy bound (deadline or yield budget).
+    /// Waits that hit the idle-enemy deadline.
     pub timed_out: u64,
     /// Waits skipped because the enemy had no live epoch slot (never
     /// registered, or its thread exited).
     pub absent_skips: u64,
-    /// `yield_now` calls spent polling — only the `SpinYield` baseline ever
-    /// increments this.
-    pub yield_polls: u64,
 }
 
 #[derive(Debug, Default)]
@@ -102,7 +85,6 @@ struct WaitCounters {
     advanced: AtomicU64,
     timed_out: AtomicU64,
     absent_skips: AtomicU64,
-    yield_polls: AtomicU64,
 }
 
 #[derive(Debug)]
@@ -155,7 +137,6 @@ impl Serializer {
             advanced: self.counters.advanced.load(Ordering::Relaxed),
             timed_out: self.counters.timed_out.load(Ordering::Relaxed),
             absent_skips: self.counters.absent_skips.load(Ordering::Relaxed),
-            yield_polls: self.counters.yield_polls.load(Ordering::Relaxed),
         }
     }
 
@@ -170,33 +151,11 @@ impl Serializer {
                 self.counters.parked_waits.fetch_add(1, Ordering::Relaxed);
                 self.counters.timed_out.fetch_add(1, Ordering::Relaxed);
             }
-            // Not a wait op: the slot was dead on arrival, matching what
-            // the SpinYield path counts for the same situation.
+            // Not a wait op: the slot was dead on arrival.
             EpochWaitOutcome::Absent => {
                 self.counters.absent_skips.fetch_add(1, Ordering::Relaxed);
             }
         }
-    }
-
-    fn wait_yield_poll(&self, ctx: &SchedCtx<'_>, enemy: ThreadId, observed: u32) {
-        let mut yields: u64 = 0;
-        let counter = loop {
-            match ctx.epochs.epoch_of(enemy) {
-                None => break &self.counters.absent_skips,
-                Some(e) if e != observed => break &self.counters.advanced,
-                Some(_) if yields >= self.config.max_wait_yields as u64 => {
-                    break &self.counters.timed_out;
-                }
-                Some(_) => {
-                    std::thread::yield_now();
-                    yields += 1;
-                }
-            }
-        };
-        counter.fetch_add(1, Ordering::Relaxed);
-        self.counters
-            .yield_polls
-            .fetch_add(yields, Ordering::Relaxed);
     }
 }
 
@@ -221,10 +180,7 @@ impl TxScheduler for Serializer {
         let slot = self.threads.get(ctx.thread);
         let pending = slot.pending.lock().take();
         if let Some((enemy, observed)) = pending {
-            match self.config.wait {
-                SerialWait::Parked => self.wait_parked(ctx, enemy, observed),
-                SerialWait::SpinYield => self.wait_yield_poll(ctx, enemy, observed),
-            }
+            self.wait_parked(ctx, enemy, observed);
         }
     }
 
@@ -316,7 +272,6 @@ mod tests {
             // A wrongly recorded wait would stall the full bound and fail
             // the elapsed assertion below.
             max_wait: Duration::from_secs(60),
-            ..SerializerConfig::default()
         });
         let oracle = StaticWrites::new();
         let epochs = EpochTable::new();
@@ -336,7 +291,6 @@ mod tests {
     fn retry_wait_records_no_schedule_after() {
         let s = Serializer::new(SerializerConfig {
             max_wait: Duration::from_secs(60),
-            ..SerializerConfig::default()
         });
         let oracle = StaticWrites::new();
         let epochs = EpochTable::new();
@@ -354,7 +308,6 @@ mod tests {
     fn waits_parked_until_enemy_finishes() {
         let s = Arc::new(Serializer::new(SerializerConfig {
             max_wait: Duration::from_secs(60),
-            ..SerializerConfig::default()
         }));
         let oracle = StaticWrites::new();
         let epochs = Arc::new(EpochTable::new());
@@ -392,8 +345,6 @@ mod tests {
         assert_eq!(stats.parked_waits, 1);
         assert_eq!(stats.advanced, 1);
         assert_eq!(stats.timed_out, 0);
-        // The acceptance bar: the parked path never yield-polls.
-        assert_eq!(stats.yield_polls, 0, "parked wait must not yield-poll");
     }
 
     #[test]
@@ -406,7 +357,6 @@ mod tests {
         // transaction.
         let s = Serializer::new(SerializerConfig {
             max_wait: Duration::from_secs(60),
-            ..SerializerConfig::default()
         });
         let oracle = StaticWrites::new();
         let epochs = EpochTable::new();
@@ -428,7 +378,6 @@ mod tests {
         );
         let stats = s.wait_stats();
         assert_eq!(stats.advanced, 1, "wait satisfied without sleeping");
-        assert_eq!(stats.yield_polls, 0);
     }
 
     #[test]
@@ -438,7 +387,6 @@ mod tests {
         // it and burned the whole wait bound.
         let s = Serializer::new(SerializerConfig {
             max_wait: Duration::from_secs(60),
-            ..SerializerConfig::default()
         });
         let oracle = StaticWrites::new();
         let epochs = EpochTable::new();
@@ -458,7 +406,6 @@ mod tests {
     fn read_only_brackets_neither_wait_nor_consume_a_pending_schedule_after() {
         let s = Serializer::new(SerializerConfig {
             max_wait: Duration::from_millis(20),
-            ..SerializerConfig::default()
         });
         let oracle = StaticWrites::new();
         let epochs = EpochTable::new();
@@ -497,10 +444,7 @@ mod tests {
     #[test]
     fn bounded_wait_times_out_on_idle_enemy() {
         let max_wait = Duration::from_millis(20);
-        let s = Serializer::new(SerializerConfig {
-            max_wait,
-            ..SerializerConfig::default()
-        });
+        let s = Serializer::new(SerializerConfig { max_wait });
         let oracle = StaticWrites::new();
         let epochs = EpochTable::new();
         let enemy = ThreadId::from_u16(2);
@@ -516,36 +460,5 @@ mod tests {
         finish(&s, &me, AttemptEnd::Committed);
         let stats = s.wait_stats();
         assert_eq!(stats.timed_out, 1);
-        assert_eq!(stats.yield_polls, 0);
-    }
-
-    #[test]
-    fn yield_poll_baseline_still_waits_and_counts_its_yields() {
-        let s = Serializer::new(SerializerConfig {
-            wait: SerialWait::SpinYield,
-            max_wait_yields: 8,
-            ..SerializerConfig::default()
-        });
-        let oracle = StaticWrites::new();
-        let epochs = EpochTable::new();
-        let enemy = ThreadId::from_u16(2);
-        epochs.ensure(enemy);
-        let me = ctx(1, &oracle, &epochs);
-        s.before_start(&me);
-        finish(&s, &me, AttemptEnd::Aborted(&live_conflict(&epochs, enemy)));
-        // Idle enemy: the baseline burns its yield budget, visibly.
-        s.before_start(&me);
-        let stats = s.wait_stats();
-        assert_eq!(stats.timed_out, 1);
-        assert_eq!(stats.yield_polls, 8, "baseline yields are accounted");
-        assert_eq!(stats.parked_waits, 0);
-
-        // And an absent enemy is skipped on the baseline path too.
-        let ghost = ThreadId::from_u16(9);
-        let abort = Abort::on_conflict(AbortReason::WriteConflict, VarId::from_u64(1), ghost)
-            .with_enemy_epoch(0);
-        finish(&s, &me, AttemptEnd::Aborted(&abort));
-        s.before_start(&me);
-        assert_eq!(s.wait_stats().absent_skips, 1);
     }
 }

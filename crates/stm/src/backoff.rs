@@ -14,8 +14,8 @@ const PARK_SPIN_UNTIL: u32 = 64;
 const PARK_YIELD_UNTIL: u32 = 192;
 /// Past the yield phase, every `PARK_NAP_EVERY`-th pause unit is a nap and
 /// the rest stay yields. The bounded conflict-wait loops in `txn.rs` count
-/// pause units against spin-calibrated budgets (`read_spin_budget`,
-/// `lock_spin_budget`, …); naps on every unit would inflate those windows
+/// pause units against spin-calibrated budgets (`READ_SPIN_BUDGET`,
+/// `LOCK_SPIN_BUDGET`, …); naps on every unit would inflate those windows
 /// ~1000× (e.g. a 2048-unit lock wait becoming ~40 ms). Interleaving keeps
 /// a budgeted wait within roughly an order of magnitude of its yield-policy
 /// duration while still releasing the core at a duty cycle a pure yield
@@ -74,19 +74,22 @@ pub fn pause(policy: WaitPolicy, iteration: u32) {
 /// Pause units of busy work (spins/yields) a single backoff may burn before
 /// the remainder is converted into one sleep. `2^8`: comfortably above the
 /// common case (ceiling 10 ⇒ ≤ 1024 spins, i.e. only the worst quartile of
-/// jitter draws ever sleeps), decisively below an abort storm's budget.
+/// jitter draws ever sleeps).
 const BACKOFF_BUSY_CAP: u64 = 1 << 8;
 /// Approximate cost of one spin-loop pause unit, used to convert capped-off
 /// busy work into an equivalent sleep.
 const NANOS_PER_UNIT: u64 = 25;
-/// Longest backoff sleep (caps pathological `consecutive_aborts`).
+/// Longest backoff sleep.
 const MAX_BACKOFF_SLEEP: Duration = Duration::from_millis(2);
+/// Consecutive aborts after which the retry backoff stops growing: at most
+/// `2^BACKOFF_CEILING` pause units.
+const BACKOFF_CEILING: u32 = 10;
 
 /// Waits between transaction retries after an abort.
 ///
 /// Exponential in the number of consecutive aborts, capped at
-/// `2^ceiling` pause units, with a cheap multiplicative-hash jitter so
-/// threads that abort together do not retry in lockstep.
+/// `2^BACKOFF_CEILING` pause units, with a cheap multiplicative-hash jitter
+/// so threads that abort together do not retry in lockstep.
 ///
 /// For [`WaitPolicy::Preemptive`] and [`WaitPolicy::Parked`] the *busy*
 /// portion is additionally capped at [`BACKOFF_BUSY_CAP`] pause units; the
@@ -95,8 +98,8 @@ const MAX_BACKOFF_SLEEP: Duration = Duration::from_millis(2);
 /// is the paper's pathological baseline (Figures 8–11 measure precisely
 /// what un-parked waiting costs), so its backoff must keep burning the
 /// core like the original TinySTM busy-wait did.
-pub fn retry_backoff(policy: WaitPolicy, consecutive_aborts: u32, ceiling: u32, seed: u64) {
-    let exp = consecutive_aborts.min(ceiling);
+pub fn retry_backoff(policy: WaitPolicy, consecutive_aborts: u32, seed: u64) {
+    let exp = consecutive_aborts.min(BACKOFF_CEILING);
     let max = 1u64 << exp;
     // xorshift-style jitter; avoids pulling a full RNG onto the abort path.
     let mut x = seed
@@ -134,21 +137,20 @@ mod tests {
 
     #[test]
     fn backoff_terminates_even_at_ceiling() {
-        retry_backoff(WaitPolicy::Busy, 100, 10, 42);
-        retry_backoff(WaitPolicy::Preemptive, 0, 10, 42);
-        retry_backoff(WaitPolicy::Parked, 100, 10, 42);
+        retry_backoff(WaitPolicy::Busy, 100, 42);
+        retry_backoff(WaitPolicy::Preemptive, 0, 42);
+        retry_backoff(WaitPolicy::Parked, 100, 42);
     }
 
     #[test]
     fn capped_backoff_is_time_bounded_under_abort_storms() {
-        // A pathological ceiling would mean up to 2^24 spins per retry
-        // uncapped; with the cap every policy except Busy must come back in
+        // At the ceiling every policy except Busy must come back in
         // BUSY_CAP pauses + one ≤ 2 ms sleep. Allow generous slack for a
         // loaded CI box.
         for policy in [WaitPolicy::Preemptive, WaitPolicy::Parked] {
             let start = Instant::now();
             for storm in 0..16 {
-                retry_backoff(policy, 24 + storm, 24, 7 + storm as u64);
+                retry_backoff(policy, 24 + storm, 7 + storm as u64);
             }
             assert!(
                 start.elapsed() < Duration::from_millis(500),

@@ -1,4 +1,5 @@
-//! Runtime configuration: backend selection, waiting policy and tuning knobs.
+//! Runtime configuration: backend, waiting, contention-management and
+//! retry-wait policies.
 
 use std::fmt;
 use std::time::Duration;
@@ -147,35 +148,20 @@ impl fmt::Display for CmPolicy {
     }
 }
 
-/// Tuning knobs of a [`TmRuntime`](crate::TmRuntime).
+/// The policies of a [`TmRuntime`](crate::TmRuntime).
 ///
 /// Construct via [`TmRuntime::builder`](crate::TmRuntime::builder); the
-/// defaults reproduce the paper's setup.
+/// defaults reproduce the paper's setup. The spin, threshold and backoff
+/// tuning constants live beside their only readers (`txn.rs`, `runtime.rs`,
+/// `backoff.rs`).
 #[derive(Clone, Debug)]
 pub struct TmConfig {
     /// Conflict-detection protocol.
     pub backend: BackendKind,
     /// Waiting behaviour.
     pub wait_policy: WaitPolicy,
-    /// Stripes in the ownership-record table (rounded to a power of two).
-    pub orec_table_size: usize,
-    /// Spins a reader grants a committing writer before retrying the read.
-    pub read_spin_budget: u32,
-    /// Spins a Tiny-backend transaction waits on a locked stripe before
-    /// aborting itself (TinySTM's busy-wait window).
-    pub lock_spin_budget: u32,
-    /// Accesses below which a Swiss transaction loses write/write conflicts
-    /// without a fight (the "timid" first phase of the two-phase CM).
-    pub cm_timid_threshold: u64,
-    /// Spins a Swiss transaction waits for a killed victim to release its
-    /// locks before giving up and aborting itself.
-    pub kill_wait_budget: u32,
-    /// Maximum consecutive aborts before the retry backoff saturates.
-    pub backoff_ceiling: u32,
     /// Write/write conflict resolution policy.
     pub cm_policy: CmPolicy,
-    /// Backed-off re-attempts Polite makes before aborting.
-    pub polite_retries: u32,
     /// Longest one parked [`Tx::retry`](crate::Tx::retry) round sleeps
     /// before revalidating its read snapshot. The wake normally comes from
     /// a committer writing a watched stripe (DESIGN.md §9); the deadline is
@@ -218,14 +204,7 @@ impl Default for TmConfig {
         TmConfig {
             backend: BackendKind::Swiss,
             wait_policy: WaitPolicy::Preemptive,
-            orec_table_size: 1 << 16,
-            read_spin_budget: 512,
-            lock_spin_budget: 2048,
-            cm_timid_threshold: 32,
-            kill_wait_budget: 4096,
-            backoff_ceiling: 10,
             cm_policy: CmPolicy::BackendDefault,
-            polite_retries: 6,
             retry_wait: Duration::from_millis(10),
         }
     }
@@ -254,9 +233,7 @@ mod tests {
         let c = TmConfig::default();
         assert_eq!(c.backend, BackendKind::Swiss);
         assert_eq!(c.wait_policy, WaitPolicy::Preemptive);
-        assert!(c.orec_table_size.is_power_of_two());
-        assert!(c.read_spin_budget > 0);
-        assert!(c.lock_spin_budget > 0);
+        assert_eq!(c.cm_policy, CmPolicy::BackendDefault);
         assert!(c.retry_wait > Duration::ZERO);
     }
 

@@ -247,6 +247,9 @@ impl RuntimeInner {
     }
 }
 
+/// Stripes in every runtime's ownership-record table.
+const OREC_TABLE_SIZE: usize = 1 << 16;
+
 /// Builder for [`TmRuntime`].
 ///
 /// # Examples
@@ -257,7 +260,6 @@ impl RuntimeInner {
 /// let rt = TmRuntime::builder()
 ///     .backend(BackendKind::Tiny)
 ///     .wait_policy(WaitPolicy::Busy)
-///     .orec_table_size(1 << 12)
 ///     .build();
 /// assert_eq!(rt.config().backend, BackendKind::Tiny);
 /// ```
@@ -289,52 +291,10 @@ impl TmBuilder {
         self
     }
 
-    /// Sets the number of ownership-record stripes.
-    #[must_use]
-    pub fn orec_table_size(mut self, size: usize) -> Self {
-        self.config.orec_table_size = size;
-        self
-    }
-
-    /// Sets the reader's spin budget against committing stripes.
-    #[must_use]
-    pub fn read_spin_budget(mut self, spins: u32) -> Self {
-        self.config.read_spin_budget = spins;
-        self
-    }
-
-    /// Sets the Tiny backend's busy-wait budget on locked stripes.
-    #[must_use]
-    pub fn lock_spin_budget(mut self, spins: u32) -> Self {
-        self.config.lock_spin_budget = spins;
-        self
-    }
-
-    /// Sets the Swiss contention manager's timid-phase threshold.
-    #[must_use]
-    pub fn cm_timid_threshold(mut self, accesses: u64) -> Self {
-        self.config.cm_timid_threshold = accesses;
-        self
-    }
-
     /// Selects the write/write contention-management policy.
     #[must_use]
     pub fn cm_policy(mut self, policy: CmPolicy) -> Self {
         self.config.cm_policy = policy;
-        self
-    }
-
-    /// Sets how long a Swiss transaction waits for a killed victim.
-    #[must_use]
-    pub fn kill_wait_budget(mut self, spins: u32) -> Self {
-        self.config.kill_wait_budget = spins;
-        self
-    }
-
-    /// Sets the exponential retry backoff ceiling (power of two).
-    #[must_use]
-    pub fn backoff_ceiling(mut self, ceiling: u32) -> Self {
-        self.config.backoff_ceiling = ceiling;
         self
     }
 
@@ -377,7 +337,7 @@ impl TmBuilder {
 
     /// Builds the runtime.
     pub fn build(self) -> TmRuntime {
-        let orecs = OrecTable::new(self.config.orec_table_size);
+        let orecs = OrecTable::new(OREC_TABLE_SIZE);
         let retry_waits = StripeWaitlist::new(orecs.len());
         let inner = Arc::new(RuntimeInner {
             id: NEXT_RUNTIME_ID.fetch_add(1, Ordering::Relaxed),
@@ -751,7 +711,6 @@ impl TmRuntime {
                     retry_backoff(
                         inner.config.wait_policy,
                         consecutive_aborts,
-                        inner.config.backoff_ceiling,
                         ctx.id().as_u16() as u64,
                     );
                 }

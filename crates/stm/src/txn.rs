@@ -44,6 +44,21 @@ use crate::thread::{ThreadCtx, ThreadId};
 use crate::tvar::{TVar, TVarInner, TxValue};
 use crate::varid::VarId;
 
+/// Spins a reader grants a committing writer — and the snapshot-moved and
+/// post-extension re-reads — before giving up on the read.
+const READ_SPIN_BUDGET: u32 = 512;
+/// Spins a Tiny-backend transaction waits on a locked stripe before
+/// aborting itself (TinySTM's busy-wait window).
+const LOCK_SPIN_BUDGET: u32 = 2048;
+/// Accesses below which a two-phase transaction loses write/write conflicts
+/// without a fight (the "timid" first phase).
+const CM_TIMID_THRESHOLD: u64 = 32;
+/// Spins a transaction waits for a killed victim to release its locks
+/// before giving up and aborting itself.
+const KILL_WAIT_BUDGET: u32 = 4096;
+/// Backed-off re-attempts Polite makes before aborting.
+const POLITE_RETRIES: u32 = 6;
+
 /// One validated read: which stripe, and the version it had when read.
 #[derive(Clone, Copy, Debug)]
 struct ReadEntry {
@@ -450,8 +465,8 @@ impl<'rt> Tx<'rt> {
                 // (encounter-time locking).
                 let wait_budget = match self.rt.config.backend {
                     BackendKind::Swiss if !s1.committing() => None,
-                    BackendKind::Swiss => Some(self.rt.config.read_spin_budget),
-                    BackendKind::Tiny => Some(self.rt.config.lock_spin_budget),
+                    BackendKind::Swiss => Some(READ_SPIN_BUDGET),
+                    BackendKind::Tiny => Some(LOCK_SPIN_BUDGET),
                 };
                 if let Some(budget) = wait_budget {
                     if spins >= budget {
@@ -482,7 +497,7 @@ impl<'rt> Tx<'rt> {
                 // predate its clock sample. Re-snapshot and re-load under
                 // the advanced timestamp (see the same step in
                 // `ReadTx::read`).
-                if spins >= self.rt.config.read_spin_budget {
+                if spins >= READ_SPIN_BUDGET {
                     return Err(Abort::new(AbortReason::ReadValidation));
                 }
                 spins += 1;
@@ -570,7 +585,7 @@ impl<'rt> Tx<'rt> {
                     CmPolicy::BackendDefault => unreachable!("resolved by effective_cm"),
                     CmPolicy::Suicide => {
                         // Bounded busy-wait, then abort self.
-                        if spins >= self.rt.config.lock_spin_budget {
+                        if spins >= LOCK_SPIN_BUDGET {
                             return Err(lose(self));
                         }
                         self.contended_pause(spins, owner);
@@ -579,7 +594,7 @@ impl<'rt> Tx<'rt> {
                     }
                     CmPolicy::Polite => {
                         // Exponentially growing patience, then abort self.
-                        if polite_attempts >= self.rt.config.polite_retries {
+                        if polite_attempts >= POLITE_RETRIES {
                             return Err(lose(self));
                         }
                         let patience = 16u32 << polite_attempts.min(10);
@@ -591,8 +606,7 @@ impl<'rt> Tx<'rt> {
                     }
                     CmPolicy::TwoPhase | CmPolicy::Karma => {
                         let my_work = self.ctx.accesses();
-                        if cm == CmPolicy::TwoPhase && my_work <= self.rt.config.cm_timid_threshold
-                        {
+                        if cm == CmPolicy::TwoPhase && my_work <= CM_TIMID_THRESHOLD {
                             // Timid phase: young transactions lose quietly.
                             return Err(lose(self));
                         }
@@ -605,7 +619,7 @@ impl<'rt> Tx<'rt> {
                                     v.request_kill();
                                     requested_kill = true;
                                 }
-                                if spins >= self.rt.config.kill_wait_budget {
+                                if spins >= KILL_WAIT_BUDGET {
                                     return Err(lose(self));
                                 }
                                 self.contended_pause(spins, owner);
@@ -880,7 +894,7 @@ impl TxRead for Tx<'_> {
 /// can never abort one — and no writer can *force* it to block; invalidated
 /// snapshots restart quietly inside `read_only`, invisible to the
 /// schedulers. The mode is **lock-free, not wait-free**: every retry path
-/// inside a single read is bounded by `read_spin_budget`, but each restart
+/// inside a single read is bounded by `READ_SPIN_BUDGET`, but each restart
 /// is caused by a writer *committing*, so the system makes progress while
 /// an individual reader can in principle starve under a saturating writer
 /// stream (bound it with
@@ -892,7 +906,7 @@ impl TxRead for Tx<'_> {
 /// stripe still guards the committed value under its pre-lock version. The
 /// only state a reader must wait out is `committing` itself, and that wait
 /// — like the snapshot-moved and extension retry paths — is bounded by
-/// `read_spin_budget` before the reader restarts.
+/// `READ_SPIN_BUDGET` before the reader restarts.
 pub struct ReadTx<'rt> {
     rt: &'rt RuntimeInner,
     me: ThreadId,
@@ -969,7 +983,7 @@ impl<'rt> ReadTx<'rt> {
                 // The owner is installing values right now — the only
                 // window where the cell may hold uncommitted data. Grant it
                 // a bounded wait, then restart rather than lock or kill.
-                if spins >= self.rt.config.read_spin_budget {
+                if spins >= READ_SPIN_BUDGET {
                     return Err(Abort::new(AbortReason::ReadValidation));
                 }
                 pause(self.rt.config.wait_policy, spins);
@@ -981,7 +995,7 @@ impl<'rt> ReadTx<'rt> {
             let value = tvar.inner.cell.load();
             let s2 = orec.snapshot();
             if s2 != s1 {
-                if spins >= self.rt.config.read_spin_budget {
+                if spins >= READ_SPIN_BUDGET {
                     return Err(Abort::new(AbortReason::ReadValidation));
                 }
                 spins += 1;
@@ -996,7 +1010,7 @@ impl<'rt> ReadTx<'rt> {
                 // entry is not in the read log yet). Re-snapshot and
                 // re-load under the advanced timestamp (TinySTM's
                 // goto-restart) instead of admitting a possibly stale pair.
-                if spins >= self.rt.config.read_spin_budget {
+                if spins >= READ_SPIN_BUDGET {
                     return Err(Abort::new(AbortReason::ReadValidation));
                 }
                 spins += 1;

@@ -32,7 +32,8 @@
 //!
 //! All waiting is futex/parker sleeping: the retry path contains no
 //! `yield_now` poll loop at all, which is what the wait-op counters in
-//! [`RetryStats`] let tests and `bench_retry` prove.
+//! [`RetryStats`] let tests and the benchmark of record
+//! (`stm.waitlist.*` cells) prove.
 //!
 //! # Pluggable parkers
 //!
@@ -218,8 +219,8 @@ pub(crate) enum RetryWaitOutcome {
 ///
 /// The waiter side proves *how* blocked transactions waited (`parked_waits`
 /// never comes with a yield-poll counterpart because the path has none);
-/// the committer side (`wakes_issued` / `wasted_wakes`) is the
-/// wasted-wakeup ledger `bench_retry` reports.
+/// the committer side (`wakes_issued` / `wasted_wakes`) is what the
+/// benchmark's `stm.waitlist.wasted_wake_share` cell reports.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct RetryStats {
     /// Wait rounds that actually parked on the futex.

@@ -11,9 +11,8 @@
 //! * [`stamp`] — analogues of all ten STAMP configurations (bayes, genome,
 //!   intruder, kmeans ×2, labyrinth, ssca2, vacation ×2, yada) preserving
 //!   each application's transactional access pattern;
-//! * [`queue`] — blocking bounded queues and the MPMC channel churn built
-//!   on the composable `retry`/`or_else` API (DESIGN.md §9), including the
-//!   spin-retry baseline `bench_retry` measures against;
+//! * [`queue`] — blocking bounded queues and the async MPMC channel churn
+//!   built on the composable `retry`/`or_else` API (DESIGN.md §9);
 //! * [`harness`] — the time-boxed committed-tx/s measurement used by every
 //!   figure;
 //! * [`service`] — the production-shaped scenario: a sharded transactional
@@ -33,7 +32,7 @@ pub mod stamp;
 pub mod stmbench7;
 
 pub use harness::{run_fixed_steps, run_throughput, RunConfig, RunOutcome, TxWorkload};
-pub use queue::{AsyncQueueChurn, ChurnTask, QueueMode, QueueWorkload, TxQueue};
+pub use queue::{AsyncQueueChurn, ChurnTask, TxQueue};
 pub use rbtree::{RbTreeWorkload, TxRbTree};
 pub use service::{
     build_schedule, run_open_loop, BookingOutcome, Request, RequestKind, RequestMix, ShardedStore,

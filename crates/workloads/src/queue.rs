@@ -8,17 +8,11 @@
 //! which is the point of composable blocking: one blocking primitive, every
 //! polling/timeout/alternative flavour derived from it (DESIGN.md §9).
 //!
-//! [`QueueWorkload`] drives a producers-versus-consumers churn over one
-//! queue for the throughput harness and the `bench_retry` ledger, in two
-//! modes: [`QueueMode::Blocking`] (consumers park in `retry`) and
-//! [`QueueMode::Spin`] (consumers poll `try_pop` and yield — the
-//! abort-and-retry-blind baseline the paper's overloaded Figure 9 regime
-//! punishes).
-//!
-//! [`AsyncQueueChurn`] is the same MPMC churn with **tasks instead of
-//! threads**: every producer and consumer is a plain future composed from
-//! [`atomically_async`], so a blocked `pop` suspends its task on the retry
-//! waitlist rather than parking an OS thread. The queue type is untouched —
+//! [`AsyncQueueChurn`] is a producers-versus-consumers MPMC churn over one
+//! queue with **tasks instead of threads**: every producer and consumer is
+//! a plain future composed from [`atomically_async`], so a blocked `pop`
+//! suspends its task on the retry waitlist rather than parking an OS
+//! thread. The queue type is untouched —
 //! transaction bodies stay synchronous closures — which is the whole point
 //! of the pluggable-parker refactor (DESIGN.md §12). The churn is
 //! executor-agnostic: it hands out boxed tasks and the caller spawns them
@@ -33,11 +27,8 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 use parking_lot::EventCount;
-use rand::rngs::StdRng;
 use shrink_stm::future::atomically_async;
 use shrink_stm::{TVar, TmRuntime, Tx, TxResult, TxValue};
-
-use crate::harness::TxWorkload;
 
 /// A bounded, blocking, transactional MPMC FIFO queue.
 ///
@@ -209,170 +200,6 @@ impl<T: TxValue> fmt::Debug for TxQueue<T> {
     }
 }
 
-/// How [`QueueWorkload`] consumers wait on an empty queue.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum QueueMode {
-    /// Consumers block in [`Tx::retry`](shrink_stm::Tx::retry): parked on
-    /// the queue's stripes, woken by a producer's commit.
-    Blocking,
-    /// Consumers poll [`TxQueue::try_pop`] and `yield_now` between misses —
-    /// the spin-retry baseline `bench_retry` measures the parked path
-    /// against. Every miss is a committed empty-handed transaction plus a
-    /// yield, the exact overloaded-regime behaviour the paper's Figure 9
-    /// punishes.
-    Spin,
-}
-
-impl fmt::Display for QueueMode {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            QueueMode::Blocking => f.write_str("blocking"),
-            QueueMode::Spin => f.write_str("spin"),
-        }
-    }
-}
-
-/// A multi-producer/multi-consumer churn over one [`TxQueue`]: even-indexed
-/// workers produce random values, odd-indexed workers consume them.
-///
-/// Progress is reported through [`items_moved`](QueueWorkload::items_moved)
-/// (transfers, not commits — the [`QueueMode::Spin`] baseline also commits
-/// on every empty-handed poll, so raw commit counts are not comparable
-/// across modes) and audited by [`verify`](QueueWorkload::verify):
-/// everything produced is either consumed or still queued, by count and by
-/// value sum.
-pub struct QueueWorkload {
-    queue: TxQueue<u64>,
-    mode: QueueMode,
-    /// Attempt budget per step: bounds how long a blocked step can park so
-    /// harness workers always observe the stop flag between steps.
-    attempts_per_step: u64,
-    produced: AtomicU64,
-    produced_sum: AtomicU64,
-    consumed: AtomicU64,
-    consumed_sum: AtomicU64,
-    /// `yield_now` calls spent by spin-mode consumers between misses.
-    spin_yields: AtomicU64,
-}
-
-impl QueueWorkload {
-    /// Creates the workload over a fresh queue of `capacity`.
-    #[must_use]
-    pub fn new(capacity: usize, mode: QueueMode) -> Self {
-        QueueWorkload {
-            queue: TxQueue::new(capacity),
-            mode,
-            attempts_per_step: 8,
-            produced: AtomicU64::new(0),
-            produced_sum: AtomicU64::new(0),
-            consumed: AtomicU64::new(0),
-            consumed_sum: AtomicU64::new(0),
-            spin_yields: AtomicU64::new(0),
-        }
-    }
-
-    /// Items successfully moved through the queue (consumer side).
-    pub fn items_moved(&self) -> u64 {
-        self.consumed.load(Ordering::Relaxed)
-    }
-
-    /// Items produced into the queue.
-    pub fn items_produced(&self) -> u64 {
-        self.produced.load(Ordering::Relaxed)
-    }
-
-    /// Yields burned by spin-mode consumers (always 0 in blocking mode —
-    /// the parked path has no yield loop).
-    pub fn spin_yields(&self) -> u64 {
-        self.spin_yields.load(Ordering::Relaxed)
-    }
-
-    /// The underlying queue, for post-run audits.
-    pub fn queue(&self) -> &TxQueue<u64> {
-        &self.queue
-    }
-}
-
-impl fmt::Debug for QueueWorkload {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.debug_struct("QueueWorkload")
-            .field("mode", &self.mode)
-            .field("capacity", &self.queue.capacity())
-            .field("moved", &self.items_moved())
-            .finish()
-    }
-}
-
-impl TxWorkload for QueueWorkload {
-    fn step(&self, rt: &TmRuntime, worker: usize, rng: &mut StdRng) {
-        if worker % 2 == 0 {
-            // Producer: blocking push of a random value, bounded so a full
-            // queue with stalled consumers cannot wedge the harness stop
-            // protocol. Counters move only after the push committed.
-            let v = rand::Rng::random::<u32>(rng) as u64;
-            let pushed = rt
-                .run_budgeted(self.attempts_per_step, |tx| self.queue.push(tx, v))
-                .is_ok();
-            if pushed {
-                self.produced.fetch_add(1, Ordering::Relaxed);
-                self.produced_sum.fetch_add(v, Ordering::Relaxed);
-            }
-        } else {
-            match self.mode {
-                QueueMode::Blocking => {
-                    if let Ok(v) = rt.run_budgeted(self.attempts_per_step, |tx| self.queue.pop(tx))
-                    {
-                        self.consumed.fetch_add(1, Ordering::Relaxed);
-                        self.consumed_sum.fetch_add(v, Ordering::Relaxed);
-                    }
-                }
-                QueueMode::Spin => {
-                    // Poll-and-yield: the blind abort-and-retry regime.
-                    for _ in 0..self.attempts_per_step {
-                        let got = rt.run(|tx| self.queue.try_pop(tx));
-                        if let Some(v) = got {
-                            self.consumed.fetch_add(1, Ordering::Relaxed);
-                            self.consumed_sum.fetch_add(v, Ordering::Relaxed);
-                            break;
-                        }
-                        self.spin_yields.fetch_add(1, Ordering::Relaxed);
-                        std::thread::yield_now();
-                    }
-                }
-            }
-        }
-    }
-
-    fn verify(&self, _rt: &TmRuntime) -> Result<(), String> {
-        let produced = self.produced.load(Ordering::Relaxed);
-        let consumed = self.consumed.load(Ordering::Relaxed);
-        let residue = self.queue.drain_snapshot();
-        if consumed + residue.len() as u64 != produced {
-            return Err(format!(
-                "queue lost items: produced {produced}, consumed {consumed}, \
-                 {} still queued",
-                residue.len()
-            ));
-        }
-        let expected_total = self.produced_sum.load(Ordering::Relaxed);
-        let residue_sum: u64 = residue.iter().sum();
-        let total = self.consumed_sum.load(Ordering::Relaxed) + residue_sum;
-        if total != expected_total {
-            return Err(format!(
-                "queue transferred wrong values: sum {total} != expected {expected_total}"
-            ));
-        }
-        Ok(())
-    }
-
-    fn name(&self) -> &'static str {
-        match self.mode {
-            QueueMode::Blocking => "queue-blocking",
-            QueueMode::Spin => "queue-spin",
-        }
-    }
-}
-
 /// A boxed task produced by [`AsyncQueueChurn`]: spawn it on any executor.
 pub type ChurnTask = Pin<Box<dyn Future<Output = ()> + Send + 'static>>;
 
@@ -383,9 +210,8 @@ pub type ChurnTask = Pin<Box<dyn Future<Output = ()> + Send + 'static>>;
 /// Logical concurrency is decoupled from OS threads: ten thousand consumer
 /// tasks run fine on an 8-worker pool, because a consumer waiting on an
 /// empty queue costs a registered parker, not a stack. Conservation is
-/// audited by [`verify`](AsyncQueueChurn::verify) exactly like the
-/// thread-based [`QueueWorkload`]: everything produced is consumed, by
-/// count and by value sum (consumers drain the queue completely — quotas
+/// audited by [`verify`](AsyncQueueChurn::verify): everything produced is
+/// consumed, by count and by value sum (consumers drain the queue completely — quotas
 /// cover the full production).
 ///
 /// # Examples
@@ -572,7 +398,6 @@ impl fmt::Debug for AsyncQueueChurn {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::harness::run_fixed_steps;
     use shrink_stm::atomically;
     use std::sync::Arc;
 
@@ -652,18 +477,6 @@ mod tests {
         atomically(&rt, |tx| q.push(tx, 77));
         assert_eq!(consumer.join().unwrap(), 77);
         assert!(rt.retry_stats().woken >= 1, "{:?}", rt.retry_stats());
-    }
-
-    #[test]
-    fn workload_conserves_items_in_both_modes() {
-        for mode in [QueueMode::Blocking, QueueMode::Spin] {
-            let rt = TmRuntime::builder()
-                .retry_wait(std::time::Duration::from_millis(1))
-                .build();
-            let workload: Arc<dyn TxWorkload> = Arc::new(QueueWorkload::new(8, mode));
-            run_fixed_steps(&rt, &workload, 4, 200, 42);
-            workload.verify(&rt).unwrap();
-        }
     }
 
     #[test]

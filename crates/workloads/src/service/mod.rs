@@ -23,10 +23,12 @@
 //!   arrival* (not service start), so queueing delay under overload is in
 //!   the number — the open-loop discipline that makes p99 honest.
 //!
-//! `bench_service` drives this against all five schedulers at multiples of
-//! calibrated capacity and writes the p50/p99/p999 ledger
-//! `BENCH_service.json`; `tests/service.rs` hammers the conservation audit
-//! mid-flight across the scheduler × wait-policy matrix.
+//! The benchmark of record's `service_steady` workload measures the
+//! steady-state regime; `bench_service` drives the overload sweep (all five
+//! schedulers at multiples of calibrated capacity, which no `BENCHMARK.json`
+//! cell covers yet) and writes the p50/p99/p999 ledger `BENCH_service.json`;
+//! `tests/service.rs` hammers the conservation audit mid-flight across the
+//! scheduler × wait-policy matrix.
 //!
 //! [`ShardedStore`]: store::ShardedStore
 //! [`retry_select`]: shrink_stm::retry_select

@@ -33,7 +33,5 @@ pub mod prelude {
         atomically, atomically_async, Abort, AbortReason, BackendKind, RetryStats, TArray, TVar,
         TmRuntime, TmStats, Tx, TxFuture, TxRead, TxResult, TxScheduler, TxnKind, WaitPolicy,
     };
-    pub use shrink_workloads::{
-        QueueMode, QueueWorkload, RbTreeWorkload, TxQueue, TxRbTree, TxWorkload,
-    };
+    pub use shrink_workloads::{RbTreeWorkload, TxQueue, TxRbTree, TxWorkload};
 }

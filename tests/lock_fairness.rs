@@ -3,7 +3,7 @@
 //! The futex-parked `SerialLock` claims FIFO-ish wakeup (kernel futex
 //! queues drain roughly in arrival order; the portable parker is strictly
 //! FIFO). These tests pin down the properties the schedulers actually rely
-//! on, for both waiting strategies:
+//! on:
 //!
 //! * **progress** — every thread in an N-way convoy completes its
 //!   acquisition quota (a starved thread would hang the test);
@@ -23,7 +23,7 @@ use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
 
-use shrink_core::{SerialLock, SerialWait};
+use shrink_core::SerialLock;
 use shrink_stm::ThreadId;
 
 /// Stress scaling: 1 in normal runs, larger under `SHRINK_STRESS=1`.
@@ -40,10 +40,11 @@ fn tid(raw: u16) -> ThreadId {
 
 /// Every thread must finish `quota` acquisitions — starvation hangs here
 /// (and trips the harness timeout) instead of flaking an assertion.
-fn convoy_completes_quota(wait: SerialWait) {
+#[test]
+fn parked_convoy_completes_quota() {
     let threads = 4 * stress_factor().min(2);
     let quota = 2_000 * stress_factor() as u64;
-    let lock = Arc::new(SerialLock::with_wait(wait));
+    let lock = Arc::new(SerialLock::new());
     let in_section = Arc::new(AtomicU64::new(0));
     let handles: Vec<_> = (1..=threads as u16)
         .map(|raw| {
@@ -67,28 +68,19 @@ fn convoy_completes_quota(wait: SerialWait) {
     assert_eq!(lock.wait_count(), 0);
 }
 
-#[test]
-fn parked_convoy_completes_quota() {
-    convoy_completes_quota(SerialWait::Parked);
-}
-
-#[test]
-fn spin_yield_convoy_completes_quota() {
-    convoy_completes_quota(SerialWait::SpinYield);
-}
-
 /// Shared-window convoy: counts per-thread acquisitions, asserts everyone
 /// made progress and the spread is bounded. One retry absorbs the rare
 /// pathological window an oversubscribed CI container can produce.
-fn bounded_spread(wait: SerialWait) {
+#[test]
+fn parked_convoy_spread_is_bounded() {
     let threads = if stress_factor() > 1 { 8 } else { 4 };
     let window = Duration::from_millis(300 * stress_factor() as u64);
-    // Futex/yield barging plus single-core timeslicing skews convoys; the
+    // Futex barging plus single-core timeslicing skews convoys; the
     // bound only rules out starvation-grade skew.
     const MAX_SPREAD: u64 = 100;
 
     let attempt = || -> (u64, u64) {
-        let lock = Arc::new(SerialLock::with_wait(wait));
+        let lock = Arc::new(SerialLock::new());
         let stop = Arc::new(AtomicBool::new(false));
         let counts: Vec<Arc<AtomicU64>> =
             (0..threads).map(|_| Arc::new(AtomicU64::new(0))).collect();
@@ -122,21 +114,11 @@ fn bounded_spread(wait: SerialWait) {
         // repeatably starved thread is a bug.
         (min, max) = attempt();
     }
-    assert!(min > 0, "{wait}: a thread starved (0 acquisitions)");
+    assert!(min > 0, "a thread starved (0 acquisitions)");
     assert!(
         max <= min * MAX_SPREAD,
-        "{wait}: acquisition spread {max}/{min} exceeds {MAX_SPREAD}×"
+        "acquisition spread {max}/{min} exceeds {MAX_SPREAD}×"
     );
-}
-
-#[test]
-fn parked_convoy_spread_is_bounded() {
-    bounded_spread(SerialWait::Parked);
-}
-
-#[test]
-fn spin_yield_convoy_spread_is_bounded() {
-    bounded_spread(SerialWait::SpinYield);
 }
 
 /// `wait_count` exactness under churn: with N threads looping through the

@@ -103,13 +103,7 @@ fn scheduler_kinds() -> Vec<SchedulerKind> {
         SchedulerKind::shrink_default(),
         SchedulerKind::ats_default(),
         SchedulerKind::Pool,
-        // Both Serializer wait paths: the parked epoch futex (default) and
-        // the yield-poll baseline it replaced (DESIGN.md §8.5).
         SchedulerKind::Serializer(shrink::sched::SerializerConfig::default()),
-        SchedulerKind::Serializer(shrink::sched::SerializerConfig {
-            wait: shrink::sched::SerialWait::SpinYield,
-            ..Default::default()
-        }),
     ]
 }
 
