@@ -8,10 +8,8 @@
 //! * `shrink` — the full scheduler (paper defaults);
 //! * `literal-paper` — affinity bias 0, the listing taken literally (cannot
 //!   bootstrap; expected ≈ base);
-//! * `always-predict` — affinity gate forced open (bias = modulus):
-//!   serialization affinity ablated;
-//! * `no-write-pred` — predicted write sets disabled (window of read
-//!   prediction only, via `max_pred_set` for writes);
+//! * `always-predict` — affinity gate forced open (bias = the lottery's
+//!   modulus, 32): serialization affinity ablated;
 //! * `window-1`/`window-8` — locality window halved/doubled;
 //! * `pool` — serialize on any contention (no prediction at all).
 
@@ -41,14 +39,13 @@ fn main() {
         (
             "always-predict",
             SchedulerKind::Shrink(ShrinkConfig {
-                affinity_bias: defaults.affinity_modulus,
+                affinity_bias: 32,
                 ..defaults.clone()
             }),
         ),
         (
             "window-1",
             SchedulerKind::Shrink(ShrinkConfig {
-                locality_window: 2,
                 confidence_weights: vec![3],
                 ..defaults.clone()
             }),
@@ -56,7 +53,6 @@ fn main() {
         (
             "window-8",
             SchedulerKind::Shrink(ShrinkConfig {
-                locality_window: 8,
                 confidence_weights: vec![3, 3, 2, 2, 1, 1, 1],
                 ..defaults.clone()
             }),

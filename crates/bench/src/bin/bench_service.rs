@@ -26,7 +26,7 @@ use std::time::Duration;
 
 use shrink_bench::perf::{write_json, LatencyHistogram, Record};
 use shrink_bench::{make_runtime, print_header, shape, BenchOpts};
-use shrink_core::{AtsConfig, SchedulerKind, SerializerConfig};
+use shrink_core::{SchedulerKind, SerializerConfig};
 use shrink_stm::{BackendKind, WaitPolicy};
 use shrink_workloads::service::{
     build_schedule, run_open_loop, RequestKind, RequestMix, ShardedStore, TrafficConfig,
@@ -169,7 +169,7 @@ fn main() {
     let kinds: Vec<(&'static str, SchedulerKind)> = vec![
         ("base", SchedulerKind::Noop),
         ("shrink", SchedulerKind::shrink_default()),
-        ("ats", SchedulerKind::Ats(AtsConfig::default())),
+        ("ats", SchedulerKind::Ats),
         ("pool", SchedulerKind::Pool),
         (
             "serializer",

@@ -4,7 +4,7 @@
 
 use shrink_bench::figures::{check_overload_shape, stmbench7_figure, Variant};
 use shrink_bench::{shape, BenchOpts};
-use shrink_core::{AtsConfig, SchedulerKind, SerializerConfig};
+use shrink_core::{SchedulerKind, SerializerConfig};
 use shrink_stm::{BackendKind, WaitPolicy};
 
 fn main() {
@@ -24,7 +24,7 @@ fn main() {
         },
         Variant {
             label: "ATS-SwissTM",
-            kind: SchedulerKind::Ats(AtsConfig::default()),
+            kind: SchedulerKind::Ats,
         },
         Variant {
             label: "Serializer",

@@ -10,7 +10,7 @@ use std::time::Duration;
 
 use shrink_bench::figures::{rbtree_figure, Variant};
 use shrink_bench::{measure_cell_median, shape, BenchOpts};
-use shrink_core::{AtsConfig, SchedulerKind};
+use shrink_core::SchedulerKind;
 use shrink_stm::{BackendKind, TmRuntime, WaitPolicy};
 use shrink_workloads::harness::TxWorkload;
 use shrink_workloads::rbtree::RbTreeWorkload;
@@ -33,7 +33,7 @@ fn main() {
         },
         Variant {
             label: "ATS-SwissTM",
-            kind: SchedulerKind::Ats(AtsConfig::default()),
+            kind: SchedulerKind::Ats,
         },
     ];
     let threads = opts.paper_threads();

@@ -20,25 +20,13 @@ use shrink_stm::{AttemptEnd, SchedCtx, ThreadId, TxScheduler, VarId};
 use crate::serial_lock::SerialLock;
 use crate::slots::ThreadSlots;
 
-/// Tuning parameters of [`Ats`].
-#[derive(Clone, Copy, Debug, PartialEq)]
-pub struct AtsConfig {
-    /// Smoothing factor of the contention-intensity moving average.
-    pub alpha: f64,
-    /// Intensity above which a thread serializes.
-    pub threshold: f64,
-}
-
-impl Default for AtsConfig {
-    fn default() -> Self {
-        // Yoo & Lee report 0.3–0.5 as robust thresholds; α = 0.75 weights
-        // recent outcomes heavily, matching their reference implementation.
-        AtsConfig {
-            alpha: 0.75,
-            threshold: 0.5,
-        }
-    }
-}
+/// Smoothing factor of the contention-intensity moving average: 0.75
+/// weights recent outcomes heavily, matching Yoo & Lee's reference
+/// implementation.
+const ALPHA: f64 = 0.75;
+/// Intensity above which a thread serializes (Yoo & Lee report 0.3–0.5 as
+/// robust thresholds).
+const THRESHOLD: f64 = 0.5;
 
 #[derive(Debug)]
 struct ThreadState {
@@ -50,25 +38,21 @@ struct ThreadState {
 /// # Examples
 ///
 /// ```
-/// use shrink_core::{Ats, AtsConfig};
+/// use shrink_core::Ats;
 /// use shrink_stm::TmRuntime;
 ///
-/// let rt = TmRuntime::builder()
-///     .scheduler(Ats::new(AtsConfig::default()))
-///     .build();
+/// let rt = TmRuntime::builder().scheduler(Ats::new()).build();
 /// assert_eq!(rt.scheduler_name(), "ats");
 /// ```
 pub struct Ats {
-    config: AtsConfig,
     lock: SerialLock,
     threads: ThreadSlots<Mutex<ThreadState>>,
 }
 
 impl Ats {
     /// Creates an ATS scheduler.
-    pub fn new(config: AtsConfig) -> Self {
+    pub fn new() -> Self {
         Ats {
-            config,
             lock: SerialLock::new(),
             threads: ThreadSlots::new(|| {
                 Mutex::new(ThreadState {
@@ -76,11 +60,6 @@ impl Ats {
                 })
             }),
         }
-    }
-
-    /// The configuration in force.
-    pub fn config(&self) -> &AtsConfig {
-        &self.config
     }
 
     /// The current contention intensity of `thread`, if it has state.
@@ -96,9 +75,17 @@ impl Ats {
     }
 }
 
+impl Default for Ats {
+    fn default() -> Self {
+        Self::new()
+    }
+}
+
 impl fmt::Debug for Ats {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.debug_struct("Ats").field("config", &self.config).finish()
+        f.debug_struct("Ats")
+            .field("wait_count", &self.lock.wait_count())
+            .finish()
     }
 }
 
@@ -111,7 +98,7 @@ impl TxScheduler for Ats {
             return;
         }
         let slot = self.threads.get(ctx.thread);
-        let serialized = slot.lock().contention_intensity > self.config.threshold;
+        let serialized = slot.lock().contention_intensity > THRESHOLD;
         if serialized {
             self.lock.acquire(ctx.thread);
         }
@@ -129,15 +116,14 @@ impl TxScheduler for Ats {
         if ctx.kind.is_read_only() {
             return;
         }
-        let alpha = self.config.alpha;
         match end {
             AttemptEnd::Committed => {
-                self.threads.get(ctx.thread).lock().contention_intensity *= alpha;
+                self.threads.get(ctx.thread).lock().contention_intensity *= ALPHA;
             }
             AttemptEnd::Aborted(_) => {
                 let slot = self.threads.get(ctx.thread);
                 let mut s = slot.lock();
-                s.contention_intensity = alpha * s.contention_intensity + (1.0 - alpha);
+                s.contention_intensity = ALPHA * s.contention_intensity + (1.0 - ALPHA);
             }
             // Deliberate blocking is not contention, and an unwinding panic
             // is neither a commit nor a conflict: the intensity average is
@@ -160,7 +146,7 @@ mod tests {
 
     #[test]
     fn intensity_rises_with_aborts_and_decays_with_commits() {
-        let ats = Ats::new(AtsConfig::default());
+        let ats = Ats::new();
         let oracle = StaticWrites::new();
         let c = ctx(1, &oracle);
         let t = ThreadId::from_u16(1);
@@ -178,14 +164,11 @@ mod tests {
 
     #[test]
     fn serializes_once_over_threshold_and_releases() {
-        let ats = Ats::new(AtsConfig {
-            alpha: 0.5,
-            threshold: 0.4,
-        });
+        let ats = Ats::new();
         let oracle = StaticWrites::new();
         let c = ctx(1, &oracle);
-        // Two aborts with alpha 0.5: ci = 0.5, over threshold.
-        for _ in 0..2 {
+        // Three aborts with α 0.75: ci = 0.25, 0.4375, 0.578 — over 0.5.
+        for _ in 0..3 {
             ats.before_start(&c);
             abort(&ats, &c);
         }
@@ -198,19 +181,16 @@ mod tests {
 
     #[test]
     fn retry_wait_leaves_intensity_alone_and_releases_the_queue() {
-        let ats = Ats::new(AtsConfig {
-            alpha: 0.5,
-            threshold: 0.4,
-        });
+        let ats = Ats::new();
         let oracle = StaticWrites::new();
         let c = ctx(1, &oracle);
         let t = ThreadId::from_u16(1);
-        for _ in 0..2 {
+        for _ in 0..3 {
             ats.before_start(&c);
             abort(&ats, &c);
         }
         let intensity = ats.contention_intensity(t).unwrap();
-        assert!(intensity > 0.4);
+        assert!(intensity > THRESHOLD);
         // The serialized thread blocks in Tx::retry: the slot is released
         // and the intensity neither bumps (abort) nor decays (commit).
         ats.before_start(&c);
@@ -222,7 +202,7 @@ mod tests {
 
     #[test]
     fn read_only_transactions_are_invisible() {
-        let ats = Ats::new(AtsConfig::default());
+        let ats = Ats::new();
         let oracle = StaticWrites::new();
         let c = ro_ctx(1, &oracle);
         for _ in 0..20 {
@@ -239,7 +219,7 @@ mod tests {
 
     #[test]
     fn read_only_commits_do_not_decay_a_writers_intensity() {
-        let ats = Ats::new(AtsConfig::default());
+        let ats = Ats::new();
         let oracle = StaticWrites::new();
         let rw = ctx(1, &oracle);
         let ro = ro_ctx(1, &oracle);
@@ -261,7 +241,7 @@ mod tests {
 
     #[test]
     fn repeated_commits_keep_thread_free() {
-        let ats = Ats::new(AtsConfig::default());
+        let ats = Ats::new();
         let oracle = StaticWrites::new();
         let c = ctx(1, &oracle);
         for _ in 0..20 {

@@ -5,7 +5,7 @@ use std::sync::Arc;
 
 use shrink_stm::{NoopScheduler, TxScheduler};
 
-use crate::ats::{Ats, AtsConfig};
+use crate::ats::Ats;
 use crate::pool::Pool;
 use crate::serializer::{Serializer, SerializerConfig};
 use crate::shrink::{Shrink, ShrinkConfig};
@@ -31,7 +31,7 @@ pub enum SchedulerKind {
     /// The Shrink prediction-based scheduler.
     Shrink(ShrinkConfig),
     /// Adaptive transaction scheduling.
-    Ats(AtsConfig),
+    Ats,
     /// Serialize every contended thread.
     Pool,
     /// CAR-STM-style schedule-after-conflict.
@@ -44,9 +44,11 @@ impl SchedulerKind {
         SchedulerKind::Shrink(ShrinkConfig::default())
     }
 
-    /// ATS with default parameters.
+    /// ATS, whose parameters are fixed constants: the same value as
+    /// [`SchedulerKind::Ats`], spelled like
+    /// [`shrink_default`](Self::shrink_default).
     pub fn ats_default() -> Self {
-        SchedulerKind::Ats(AtsConfig::default())
+        SchedulerKind::Ats
     }
 
     /// Instantiates the scheduler.
@@ -54,7 +56,7 @@ impl SchedulerKind {
         match self {
             SchedulerKind::Noop => Arc::new(NoopScheduler),
             SchedulerKind::Shrink(cfg) => Arc::new(Shrink::new(cfg.clone())),
-            SchedulerKind::Ats(cfg) => Arc::new(Ats::new(*cfg)),
+            SchedulerKind::Ats => Arc::new(Ats::new()),
             SchedulerKind::Pool => Arc::new(Pool::new()),
             SchedulerKind::Serializer(cfg) => Arc::new(Serializer::new(*cfg)),
         }
@@ -65,7 +67,7 @@ impl SchedulerKind {
         match self {
             SchedulerKind::Noop => "base",
             SchedulerKind::Shrink(_) => "shrink",
-            SchedulerKind::Ats(_) => "ats",
+            SchedulerKind::Ats => "ats",
             SchedulerKind::Pool => "pool",
             SchedulerKind::Serializer(_) => "serializer",
         }

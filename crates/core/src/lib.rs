@@ -45,7 +45,7 @@ pub mod slots;
 #[cfg(test)]
 mod testkit;
 
-pub use ats::{Ats, AtsConfig};
+pub use ats::Ats;
 pub use bloom::{BloomFilter, BloomRing};
 pub use kind::SchedulerKind;
 pub use pool::Pool;

@@ -8,8 +8,8 @@
 //!   below `succ_threshold`;
 //! * a ring of Bloom filters over the read sets of the last
 //!   `locality_window` transactions; an address read now that was also read
-//!   in recent transactions (confidence `Σ cᵢ ≥ confidence_threshold`)
-//!   enters the **predicted read set** (temporal locality);
+//!   in recent transactions (confidence `Σ cᵢ ≥ 3`) enters the **predicted
+//!   read set** (temporal locality);
 //! * the write set of the immediately previous *aborted* attempt as the
 //!   **predicted write set** (repeated transactions mimic their aborted
 //!   predecessor);
@@ -44,54 +44,45 @@ use crate::bloom::BloomRing;
 use crate::serial_lock::SerialLock;
 use crate::slots::ThreadSlots;
 
-/// Tuning parameters of [`Shrink`].
+/// Value mixed into the success-rate average on commit (the paper's
+/// `success`).
+const SUCCESS: f64 = 1.0;
+/// Confidence at or above which an address joins the predicted read set.
+const CONFIDENCE_THRESHOLD: u32 = 3;
+/// Bits per Bloom filter.
+const BLOOM_BITS: usize = 8192;
+/// Hash probes per Bloom filter.
+const BLOOM_PROBES: u32 = 2;
+/// Modulus of the serialization-affinity lottery (the paper's 32).
+const AFFINITY_MODULUS: u32 = 32;
+/// Cap on the size of each predicted set.
+const MAX_PRED_SET: usize = 512;
+
+/// Tuning parameters of [`Shrink`]: the three the ablation and Figure 3
+/// harnesses vary. The rest of the paper's §4 constants are fixed.
 ///
-/// Defaults are the constants of the paper's §4: `success = 1`,
-/// `succ_threshold = 0.5`, `locality_window = 4`, `confidence_threshold = 3`,
-/// `c = [3, 2, 1]`, affinity modulus 32.
+/// Defaults are the paper's: `succ_threshold = 0.5`, `c = [3, 2, 1]` (a
+/// locality window of 4), plus this implementation's bootstrap bias of 1.
 #[derive(Clone, Debug, PartialEq)]
 pub struct ShrinkConfig {
-    /// Value mixed into the success-rate average on commit.
-    pub success: f64,
     /// Success rate below which prediction and serialization activate.
     pub succ_threshold: f64,
-    /// How many past transactions the Bloom-filter ring remembers
-    /// (`locality_window`; includes the in-progress transaction's filter).
-    pub locality_window: usize,
     /// Per-age confidence weights `c₁, c₂, …` for filters 1, 2, … steps in
-    /// the past.
+    /// the past. The Bloom-filter ring remembers one more transaction than
+    /// there are weights (`locality_window`; the extra filter is the
+    /// in-progress transaction's).
     pub confidence_weights: Vec<u32>,
-    /// Confidence at or above which an address joins the predicted read set.
-    pub confidence_threshold: u32,
-    /// Bits per Bloom filter.
-    pub bloom_bits: usize,
-    /// Hash probes per Bloom filter.
-    pub bloom_probes: u32,
-    /// Modulus of the serialization-affinity lottery (the paper's 32).
-    pub affinity_modulus: u32,
     /// Bootstrap floor added to `wait_count` in the affinity gate; see the
     /// module documentation. 0 reproduces the paper's listing literally.
     pub affinity_bias: u32,
-    /// Cap on the size of each predicted set.
-    pub max_pred_set: usize,
-    /// Whether to record prediction-accuracy counters (Figure 3).
-    pub track_accuracy: bool,
 }
 
 impl Default for ShrinkConfig {
     fn default() -> Self {
         ShrinkConfig {
-            success: 1.0,
             succ_threshold: 0.5,
-            locality_window: 4,
             confidence_weights: vec![3, 2, 1],
-            confidence_threshold: 3,
-            bloom_bits: 8192,
-            bloom_probes: 2,
-            affinity_modulus: 32,
             affinity_bias: 1,
-            max_pred_set: 512,
-            track_accuracy: true,
         }
     }
 }
@@ -151,9 +142,9 @@ impl ThreadState {
         ThreadState {
             succ_rate: 1.0,
             ring: BloomRing::new(
-                config.locality_window,
-                config.bloom_bits,
-                config.bloom_probes,
+                config.confidence_weights.len() + 1,
+                BLOOM_BITS,
+                BLOOM_PROBES,
             ),
             pred_reads: HashSet::new(),
             pred_writes: Vec::new(),
@@ -269,7 +260,7 @@ impl TxScheduler for Shrink {
         if s.succ_rate < self.config.succ_threshold {
             // Serialization affinity: consult the prediction with probability
             // proportional to the number of already-serialized threads.
-            let r = (s.next_rand() % self.config.affinity_modulus as u64) as u32 + 1;
+            let r = (s.next_rand() % AFFINITY_MODULUS as u64) as u32 + 1;
             let gate = self.lock.wait_count() + self.config.affinity_bias;
             if r <= gate {
                 s.stats.prediction_checks += 1;
@@ -288,10 +279,8 @@ impl TxScheduler for Shrink {
         // per Algorithm 1: the read prediction survives aborts (the retry
         // reads similar addresses), the write prediction is consumed every
         // start.
-        if self.config.track_accuracy {
-            s.active_pred_reads = s.pred_reads.iter().copied().collect();
-            s.active_pred_writes = s.pred_writes.clone();
-        }
+        s.active_pred_reads = s.pred_reads.iter().copied().collect();
+        s.active_pred_writes = s.pred_writes.clone();
         if s.last_committed {
             s.pred_reads.clear();
         }
@@ -326,33 +315,30 @@ impl TxScheduler for Shrink {
         for &var in reads {
             if s.ring.current_mut().insert_if_absent(var)
                 && s.succ_rate < self.config.succ_threshold
-                && s.ring.confidence(var, &self.config.confidence_weights)
-                    >= self.config.confidence_threshold
-                && s.pred_reads.len() < self.config.max_pred_set
+                && s.ring.confidence(var, &self.config.confidence_weights) >= CONFIDENCE_THRESHOLD
+                && s.pred_reads.len() < MAX_PRED_SET
             {
                 s.pred_reads.insert(var);
             }
         }
         match end {
             AttemptEnd::Committed => {
-                s.succ_rate = (s.succ_rate + self.config.success) / 2.0;
+                s.succ_rate = (s.succ_rate + SUCCESS) / 2.0;
                 s.last_committed = true;
                 s.ring.rotate();
-                if self.config.track_accuracy {
-                    let s = &mut *s;
-                    score(
-                        &mut s.active_pred_reads,
-                        reads,
-                        &mut s.stats.read_predicted,
-                        &mut s.stats.read_correct,
-                    );
-                    score(
-                        &mut s.active_pred_writes,
-                        writes,
-                        &mut s.stats.write_predicted,
-                        &mut s.stats.write_correct,
-                    );
-                }
+                let s = &mut *s;
+                score(
+                    &mut s.active_pred_reads,
+                    reads,
+                    &mut s.stats.read_predicted,
+                    &mut s.stats.read_correct,
+                );
+                score(
+                    &mut s.active_pred_writes,
+                    writes,
+                    &mut s.stats.write_predicted,
+                    &mut s.stats.write_correct,
+                );
             }
             AttemptEnd::Aborted(_) => {
                 s.succ_rate /= 2.0;
@@ -360,8 +346,7 @@ impl TxScheduler for Shrink {
                 // "copy write set of transaction into pred_write_set": the
                 // retry is expected to mimic the aborted attempt's writes.
                 s.pred_writes.clear();
-                s.pred_writes
-                    .extend(writes.iter().take(self.config.max_pred_set));
+                s.pred_writes.extend(writes.iter().take(MAX_PRED_SET));
                 // Temporal locality spans committed *and* aborted
                 // transactions.
                 s.ring.rotate();
@@ -710,7 +695,6 @@ mod tests {
             affinity_bias: 32,
             ..ShrinkConfig::default()
         });
-        assert!(s.config().track_accuracy);
         let oracle = StaticWrites::new().with_writer(VarId::from_u64(3), ThreadId::from_u16(9));
         let c = ctx(1, &oracle);
         let conflict = Abort::new(AbortReason::WriteConflict);

@@ -1,4 +1,5 @@
-//! Bounded waiting and retry backoff, parameterized by [`WaitPolicy`].
+//! Bounded waiting and retry backoff, parameterized by [`WaitPolicy`]: the
+//! paper's two policies, preemptive (yield now and then) and busy (spin).
 
 use std::hint;
 use std::thread;
@@ -6,47 +7,12 @@ use std::time::Duration;
 
 use crate::config::WaitPolicy;
 
-/// Pause units after which [`WaitPolicy::Parked`] escalates from spinning
-/// to yielding.
-const PARK_SPIN_UNTIL: u32 = 64;
-/// Pause units after which [`WaitPolicy::Parked`] starts interleaving naps
-/// into the yields.
-const PARK_YIELD_UNTIL: u32 = 192;
-/// Past the yield phase, every `PARK_NAP_EVERY`-th pause unit is a nap and
-/// the rest stay yields. The bounded conflict-wait loops in `txn.rs` count
-/// pause units against spin-calibrated budgets (`READ_SPIN_BUDGET`,
-/// `LOCK_SPIN_BUDGET`, …); naps on every unit would inflate those windows
-/// ~1000× (e.g. a 2048-unit lock wait becoming ~40 ms). Interleaving keeps
-/// a budgeted wait within roughly an order of magnitude of its yield-policy
-/// duration while still releasing the core at a duty cycle a pure yield
-/// loop never does.
-const PARK_NAP_EVERY: u32 = 64;
-/// Nap length once a parked waiter starts sleeping. Short enough that a
-/// committing stripe owner (microseconds of work) is never over-waited by
-/// much; long enough to actually leave the run queue.
-pub(crate) const PARK_NAP: Duration = Duration::from_micros(20);
-
-/// True when [`pause`] under [`WaitPolicy::Parked`] would serve this
-/// iteration as a nap rather than a spin or yield. The bounded conflict
-/// waits in `txn.rs` upgrade exactly these units into epoch-waits on the
-/// stripe owner (same [`PARK_NAP`] deadline, but woken the moment the owner
-/// finishes — see DESIGN.md §8.5).
-pub(crate) fn parked_nap_due(iteration: u32) -> bool {
-    iteration >= PARK_YIELD_UNTIL && iteration % PARK_NAP_EVERY == 0
-}
-
 /// Pauses once according to the waiting policy.
 ///
 /// Under [`WaitPolicy::Preemptive`], every `YIELD_EVERY` pauses the thread
 /// yields the processor so a preempted lock holder can run — the behaviour
 /// SwissTM's "preemptive waiting" flag enables. Under [`WaitPolicy::Busy`]
-/// the thread only executes a spin hint, reproducing busy waiting. Under
-/// [`WaitPolicy::Parked`] the thread escalates spin → yield → periodic
-/// naps: a yielding thread is still runnable (on an overloaded box it is
-/// scheduled again just to poll), while a napping one frees its core for
-/// the holder. Naps are interleaved, not continuous, so callers that count
-/// pause units against a spin-calibrated budget (the bounded conflict
-/// waits in `txn.rs`) keep windows of the same order of magnitude.
+/// the thread only executes a spin hint, reproducing busy waiting.
 #[inline]
 pub fn pause(policy: WaitPolicy, iteration: u32) {
     const YIELD_EVERY: u32 = 64;
@@ -59,15 +25,6 @@ pub fn pause(policy: WaitPolicy, iteration: u32) {
             }
         }
         WaitPolicy::Busy => hint::spin_loop(),
-        WaitPolicy::Parked => {
-            if iteration < PARK_SPIN_UNTIL {
-                hint::spin_loop();
-            } else if iteration < PARK_YIELD_UNTIL || iteration % PARK_NAP_EVERY != 0 {
-                thread::yield_now();
-            } else {
-                thread::sleep(PARK_NAP);
-            }
-        }
     }
 }
 
@@ -91,8 +48,7 @@ const BACKOFF_CEILING: u32 = 10;
 /// `2^BACKOFF_CEILING` pause units, with a cheap multiplicative-hash jitter
 /// so threads that abort together do not retry in lockstep.
 ///
-/// For [`WaitPolicy::Preemptive`] and [`WaitPolicy::Parked`] the *busy*
-/// portion is additionally capped at [`BACKOFF_BUSY_CAP`] pause units; the
+/// For [`WaitPolicy::Preemptive`] the *busy* portion is additionally capped at [`BACKOFF_BUSY_CAP`] pause units; the
 /// excess is served as a single bounded sleep, so an abort storm backs off
 /// without pegging cores. [`WaitPolicy::Busy`] is deliberately exempt: it
 /// is the paper's pathological baseline (Figures 8–11 measure precisely
@@ -109,7 +65,7 @@ pub fn retry_backoff(policy: WaitPolicy, consecutive_aborts: u32, seed: u64) {
     let units = (x % max) + 1;
     let busy = match policy {
         WaitPolicy::Busy => units,
-        WaitPolicy::Preemptive | WaitPolicy::Parked => units.min(BACKOFF_BUSY_CAP),
+        WaitPolicy::Preemptive => units.min(BACKOFF_BUSY_CAP),
     };
     for i in 0..busy {
         pause(policy, i as u32);
@@ -131,7 +87,6 @@ mod tests {
         for i in 0..256 {
             pause(WaitPolicy::Preemptive, i);
             pause(WaitPolicy::Busy, i);
-            pause(WaitPolicy::Parked, i);
         }
     }
 
@@ -139,23 +94,20 @@ mod tests {
     fn backoff_terminates_even_at_ceiling() {
         retry_backoff(WaitPolicy::Busy, 100, 42);
         retry_backoff(WaitPolicy::Preemptive, 0, 42);
-        retry_backoff(WaitPolicy::Parked, 100, 42);
+        retry_backoff(WaitPolicy::Preemptive, 100, 42);
     }
 
     #[test]
     fn capped_backoff_is_time_bounded_under_abort_storms() {
-        // At the ceiling every policy except Busy must come back in
-        // BUSY_CAP pauses + one ≤ 2 ms sleep. Allow generous slack for a
-        // loaded CI box.
-        for policy in [WaitPolicy::Preemptive, WaitPolicy::Parked] {
-            let start = Instant::now();
-            for storm in 0..16 {
-                retry_backoff(policy, 24 + storm, 7 + storm as u64);
-            }
-            assert!(
-                start.elapsed() < Duration::from_millis(500),
-                "{policy}: 16 capped backoffs must stay well under 16×(cap+2ms)"
-            );
+        // At the ceiling Preemptive must come back in BUSY_CAP pauses + one
+        // ≤ 2 ms sleep. Allow generous slack for a loaded CI box.
+        let start = Instant::now();
+        for storm in 0..16 {
+            retry_backoff(WaitPolicy::Preemptive, 24 + storm, 7 + storm as u64);
         }
+        assert!(
+            start.elapsed() < Duration::from_millis(500),
+            "16 capped backoffs must stay well under 16×(cap+2ms)"
+        );
     }
 }

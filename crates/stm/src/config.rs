@@ -1,5 +1,10 @@
-//! Runtime configuration: backend, waiting, contention-management and
-//! retry-wait policies.
+//! Runtime configuration: backend, waiting and retry-wait policies.
+//!
+//! The backend also fixes the contention manager, as in the STMs the paper
+//! measures: Swiss resolves write/write conflicts with SwissTM's two-phase
+//! manager, Tiny with TinySTM's suicide after a bounded spin (`txn.rs`).
+//! Two backends × two wait policies are the four configurations the paper's
+//! figures use.
 
 use std::fmt;
 use std::time::Duration;
@@ -49,18 +54,6 @@ pub enum WaitPolicy {
     /// processor, which wastes whole scheduling quanta once the system is
     /// overloaded.
     Busy,
-    /// Spin briefly, yield briefly, then *sleep* in escalating naps (and cap
-    /// the busy portion of retry backoff). Goes beyond the paper's two
-    /// policies: where `Preemptive` still keeps every waiter runnable —
-    /// re-entering the scheduler's queue just to poll again — `Parked`
-    /// waiters leave the run queue entirely, which is what lets serialized
-    /// overloaded workloads stop burning the cores the lock holder needs.
-    ///
-    /// Since the epoch-futex work (DESIGN.md §8.5) the nap units of a
-    /// bounded conflict wait park on the stripe owner's *attempt epoch*
-    /// rather than sleeping blind: the waiter is woken the moment the owner
-    /// commits or aborts, instead of oversleeping a fixed nap.
-    Parked,
 }
 
 impl fmt::Display for WaitPolicy {
@@ -68,7 +61,6 @@ impl fmt::Display for WaitPolicy {
         match self {
             WaitPolicy::Preemptive => f.write_str("preemptive"),
             WaitPolicy::Busy => f.write_str("busy"),
-            WaitPolicy::Parked => f.write_str("parked"),
         }
     }
 }
@@ -110,44 +102,6 @@ impl fmt::Display for TxnKind {
     }
 }
 
-/// How write/write conflicts are resolved — the *contention manager*.
-///
-/// The paper contrasts schedulers with classic CMs (Polite, Karma, Greedy)
-/// that "play their role only after conflicts have been detected"; this
-/// enum makes those policies selectable so the contrast can be measured.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, Default)]
-pub enum CmPolicy {
-    /// Use the backend's native policy: two-phase for
-    /// [`BackendKind::Swiss`], suicide-after-spin for [`BackendKind::Tiny`].
-    #[default]
-    BackendDefault,
-    /// SwissTM's two-phase manager: abort self while young (below the timid
-    /// threshold), then compare work done and remotely kill the lighter
-    /// transaction.
-    TwoPhase,
-    /// Abort self immediately after a bounded busy-wait (TinySTM style).
-    Suicide,
-    /// Polite (Scherer & Scott): exponentially backed-off re-attempts of
-    /// the acquisition, aborting self only after the patience runs out.
-    Polite,
-    /// Karma-flavoured: work done (accesses) is priority; the lighter
-    /// transaction loses, remotely killed if it holds the lock.
-    Karma,
-}
-
-impl fmt::Display for CmPolicy {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        let s = match self {
-            CmPolicy::BackendDefault => "backend-default",
-            CmPolicy::TwoPhase => "two-phase",
-            CmPolicy::Suicide => "suicide",
-            CmPolicy::Polite => "polite",
-            CmPolicy::Karma => "karma",
-        };
-        f.write_str(s)
-    }
-}
-
 /// The policies of a [`TmRuntime`](crate::TmRuntime).
 ///
 /// Construct via [`TmRuntime::builder`](crate::TmRuntime::builder); the
@@ -156,12 +110,10 @@ impl fmt::Display for CmPolicy {
 /// `backoff.rs`).
 #[derive(Clone, Debug)]
 pub struct TmConfig {
-    /// Conflict-detection protocol.
+    /// Conflict-detection protocol, and with it the contention manager.
     pub backend: BackendKind,
     /// Waiting behaviour.
     pub wait_policy: WaitPolicy,
-    /// Write/write conflict resolution policy.
-    pub cm_policy: CmPolicy,
     /// Longest one parked [`Tx::retry`](crate::Tx::retry) round sleeps
     /// before revalidating its read snapshot. The wake normally comes from
     /// a committer writing a watched stripe (DESIGN.md §9); the deadline is
@@ -204,22 +156,7 @@ impl Default for TmConfig {
         TmConfig {
             backend: BackendKind::Swiss,
             wait_policy: WaitPolicy::Preemptive,
-            cm_policy: CmPolicy::BackendDefault,
             retry_wait: Duration::from_millis(10),
-        }
-    }
-}
-
-impl TmConfig {
-    /// The conflict policy actually in force, with backend defaults
-    /// resolved.
-    pub fn effective_cm(&self) -> CmPolicy {
-        match self.cm_policy {
-            CmPolicy::BackendDefault => match self.backend {
-                BackendKind::Swiss => CmPolicy::TwoPhase,
-                BackendKind::Tiny => CmPolicy::Suicide,
-            },
-            other => other,
         }
     }
 }
@@ -233,7 +170,6 @@ mod tests {
         let c = TmConfig::default();
         assert_eq!(c.backend, BackendKind::Swiss);
         assert_eq!(c.wait_policy, WaitPolicy::Preemptive);
-        assert_eq!(c.cm_policy, CmPolicy::BackendDefault);
         assert!(c.retry_wait > Duration::ZERO);
     }
 
@@ -243,9 +179,6 @@ mod tests {
         assert_eq!(BackendKind::Tiny.to_string(), "tiny");
         assert_eq!(WaitPolicy::Preemptive.to_string(), "preemptive");
         assert_eq!(WaitPolicy::Busy.to_string(), "busy");
-        assert_eq!(WaitPolicy::Parked.to_string(), "parked");
-        assert_eq!(CmPolicy::Karma.to_string(), "karma");
-        assert_eq!(CmPolicy::default().to_string(), "backend-default");
         assert_eq!(TxnKind::ReadWrite.to_string(), "read-write");
         assert_eq!(TxnKind::ReadOnly.to_string(), "read-only");
     }
@@ -255,15 +188,5 @@ mod tests {
         assert_eq!(TxnKind::default(), TxnKind::ReadWrite);
         assert!(!TxnKind::ReadWrite.is_read_only());
         assert!(TxnKind::ReadOnly.is_read_only());
-    }
-
-    #[test]
-    fn backend_defaults_resolve_to_native_policies() {
-        let mut c = TmConfig::default();
-        assert_eq!(c.effective_cm(), CmPolicy::TwoPhase);
-        c.backend = BackendKind::Tiny;
-        assert_eq!(c.effective_cm(), CmPolicy::Suicide);
-        c.cm_policy = CmPolicy::Polite;
-        assert_eq!(c.effective_cm(), CmPolicy::Polite);
     }
 }

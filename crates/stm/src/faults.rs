@@ -60,8 +60,8 @@ pub enum FaultSite {
     /// `try_commit` after read-set validation, before the first value
     /// install — commit locks are held, nothing is published yet.
     CommitInstall = 2,
-    /// `retry` registration on the stripe waitlist, before any bucket is
-    /// touched.
+    /// A retry wait (thread, future or cross-runtime select) about to
+    /// register on the stripe waitlists, before any bucket is touched.
     WaitRegister = 3,
     /// The lost-wakeup re-validation between waitlist registration and the
     /// park (spurious wake here skips the park entirely).
@@ -77,8 +77,8 @@ pub enum FaultSite {
     SchedOnAbort = 8,
     /// After the scheduler's `on_finish(RetryWait)` hook returned.
     SchedOnRetryWait = 9,
-    /// An `EventCount` park (waitlist parker or attempt-epoch wait);
-    /// spurious wake here returns as if notified.
+    /// An `EventCount` park (a thread's retry-wait or select parker, or an
+    /// attempt-epoch wait); spurious wake here returns as if notified.
     EventPark = 10,
     /// An `EventCount` advance waking waiters (attempt-epoch bump).
     EventWake = 11,
@@ -86,16 +86,10 @@ pub enum FaultSite {
     EpochAdvance = 12,
     /// Thread exit retiring its epoch slot (runs in a TLS destructor).
     EpochRetire = 13,
-    /// A cross-runtime select about to register one parker on several
-    /// runtimes' waitlists, before any bucket is touched.
-    RegistryRegister = 14,
-    /// The select's park point, inside the registered-but-not-deregistered
-    /// window (spurious wake here skips the park as if a commit fired).
-    RegistryWake = 15,
     /// `Tx::read` between confirming a stripe newer than the snapshot and
     /// the timestamp extension's clock sample — the window in which a
     /// commit to that stripe makes the loaded value stale.
-    ReadExtend = 16,
+    ReadExtend = 14,
 }
 
 /// What an active schedule may inject at a site.
@@ -149,7 +143,7 @@ impl fmt::Display for FaultKind {
 
 impl FaultSite {
     /// Every instrumented site, in catalog order.
-    pub const ALL: [FaultSite; 17] = [
+    pub const ALL: [FaultSite; 15] = [
         FaultSite::OrecAcquire,
         FaultSite::OrecRelease,
         FaultSite::CommitInstall,
@@ -164,8 +158,6 @@ impl FaultSite {
         FaultSite::EventWake,
         FaultSite::EpochAdvance,
         FaultSite::EpochRetire,
-        FaultSite::RegistryRegister,
-        FaultSite::RegistryWake,
         FaultSite::ReadExtend,
     ];
 
@@ -187,8 +179,8 @@ impl FaultSite {
         match self {
             FaultSite::OrecAcquire | FaultSite::CommitInstall => D | A | P,
             FaultSite::OrecRelease | FaultSite::EventWake | FaultSite::ReadExtend => D,
-            FaultSite::WaitRegister | FaultSite::WaitWake | FaultSite::RegistryRegister => D | P,
-            FaultSite::WaitValidate | FaultSite::EventPark | FaultSite::RegistryWake => D | W,
+            FaultSite::WaitRegister | FaultSite::WaitWake => D | P,
+            FaultSite::WaitValidate | FaultSite::EventPark => D | W,
             FaultSite::SchedBeforeStart
             | FaultSite::SchedOnCommit
             | FaultSite::SchedOnAbort
@@ -219,8 +211,6 @@ impl FaultSite {
             FaultSite::EventWake => "event_wake",
             FaultSite::EpochAdvance => "epoch_advance",
             FaultSite::EpochRetire => "epoch_retire",
-            FaultSite::RegistryRegister => "registry_register",
-            FaultSite::RegistryWake => "registry_wake",
             FaultSite::ReadExtend => "read_extend",
         }
     }
@@ -590,7 +580,7 @@ mod tests {
                 assert_ne!(a.name(), b.name());
             }
         }
-        assert_eq!(FaultSite::ALL.len(), 17);
+        assert_eq!(FaultSite::ALL.len(), 15);
     }
 
     #[test]
@@ -609,13 +599,13 @@ mod tests {
             assert!(!site.allows(FaultKind::SpuriousAbort), "{site}");
         }
         // The registered-but-not-yet-deregistered window tolerates wakes
-        // only — a panic there would leak a waitlist registration. The
-        // cross-runtime select has the same two-phase shape.
+        // only — a panic there would leak a waitlist registration; before
+        // registration a panic is fine.
         assert!(FaultSite::WaitValidate.allows(FaultKind::SpuriousWake));
         assert!(!FaultSite::WaitValidate.allows(FaultKind::Panic));
-        assert!(FaultSite::RegistryRegister.allows(FaultKind::Panic));
-        assert!(FaultSite::RegistryWake.allows(FaultKind::SpuriousWake));
-        assert!(!FaultSite::RegistryWake.allows(FaultKind::Panic));
+        assert!(FaultSite::EventPark.allows(FaultKind::SpuriousWake));
+        assert!(!FaultSite::EventPark.allows(FaultKind::Panic));
+        assert!(FaultSite::WaitRegister.allows(FaultKind::Panic));
         // Full menu where nothing is published yet.
         assert!(FaultSite::CommitInstall.allows(FaultKind::Panic));
         assert!(FaultSite::CommitInstall.allows(FaultKind::SpuriousAbort));

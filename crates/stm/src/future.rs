@@ -57,6 +57,7 @@ use std::fmt;
 use std::future::Future;
 use std::marker::PhantomData;
 use std::pin::Pin;
+use std::sync::atomic::Ordering;
 use std::sync::Arc;
 use std::task::{Context, Poll};
 
@@ -66,7 +67,7 @@ use crate::runtime::{Attempt, TmRuntime};
 use crate::sched::AttemptEnd;
 use crate::thread::ThreadId;
 use crate::txn::Tx;
-use crate::waitlist::{AsyncParker, AsyncRegisterOutcome};
+use crate::waitlist::{register, AsyncParker, Parker};
 
 /// Consecutive conflict aborts one `poll` absorbs before yielding back to
 /// the executor. Replaces the thread path's backoff sleep: an executor
@@ -175,11 +176,9 @@ where
             // A commit touched a watched stripe: resume. Deregister before
             // re-running so a false alarm re-registers from scratch.
             let susp = this.suspended.take().expect("checked above");
-            this.rt
-                .inner
-                .retry_waits
-                .deregister_async(&susp.buckets, &this.parker);
-            this.rt.inner.retry_waits.note_async_woken();
+            let waitlist = &this.rt.inner.retry_waits;
+            waitlist.deregister(&susp.buckets, &Parker::Task(Arc::clone(&this.parker)));
+            waitlist.async_woken.fetch_add(1, Ordering::Relaxed);
         }
 
         let ctx = this.rt.current_ctx();
@@ -203,20 +202,22 @@ where
                     // Waker before registration, epoch before registration:
                     // a commit landing between the epoch sample and the
                     // registration also changed an orec, which the
-                    // register-fence-validate protocol catches (`Changed`).
+                    // register-fence-validate protocol catches.
                     this.parker.set_waker(cx.waker());
                     let observed = this.parker.epoch();
-                    match inner
-                        .retry_waits
-                        .register_async(&inner.orecs, &wait_plan, &this.parker)
-                    {
-                        AsyncRegisterOutcome::Changed => {
+                    let parker = Parker::Task(Arc::clone(&this.parker));
+                    let waitlist = &inner.retry_waits;
+                    match register(&[inner.wait_arm(&wait_plan)], &parker) {
+                        None => {
                             // The read set already moved: re-run now.
+                            let changed = &waitlist.waits.changed_before_park;
+                            changed.fetch_add(1, Ordering::Relaxed);
                             consecutive_aborts = 0;
                         }
-                        AsyncRegisterOutcome::Registered { buckets } => {
+                        Some(mut buckets) => {
+                            waitlist.async_parks.fetch_add(1, Ordering::Relaxed);
                             this.suspended = Some(Suspension {
-                                buckets,
+                                buckets: buckets.pop().expect("one arm"),
                                 observed,
                                 thread: ctx.id(),
                             });
@@ -251,7 +252,7 @@ impl<T, F> Drop for TxFuture<T, F> {
         // list delivers no wake to a dead task.
         inner
             .retry_waits
-            .deregister_async(&susp.buckets, &self.parker);
+            .deregister(&susp.buckets, &Parker::Task(Arc::clone(&self.parker)));
         // The suspension held no scheduler bracket open (the `RetryWait`
         // report closed it before Pending), but policies that tracked the
         // blocked transaction still hear about the abandonment —

@@ -97,7 +97,7 @@ pub mod varid;
 pub mod visible;
 pub mod waitlist;
 
-pub use config::{BackendKind, CmPolicy, TmConfig, TxnKind, WaitPolicy};
+pub use config::{BackendKind, TmConfig, TxnKind, WaitPolicy};
 pub use epoch::{AttemptEpochs, EpochTable, EpochWaitOutcome, NoEpochs};
 pub use error::{Abort, AbortReason, TmError, TxResult};
 pub use faults::{FaultKind, FaultSite};

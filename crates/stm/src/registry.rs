@@ -23,56 +23,41 @@
 //!
 //! # Lost-wakeup protocol
 //!
-//! The park follows the exact register → `SeqCst` fence → validate → park
-//! → deregister discipline of the single-runtime waitlist
-//! ([`waitlist`](crate::waitlist) module docs), with one parker registered
-//! on several [`StripeWaitlist`]s at once. The commit side needs no
-//! changes at all: `notify_commit` on any involved runtime advances the
-//! select's parker exactly as it would a native waiter, because the parker
-//! is just an [`EventCount`] in the bucket list. The fence pairs with the
-//! one in `notify_commit`; validation re-checks every arm's plan against
-//! its own runtime's orec table, so a commit that raced ahead of any of
-//! the registrations is caught before the sleep.
+//! The park is the single-runtime retry wait with one arm per select arm:
+//! the same register → `SeqCst` fence → validate → park → deregister
+//! function ([`waitlist`](crate::waitlist) module docs) registers the
+//! thread's one parker on every involved runtime's waitlist, validates
+//! every arm's plan against its own runtime's orec table, and sleeps. The
+//! commit side needs no changes at all: `notify_commit` on any involved
+//! runtime advances the select's parker exactly as it would a native
+//! waiter. Rounds are booked into [`select_stats`], not into any runtime's
+//! `RetryStats`.
 //!
 //! Each park round is bounded by the smallest `retry_wait` among the arms'
 //! configurations — the same safety net single-runtime retries have
 //! against waits no commit will ever satisfy.
 //!
 //! [`TmError::ForeignTVar`]: crate::TmError::ForeignTVar
-//! [`StripeWaitlist`]: crate::waitlist::StripeWaitlist
-//! [`EventCount`]: parking_lot::EventCount
 
 use std::collections::HashMap;
 use std::fmt;
-use std::sync::atomic::{fence, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Weak};
 use std::time::Instant;
 
-use parking_lot::{EventCount, Mutex, WaitOutcome};
+use parking_lot::Mutex;
 
 use crate::error::{TmError, TxResult};
-use crate::faults::FaultSite;
 use crate::runtime::{BlockOutcome, RuntimeInner, TmRuntime};
 use crate::txn::Tx;
-use crate::waitlist::StripeWaitlist;
+use crate::waitlist::{park_thread, RetryWaitOutcome, WaitArm, WaitCounters};
 
 /// Live runtimes by id. Weak entries: the registry must never keep a
 /// runtime alive, only make it findable while someone else does.
 static RUNTIMES: Mutex<Option<HashMap<u64, Weak<RuntimeInner>>>> = Mutex::new(None);
 
 static SELECT_ROUNDS: AtomicU64 = AtomicU64::new(0);
-static SELECT_PARKED: AtomicU64 = AtomicU64::new(0);
-static SELECT_WOKEN: AtomicU64 = AtomicU64::new(0);
-static SELECT_CHANGED: AtomicU64 = AtomicU64::new(0);
-static SELECT_TIMED_OUT: AtomicU64 = AtomicU64::new(0);
-
-thread_local! {
-    /// The calling thread's select parker. One per thread, reused across
-    /// selects: registrations hold clones, and at most one select per
-    /// thread is ever inside its park phase (arms run synchronously, and
-    /// registration only happens between arm runs).
-    static SELECT_PARKER: Arc<EventCount> = Arc::new(EventCount::new());
-}
+static SELECT_WAITS: WaitCounters = WaitCounters::new();
 
 /// Publishes a freshly built runtime. Called by `TmBuilder::build`.
 pub(crate) fn register_runtime(inner: &Arc<RuntimeInner>) {
@@ -142,10 +127,10 @@ pub struct SelectStats {
 pub fn select_stats() -> SelectStats {
     SelectStats {
         rounds: SELECT_ROUNDS.load(Ordering::Relaxed),
-        parked: SELECT_PARKED.load(Ordering::Relaxed),
-        woken: SELECT_WOKEN.load(Ordering::Relaxed),
-        changed_before_park: SELECT_CHANGED.load(Ordering::Relaxed),
-        timed_out: SELECT_TIMED_OUT.load(Ordering::Relaxed),
+        parked: SELECT_WAITS.parked.load(Ordering::Relaxed),
+        woken: SELECT_WAITS.woken.load(Ordering::Relaxed),
+        changed_before_park: SELECT_WAITS.changed_before_park.load(Ordering::Relaxed),
+        timed_out: SELECT_WAITS.timed_out.load(Ordering::Relaxed),
     }
 }
 
@@ -265,62 +250,24 @@ fn select_rounds<T>(
                 BlockOutcome::Blocked(plan) => plans[i] = plan,
             }
         }
-        // Every arm blocked. Probed before any bucket is touched, so an
-        // injected panic here cannot leak a registration on any runtime.
-        let _ = crate::failpoint!(FaultSite::RegistryRegister);
-        let parker = SELECT_PARKER.with(Arc::clone);
-        let observed = parker.version();
-        let registrations: Vec<Vec<usize>> = arms
+        // Every arm blocked: park one parker across all their waitlists.
+        let round = arms
+            .iter()
+            .map(|arm| arm.rt.config().retry_wait)
+            .min()
+            .expect("arms is non-empty");
+        let bound = Instant::now() + round;
+        let bound = deadline.map_or(bound, |d| bound.min(d));
+        let wait_arms: Vec<WaitArm<'_>> = arms
             .iter()
             .zip(&plans)
-            .map(|(arm, plan)| arm.rt.inner.retry_waits.register_thread(plan, &parker))
+            .map(|(arm, plan)| arm.rt.inner.wait_arm(plan))
             .collect();
-        // Pairs with the fence in each runtime's `notify_commit`: a commit
-        // on any shard either sees the registration above, or the
-        // validation below sees its version stamps. The single fence
-        // orders this thread's registrations against *all* the commit
-        // sides — the pairing is per-runtime, the fence is not.
-        fence(Ordering::SeqCst);
-        let stale = arms
-            .iter()
-            .zip(&plans)
-            .any(|(arm, plan)| StripeWaitlist::changed(&arm.rt.inner.orecs, plan));
-        let timed_out = if stale {
-            SELECT_CHANGED.fetch_add(1, Ordering::Relaxed);
-            false
-        } else if crate::failpoint!(FaultSite::RegistryWake) {
-            // Spurious wake in the registered window: skip the park as if
-            // some shard committed, exercising the revalidate-and-re-run
-            // loop.
-            SELECT_WOKEN.fetch_add(1, Ordering::Relaxed);
-            false
-        } else {
-            let round = arms
-                .iter()
-                .map(|arm| arm.rt.config().retry_wait)
-                .min()
-                .expect("arms is non-empty");
-            let bound = Instant::now() + round;
-            let bound = deadline.map_or(bound, |d| bound.min(d));
-            SELECT_PARKED.fetch_add(1, Ordering::Relaxed);
-            match parker.wait_while_eq(observed, Some(bound)) {
-                WaitOutcome::Advanced => {
-                    SELECT_WOKEN.fetch_add(1, Ordering::Relaxed);
-                    false
-                }
-                WaitOutcome::TimedOut => {
-                    SELECT_TIMED_OUT.fetch_add(1, Ordering::Relaxed);
-                    true
-                }
-            }
-        };
-        for (arm, buckets) in arms.iter().zip(&registrations) {
-            arm.rt.inner.retry_waits.deregister_thread(buckets, &parker);
-        }
+        let outcome = park_thread(&wait_arms, bound, &SELECT_WAITS);
         if let Some(d) = deadline {
             // A wake (or a changed plan) earns one more round even at the
             // deadline; only an expired park with nothing new gives up.
-            if timed_out && Instant::now() >= d {
+            if outcome == RetryWaitOutcome::TimedOut && Instant::now() >= d {
                 return Err(TmError::RetryTimeout {
                     waited: started.expect("deadline implies start").elapsed(),
                 });

@@ -10,7 +10,7 @@ use std::time::{Duration, Instant};
 
 use crate::backoff::{pause, retry_backoff};
 use crate::clock::GlobalClock;
-use crate::config::{BackendKind, CmPolicy, TmConfig, TxnKind, WaitPolicy};
+use crate::config::{BackendKind, TmConfig, TxnKind, WaitPolicy};
 use crate::error::{AbortReason, TmError, TxResult};
 use crate::faults::FaultSite;
 use crate::orec::OrecTable;
@@ -20,7 +20,7 @@ use crate::thread::{ThreadCtx, ThreadId, ThreadRegistry};
 use crate::txn::{ReadTx, Tx};
 use crate::varid::VarId;
 use crate::visible::VisibleWrites;
-use crate::waitlist::{RetryStats, RetryWaitOutcome, StripeWaitlist};
+use crate::waitlist::{park_thread, RetryStats, RetryWaitOutcome, StripeWaitlist, WaitArm};
 
 static NEXT_RUNTIME_ID: AtomicU64 = AtomicU64::new(1);
 
@@ -198,6 +198,16 @@ impl RuntimeInner {
         }
     }
 
+    /// The retry-wait arm over this runtime's waitlist for a blocked
+    /// attempt's wait `plan`.
+    pub(crate) fn wait_arm<'a>(&'a self, plan: &'a [(usize, u64)]) -> WaitArm<'a> {
+        WaitArm {
+            waitlist: &self.retry_waits,
+            orecs: &self.orecs,
+            plan,
+        }
+    }
+
     /// Runs `body` as one read-write attempt: `begin → body → commit |
     /// blocked | aborted | fatal`, with the scheduler bracket, stats and
     /// failpoints owned by the [`AttemptGuard`]. Every read-write entry
@@ -291,13 +301,6 @@ impl TmBuilder {
         self
     }
 
-    /// Selects the write/write contention-management policy.
-    #[must_use]
-    pub fn cm_policy(mut self, policy: CmPolicy) -> Self {
-        self.config.cm_policy = policy;
-        self
-    }
-
     /// Sets the bounded deadline of one parked [`Tx::retry`] round (the
     /// safety net against waits no commit will ever satisfy).
     ///
@@ -310,13 +313,6 @@ impl TmBuilder {
     #[must_use]
     pub fn retry_wait(mut self, deadline: Duration) -> Self {
         self.config.retry_wait = deadline;
-        self
-    }
-
-    /// Replaces the whole configuration.
-    #[must_use]
-    pub fn config(mut self, config: TmConfig) -> Self {
-        self.config = config;
         self
     }
 
@@ -746,10 +742,11 @@ impl TmRuntime {
             // registration-and-revalidate pass.
             let round = Instant::now() + inner.config.retry_wait;
             let bound = deadline.map_or(round, |d| round.min(d));
-            let outcome =
-                inner
-                    .retry_waits
-                    .wait(&inner.orecs, &wait_plan, &ctx.retry_parker, bound);
+            let outcome = park_thread(
+                &[inner.wait_arm(&wait_plan)],
+                bound,
+                &inner.retry_waits.waits,
+            );
             if let Some(d) = deadline {
                 // A real wake (or a changed read set) earns one more
                 // attempt even at the deadline; only an expired wait with

@@ -9,10 +9,9 @@
 
 use std::fmt;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::Arc;
 use std::time::Instant;
 
-use parking_lot::{EventCount, RwLock};
+use parking_lot::RwLock;
 
 use crate::epoch::{AttemptEpochs, EpochCell, EpochWaitOutcome};
 
@@ -117,11 +116,6 @@ pub struct ThreadCtx {
     /// read-only workload must leave this at zero — the lock-free claim,
     /// asserted by tests through [`ThreadStats`](crate::ThreadStats).
     pub(crate) orec_acquires: AtomicU64,
-    /// This thread's retry parker: the single event count it sleeps on
-    /// while blocked in [`Tx::retry`](crate::Tx::retry), registered on the
-    /// wait buckets of its read set (see `waitlist.rs`). `Arc` because the
-    /// bucket lists hold clones of it.
-    pub(crate) retry_parker: Arc<EventCount>,
     /// The *attempt epoch*: advanced (bump + wake) by the runtime every
     /// time an attempt finishes, after the completion hook has run, and
     /// retired when the OS thread exits (a departed thread's epoch never
@@ -144,7 +138,6 @@ impl ThreadCtx {
             ro_reads: AtomicU64::new(0),
             ro_revalidations: AtomicU64::new(0),
             orec_acquires: AtomicU64::new(0),
-            retry_parker: Arc::new(EventCount::new()),
             epoch: EpochCell::default(),
         }
     }

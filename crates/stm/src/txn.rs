@@ -32,10 +32,9 @@ use std::any::Any;
 use std::collections::{HashMap, HashSet};
 use std::fmt;
 use std::sync::Arc;
-use std::time::Instant;
 
-use crate::backoff::{parked_nap_due, pause, PARK_NAP};
-use crate::config::{BackendKind, CmPolicy, TxnKind, WaitPolicy};
+use crate::backoff::pause;
+use crate::config::{BackendKind, TxnKind};
 use crate::error::{Abort, AbortReason, TmError, TxResult};
 use crate::faults::FaultSite;
 use crate::orec::OrecSnapshot;
@@ -48,16 +47,14 @@ use crate::varid::VarId;
 /// post-extension re-reads — before giving up on the read.
 const READ_SPIN_BUDGET: u32 = 512;
 /// Spins a Tiny-backend transaction waits on a locked stripe before
-/// aborting itself (TinySTM's busy-wait window).
+/// aborting itself (TinySTM's busy-wait window, then suicide).
 const LOCK_SPIN_BUDGET: u32 = 2048;
-/// Accesses below which a two-phase transaction loses write/write conflicts
-/// without a fight (the "timid" first phase).
+/// Accesses below which a Swiss transaction loses write/write conflicts
+/// without a fight (the "timid" first phase of the two-phase manager).
 const CM_TIMID_THRESHOLD: u64 = 32;
-/// Spins a transaction waits for a killed victim to release its locks
-/// before giving up and aborting itself.
+/// Spins a Swiss transaction waits for a killed victim to release its
+/// locks before giving up and aborting itself.
 const KILL_WAIT_BUDGET: u32 = 4096;
-/// Backed-off re-attempts Polite makes before aborting.
-const POLITE_RETRIES: u32 = 6;
 
 /// One validated read: which stripe, and the version it had when read.
 #[derive(Clone, Copy, Debug)]
@@ -400,24 +397,6 @@ impl<'rt> Tx<'rt> {
         }
     }
 
-    /// One bounded-wait pause against a stripe held by `owner`. Under
-    /// [`WaitPolicy::Parked`], the pause units that would blind-nap park on
-    /// the owner's attempt epoch instead (same nap-length deadline): the
-    /// owner finishing is exactly the event that frees the stripe, so the
-    /// waiter wakes the moment progress is possible instead of oversleeping.
-    fn contended_pause(&self, iteration: u32, owner: ThreadId) {
-        let policy = self.rt.config.wait_policy;
-        if policy == WaitPolicy::Parked && parked_nap_due(iteration) {
-            if let Some(enemy) = self.rt.registry.get(owner) {
-                if let Some(observed) = enemy.attempt_epoch_if_live() {
-                    let _ = enemy.wait_attempt_change(observed, Instant::now() + PARK_NAP);
-                    return;
-                }
-            }
-        }
-        pause(policy, iteration);
-    }
-
     #[inline]
     fn check_kill(&self) -> TxResult<()> {
         if self.ctx.kill_pending() {
@@ -472,7 +451,7 @@ impl<'rt> Tx<'rt> {
                     if spins >= budget {
                         return Err(self.conflict(AbortReason::LockTimeout, var, idx, s1.owner()));
                     }
-                    self.contended_pause(spins, s1.owner());
+                    pause(self.rt.config.wait_policy, spins);
                     spins += 1;
                     continue;
                 }
@@ -570,69 +549,47 @@ impl<'rt> Tx<'rt> {
             return Err(Abort::new(AbortReason::FaultInjected));
         }
         let mut spins: u32 = 0;
-        let mut polite_attempts: u32 = 0;
         let mut requested_kill = false;
-        let cm = self.rt.config.effective_cm();
         loop {
             self.check_kill()?;
             let orec = self.rt.orecs.at(idx);
             let s1 = orec.snapshot();
 
             if s1.locked_by_other(self.me) {
+                // The backend's contention manager decides how long this
+                // transaction may wait for the owner before it loses.
                 let owner = s1.owner();
                 let lose = |tx: &Self| tx.conflict(AbortReason::WriteConflict, var, idx, owner);
-                match cm {
-                    CmPolicy::BackendDefault => unreachable!("resolved by effective_cm"),
-                    CmPolicy::Suicide => {
-                        // Bounded busy-wait, then abort self.
-                        if spins >= LOCK_SPIN_BUDGET {
-                            return Err(lose(self));
-                        }
-                        self.contended_pause(spins, owner);
-                        spins += 1;
-                        continue;
-                    }
-                    CmPolicy::Polite => {
-                        // Exponentially growing patience, then abort self.
-                        if polite_attempts >= POLITE_RETRIES {
-                            return Err(lose(self));
-                        }
-                        let patience = 16u32 << polite_attempts.min(10);
-                        for i in 0..patience {
-                            self.contended_pause(i, owner);
-                        }
-                        polite_attempts += 1;
-                        continue;
-                    }
-                    CmPolicy::TwoPhase | CmPolicy::Karma => {
+                let budget = match self.rt.config.backend {
+                    // Suicide: bounded busy-wait, then abort self.
+                    BackendKind::Tiny => LOCK_SPIN_BUDGET,
+                    // Two-phase: young transactions lose quietly (timid
+                    // phase); past the threshold the one that did more work
+                    // kills the owner and waits (bounded) for the release.
+                    BackendKind::Swiss => {
                         let my_work = self.ctx.accesses();
-                        if cm == CmPolicy::TwoPhase && my_work <= CM_TIMID_THRESHOLD {
-                            // Timid phase: young transactions lose quietly.
+                        if my_work <= CM_TIMID_THRESHOLD {
                             return Err(lose(self));
                         }
-                        let victim = self.rt.registry.get(owner);
-                        match victim {
-                            Some(v) if v.accesses() < my_work => {
-                                // Priority phase: I did more work; kill the
-                                // owner and wait (bounded) for it to release.
+                        match self.rt.registry.get(owner) {
+                            Some(victim) if victim.accesses() < my_work => {
                                 if !requested_kill {
-                                    v.request_kill();
+                                    victim.request_kill();
                                     requested_kill = true;
                                 }
-                                if spins >= KILL_WAIT_BUDGET {
-                                    return Err(lose(self));
-                                }
-                                self.contended_pause(spins, owner);
-                                spins += 1;
-                                continue;
+                                KILL_WAIT_BUDGET
                             }
-                            _ => {
-                                // Owner has priority (or vanished): I lose.
-                                return Err(lose(self));
-                            }
+                            // Owner has priority (or vanished): I lose.
+                            _ => return Err(lose(self)),
                         }
                     }
+                };
+                if spins >= budget {
+                    return Err(lose(self));
                 }
+                pause(self.rt.config.wait_policy, spins);
+                spins += 1;
+                continue;
             }
 
             if s1.locked() {

@@ -3,7 +3,7 @@
 //! A transaction that calls [`Tx::retry`](crate::Tx::retry) is saying "this
 //! snapshot cannot proceed — run me again when it changes". The only events
 //! that can change the snapshot are commits that write one of the stripes
-//! the transaction read, so the runtime parks the thread here until exactly
+//! the transaction read, so the runtime parks the waiter here until exactly
 //! such a commit happens (or a bounded deadline passes).
 //!
 //! # Protocol
@@ -11,20 +11,23 @@
 //! The orec table's stripes are hashed down onto a fixed set of *wait
 //! buckets* (aliasing produces spurious wakeups, never missed ones — the
 //! same trade-off as the orec striping itself). Each bucket holds an exact
-//! waiter count plus a list of registered *parkers*, one
-//! [`EventCount`](parking_lot::EventCount) per waiting thread:
+//! waiter count plus a list of registered [`Parker`]s.
 //!
-//! 1. The waiter samples its own parker version, registers the parker on
-//!    every bucket its read set hashes to, and **then** validates the read
-//!    snapshot against the live orec versions. A commit that raced ahead of
-//!    the registration is caught by this validation; a commit that lands
-//!    after it finds the parker registered and wakes it. A `SeqCst` fence on
-//!    both sides closes the store-buffer window between "publish my
-//!    registration" and "read your version stamp".
-//! 2. If the snapshot is still current, the waiter parks on its own parker
-//!    — a single futex word, regardless of how many stripes it watches —
-//!    with a bounded deadline ([`TmConfig::retry_wait`]); on wake or expiry
-//!    it deregisters from every bucket.
+//! 1. [`register`] is the waiter half, and the only one: it registers the
+//!    waiter's parker on every bucket its read set hashes to — on one
+//!    runtime's waitlist, or on several for a cross-runtime select — and
+//!    **then** validates every read snapshot against the live orec
+//!    versions. A commit that raced ahead of the registration is caught by
+//!    this validation; a commit that lands after it finds the parker
+//!    registered and wakes it. A `SeqCst` fence on both sides closes the
+//!    store-buffer window between "publish my registration" and "read your
+//!    version stamp".
+//! 2. If every snapshot is still current, the waiter sleeps. A thread
+//!    ([`park_thread`], used by `run` and by `retry_select`) parks on its
+//!    parker — a single futex word, regardless of how many stripes or
+//!    runtimes it watches — with a bounded deadline
+//!    ([`TmConfig::retry_wait`]), then deregisters. A future returns
+//!    `Poll::Pending` and deregisters when it is re-polled or dropped.
 //! 3. The commit path calls [`notify_commit`](StripeWaitlist::notify_commit)
 //!    with its written stripes *after* the new versions are installed. A
 //!    bucket with zero waiters costs one atomic load; otherwise every
@@ -35,33 +38,22 @@
 //! [`RetryStats`] let tests and the benchmark of record
 //! (`stm.waitlist.*` cells) prove.
 //!
-//! # Pluggable parkers
-//!
-//! A registered waiter is a [`Parker`], of which there are two kinds
-//! sharing one bucket list and one wake point:
+//! # Two kinds of parker
 //!
 //! * [`Parker::Thread`] — an [`EventCount`](parking_lot::EventCount): the
-//!   waiter is an OS thread that futex-sleeps in [`wait`] until the count
-//!   advances. This is the classic [`Tx::retry`] path.
+//!   waiter is an OS thread that futex-sleeps until the count advances.
+//!   Each thread has one, shared by every place it can block, since a
+//!   thread parks in at most one place at a time.
 //! * [`Parker::Task`] — an [`AsyncParker`]: the waiter is a *future*
 //!   ([`TxFuture`](crate::future::TxFuture)) that returned `Poll::Pending`
 //!   instead of blocking a thread. The commit-side advance bumps an atomic
 //!   wake epoch and fires the stored [`Waker`], handing the task back to
-//!   its executor. Registration goes through [`register_async`] /
-//!   [`deregister_async`] and follows the *same*
-//!   register→`SeqCst`-fence→validate protocol as [`wait`], so the
-//!   lost-wakeup argument above carries over unchanged — the only
-//!   difference is what "wake" means.
+//!   its executor.
 //!
-//! The commit path treats both kinds identically:
-//! [`notify_commit`](StripeWaitlist::notify_commit) advances every parker
-//! registered on a written bucket at the exact point it would have futex-
-//! woken a thread, so sync and async waiters on the same bucket are woken
-//! by the same commit.
+//! Both kinds share one bucket list, one registration protocol and one
+//! wake point, so the lost-wakeup argument above covers them alike and
+//! sync and async waiters on the same bucket are woken by the same commit.
 //!
-//! [`wait`]: StripeWaitlist::wait
-//! [`register_async`]: StripeWaitlist::register_async
-//! [`deregister_async`]: StripeWaitlist::deregister_async
 //! [`Tx::retry`]: crate::Tx::retry
 //! [`TmConfig::retry_wait`]: crate::config::TmConfig::retry_wait
 
@@ -142,10 +134,9 @@ impl AsyncParker {
         }
     }
 
-    /// Drops the stored waker without waking, leaving the epoch untouched.
-    /// Used by deregistration paths so a cancelled future does not keep its
-    /// executor task alive through the parker.
-    pub(crate) fn clear_waker(&self) {
+    /// Drops the stored waker without waking, leaving the epoch untouched
+    /// (see [`StripeWaitlist::deregister`]).
+    fn clear_waker(&self) {
         *self.waker.lock() = None;
     }
 
@@ -169,36 +160,30 @@ impl AsyncParker {
 /// a suspended future reachable through its stored waker. Both kinds share
 /// the bucket lists and are advanced by the same
 /// [`notify_commit`](StripeWaitlist::notify_commit) pass.
+#[derive(Clone)]
 pub(crate) enum Parker {
-    /// A thread blocked in [`StripeWaitlist::wait`].
+    /// A thread blocked in [`park_thread`].
     Thread(Arc<EventCount>),
-    /// A future suspended through [`StripeWaitlist::register_async`].
+    /// A suspended [`TxFuture`](crate::future::TxFuture).
     Task(Arc<AsyncParker>),
 }
 
 impl Parker {
-    fn is_thread(&self, parker: &Arc<EventCount>) -> bool {
-        matches!(self, Parker::Thread(p) if Arc::ptr_eq(p, parker))
-    }
-
-    fn is_task(&self, parker: &Arc<AsyncParker>) -> bool {
-        matches!(self, Parker::Task(p) if Arc::ptr_eq(p, parker))
+    /// Identity, not equality: registrations are found by pointer.
+    fn is(&self, other: &Parker) -> bool {
+        match (self, other) {
+            (Parker::Thread(a), Parker::Thread(b)) => Arc::ptr_eq(a, b),
+            (Parker::Task(a), Parker::Task(b)) => Arc::ptr_eq(a, b),
+            _ => false,
+        }
     }
 }
 
-/// How an async registration attempt ended.
-#[derive(Debug)]
-pub(crate) enum AsyncRegisterOutcome {
-    /// Validation caught a change after registering; the registration was
-    /// rolled back and the future should re-attempt immediately.
-    Changed,
-    /// The parker is registered on the returned buckets; the future should
-    /// return `Poll::Pending` and later pass the same buckets to
-    /// [`StripeWaitlist::deregister_async`].
-    Registered {
-        /// The deduplicated bucket indices holding the registration.
-        buckets: Vec<usize>,
-    },
+thread_local! {
+    /// The calling thread's parker, shared by `run` and `retry_select`
+    /// alike: registrations hold clones, and a thread parks in at most one
+    /// place at a time (it runs no transaction body while registered).
+    static THREAD_PARKER: Arc<EventCount> = Arc::new(EventCount::new());
 }
 
 /// How one bounded retry-wait round ended.
@@ -211,6 +196,127 @@ pub(crate) enum RetryWaitOutcome {
     Woken,
     /// The deadline expired with the snapshot unchanged.
     TimedOut,
+}
+
+/// The waiter-side counters of thread wait rounds, booked by
+/// [`park_thread`]. Each runtime's waitlist owns one set (reported in its
+/// [`RetryStats`]); the cross-runtime select books into a process-global
+/// one.
+#[derive(Debug)]
+pub(crate) struct WaitCounters {
+    /// Rounds that parked on the futex. Booked just before the sleep, so a
+    /// non-zero value proves a waiter is (about to be) parked.
+    pub(crate) parked: AtomicU64,
+    /// Rounds ended by a committer's wake.
+    pub(crate) woken: AtomicU64,
+    /// Rounds where validation caught a change before any sleep.
+    pub(crate) changed_before_park: AtomicU64,
+    /// Parked rounds that expired with the snapshot unchanged.
+    pub(crate) timed_out: AtomicU64,
+}
+
+impl WaitCounters {
+    pub(crate) const fn new() -> Self {
+        WaitCounters {
+            parked: AtomicU64::new(0),
+            woken: AtomicU64::new(0),
+            changed_before_park: AtomicU64::new(0),
+            timed_out: AtomicU64::new(0),
+        }
+    }
+}
+
+/// One arm of a retry wait: the waitlist and orec table of a runtime whose
+/// commits can end the wait, and the deduplicated `(stripe, observed
+/// version)` pairs the waiter read there.
+#[derive(Clone, Copy)]
+pub(crate) struct WaitArm<'a> {
+    pub(crate) waitlist: &'a StripeWaitlist,
+    pub(crate) orecs: &'a OrecTable,
+    pub(crate) plan: &'a [(usize, u64)],
+}
+
+/// The waiter half of the lost-wakeup protocol, shared by every way of
+/// blocking in [`Tx::retry`](crate::Tx::retry): probe, register `parker` on
+/// the buckets of every arm, one `SeqCst` fence, validate every arm.
+///
+/// Returns the bucket indices holding the registration, one set per arm,
+/// which the caller must later hand to
+/// [`deregister`](StripeWaitlist::deregister) on the same arm. Returns
+/// `None` when validation caught a change: the registration is then
+/// already withdrawn and the caller should re-run at once.
+///
+/// A future must store its waker in `parker` **before** calling (see
+/// [`AsyncParker`]'s ordering note).
+pub(crate) fn register(arms: &[WaitArm<'_>], parker: &Parker) -> Option<Vec<Vec<usize>>> {
+    // Probed before any bucket is touched, so an injected panic here
+    // cannot leak a registration on any runtime.
+    let _ = crate::failpoint!(FaultSite::WaitRegister);
+    let buckets: Vec<Vec<usize>> = arms
+        .iter()
+        .map(|arm| arm.waitlist.enlist(arm.plan, parker))
+        .collect();
+    // Pairs with the fence in `notify_commit`: a commit on any arm's
+    // runtime either sees the registration above, or the validation below
+    // sees its version stamps. Without it both sides could read stale
+    // state and the wake would be lost for a full deadline round. One
+    // fence orders this thread's registrations against *all* the commit
+    // sides — the pairing is per-runtime, the fence is not.
+    fence(Ordering::SeqCst);
+    // Registered-but-not-deregistered window until the caller deregisters:
+    // only delays and forced spurious wakeups may be injected there (a
+    // panic would leak the registration). `WaitValidate` makes the
+    // validation claim a change, exercising the re-run loop.
+    let changed = crate::failpoint!(FaultSite::WaitValidate)
+        || arms
+            .iter()
+            .any(|arm| StripeWaitlist::changed(arm.orecs, arm.plan));
+    if changed {
+        for (arm, held) in arms.iter().zip(&buckets) {
+            arm.waitlist.deregister(held, parker);
+        }
+        return None;
+    }
+    Some(buckets)
+}
+
+/// One bounded retry-wait round of the calling thread over `arms`:
+/// [`register`] its parker, sleep until a commit on any arm advances it or
+/// `deadline` passes, deregister. The round is booked into `counters`.
+pub(crate) fn park_thread(
+    arms: &[WaitArm<'_>],
+    deadline: Instant,
+    counters: &WaitCounters,
+) -> RetryWaitOutcome {
+    let event = THREAD_PARKER.with(Arc::clone);
+    let observed = event.version();
+    let parker = Parker::Thread(Arc::clone(&event));
+    let Some(buckets) = register(arms, &parker) else {
+        counters.changed_before_park.fetch_add(1, Ordering::Relaxed);
+        return RetryWaitOutcome::Changed;
+    };
+    // `EventPark` skips the park as if notified, exercising the caller's
+    // revalidate-and-re-run loop.
+    let outcome = if crate::failpoint!(FaultSite::EventPark) {
+        counters.woken.fetch_add(1, Ordering::Relaxed);
+        RetryWaitOutcome::Woken
+    } else {
+        counters.parked.fetch_add(1, Ordering::Relaxed);
+        match event.wait_while_eq(observed, Some(deadline)) {
+            WaitOutcome::Advanced => {
+                counters.woken.fetch_add(1, Ordering::Relaxed);
+                RetryWaitOutcome::Woken
+            }
+            WaitOutcome::TimedOut => {
+                counters.timed_out.fetch_add(1, Ordering::Relaxed);
+                RetryWaitOutcome::TimedOut
+            }
+        }
+    };
+    for (arm, held) in arms.iter().zip(&buckets) {
+        arm.waitlist.deregister(held, &parker);
+    }
+    outcome
 }
 
 /// Wait-op counters of the [`Tx::retry`](crate::Tx::retry) wake path,
@@ -263,15 +369,16 @@ struct Bucket {
 pub(crate) struct StripeWaitlist {
     buckets: Box<[Bucket]>,
     mask: usize,
-    parked_waits: AtomicU64,
-    woken: AtomicU64,
-    timed_out: AtomicU64,
-    changed_before_park: AtomicU64,
+    /// Thread rounds on this runtime (`run` and its siblings), plus the
+    /// futures whose registration caught a change.
+    pub(crate) waits: WaitCounters,
     wakes_issued: AtomicU64,
     threads_woken: AtomicU64,
     wasted_wakes: AtomicU64,
-    async_parks: AtomicU64,
-    async_woken: AtomicU64,
+    /// Futures suspended on this waitlist.
+    pub(crate) async_parks: AtomicU64,
+    /// Suspended futures resumed by a wake-epoch advance.
+    pub(crate) async_woken: AtomicU64,
     tasks_woken: AtomicU64,
 }
 
@@ -289,10 +396,7 @@ impl StripeWaitlist {
         StripeWaitlist {
             buckets: buckets.into_boxed_slice(),
             mask: n - 1,
-            parked_waits: AtomicU64::new(0),
-            woken: AtomicU64::new(0),
-            timed_out: AtomicU64::new(0),
-            changed_before_park: AtomicU64::new(0),
+            waits: WaitCounters::new(),
             wakes_issued: AtomicU64::new(0),
             threads_woken: AtomicU64::new(0),
             wasted_wakes: AtomicU64::new(0),
@@ -304,177 +408,47 @@ impl StripeWaitlist {
 
     /// True if some watched stripe moved past its observed version (or is
     /// mid-install): the retrying transaction's snapshot is stale and it
-    /// should re-run rather than sleep. Crate-visible because the
-    /// cross-runtime select registry revalidates with the same predicate.
-    pub(crate) fn changed(orecs: &OrecTable, plan: &[(usize, u64)]) -> bool {
+    /// should re-run rather than sleep.
+    fn changed(orecs: &OrecTable, plan: &[(usize, u64)]) -> bool {
         plan.iter().any(|&(idx, version)| {
             let snap = orecs.at(idx).snapshot();
             snap.version() != version || snap.committing()
         })
     }
 
-    /// One bounded retry-wait round for a thread whose read set validated to
-    /// `plan` (deduplicated `(stripe, observed version)` pairs). `parker` is
-    /// the thread's own event count; the same one must be passed on every
-    /// round (registration lists hold clones of it).
-    pub(crate) fn wait(
-        &self,
-        orecs: &OrecTable,
-        plan: &[(usize, u64)],
-        parker: &Arc<EventCount>,
-        deadline: Instant,
-    ) -> RetryWaitOutcome {
-        // Probed before any bucket is touched, so an injected panic here
-        // cannot leak a registration.
-        let _ = crate::failpoint!(FaultSite::WaitRegister);
-        let observed = parker.version();
-        let buckets = self.register_thread(plan, parker);
-        // Pairs with the fence in `notify_commit`: a committer either sees
-        // the registration above, or this validation sees its version
-        // stamps. Without it both sides could read stale state and the wake
-        // would be lost for a full deadline round.
-        fence(Ordering::SeqCst);
-        // Registered-but-not-deregistered window: only delays and forced
-        // spurious wakeups may be injected between here and the deregister
-        // loop (a panic would leak the registration). `WaitValidate` makes
-        // the validation claim a change, `EventPark` skips the park as if
-        // notified — both exercise the callers' revalidate-and-re-run loop.
-        let outcome = if crate::failpoint!(FaultSite::WaitValidate) || Self::changed(orecs, plan) {
-            self.changed_before_park.fetch_add(1, Ordering::Relaxed);
-            RetryWaitOutcome::Changed
-        } else if crate::failpoint!(FaultSite::EventPark) {
-            self.woken.fetch_add(1, Ordering::Relaxed);
-            RetryWaitOutcome::Woken
-        } else {
-            self.parked_waits.fetch_add(1, Ordering::Relaxed);
-            match parker.wait_while_eq(observed, Some(deadline)) {
-                WaitOutcome::Advanced => {
-                    self.woken.fetch_add(1, Ordering::Relaxed);
-                    RetryWaitOutcome::Woken
-                }
-                WaitOutcome::TimedOut => {
-                    self.timed_out.fetch_add(1, Ordering::Relaxed);
-                    RetryWaitOutcome::TimedOut
-                }
-            }
-        };
-        self.deregister_thread(&buckets, parker);
-        outcome
-    }
-
-    /// Registers a thread parker on the buckets of `plan` without
-    /// validating or parking — the building block [`wait`](Self::wait) and
-    /// the cross-runtime select registry share. Returns the deduplicated
-    /// bucket indices holding the registration; the caller owns the rest of
-    /// the lost-wakeup protocol (`SeqCst` fence, validate via
-    /// [`changed`](Self::changed), park, then
-    /// [`deregister_thread`](Self::deregister_thread) with the same
-    /// buckets).
-    pub(crate) fn register_thread(
-        &self,
-        plan: &[(usize, u64)],
-        parker: &Arc<EventCount>,
-    ) -> Vec<usize> {
-        let buckets = self.bucket_set(plan);
-        for &b in &buckets {
-            let bucket = &self.buckets[b];
-            bucket.waiters.fetch_add(1, Ordering::SeqCst);
-            bucket.list.lock().push(Parker::Thread(Arc::clone(parker)));
-        }
-        buckets
-    }
-
-    /// Removes a thread parker from `buckets` (as returned by
-    /// [`register_thread`](Self::register_thread)). Removal is by pointer
-    /// identity, so deregistering after a concurrent commit already woke
-    /// the parker is harmless.
-    pub(crate) fn deregister_thread(&self, buckets: &[usize], parker: &Arc<EventCount>) {
-        for &b in buckets {
-            let bucket = &self.buckets[b];
-            {
-                let mut list = bucket.list.lock();
-                if let Some(pos) = list.iter().position(|p| p.is_thread(parker)) {
-                    list.swap_remove(pos);
-                }
-            }
-            bucket.waiters.fetch_sub(1, Ordering::SeqCst);
-        }
-    }
-
-    /// The deduplicated wait-bucket indices of a retry plan.
-    fn bucket_set(&self, plan: &[(usize, u64)]) -> Vec<usize> {
+    /// Adds `parker` to the buckets of `plan` — the registration step of
+    /// [`register`]. Returns the deduplicated bucket indices it holds.
+    fn enlist(&self, plan: &[(usize, u64)], parker: &Parker) -> Vec<usize> {
         let mut buckets: Vec<usize> = plan.iter().map(|&(s, _)| s & self.mask).collect();
         buckets.sort_unstable();
         buckets.dedup();
-        buckets
-    }
-
-    /// Registers a suspended future's parker on the buckets of `plan` —
-    /// the async counterpart of the register-and-validate half of
-    /// [`wait`](Self::wait), with identical protocol and failpoints: probe,
-    /// register on the deduped buckets, `SeqCst` fence, validate. The
-    /// caller must have stored the task's waker in `parker` **before**
-    /// calling (see [`AsyncParker`]'s ordering note); on
-    /// [`AsyncRegisterOutcome::Registered`] it returns `Poll::Pending` and
-    /// is responsible for eventually calling
-    /// [`deregister_async`](Self::deregister_async) with the returned
-    /// buckets — on wake *and* on cancellation (drop).
-    pub(crate) fn register_async(
-        &self,
-        orecs: &OrecTable,
-        plan: &[(usize, u64)],
-        parker: &Arc<AsyncParker>,
-    ) -> AsyncRegisterOutcome {
-        // Same probe discipline as `wait`: before any bucket is touched, so
-        // an injected panic cannot leak a registration.
-        let _ = crate::failpoint!(FaultSite::WaitRegister);
-        let buckets = self.bucket_set(plan);
         for &b in &buckets {
             let bucket = &self.buckets[b];
             bucket.waiters.fetch_add(1, Ordering::SeqCst);
-            bucket.list.lock().push(Parker::Task(Arc::clone(parker)));
+            bucket.list.lock().push(parker.clone());
         }
-        // Pairs with the fence in `notify_commit`, exactly as in `wait`: a
-        // committer either sees the registration above (and advances the
-        // parker, firing the stored waker), or this validation sees its
-        // version stamps.
-        fence(Ordering::SeqCst);
-        if crate::failpoint!(FaultSite::WaitValidate) || Self::changed(orecs, plan) {
-            self.deregister_async(&buckets, parker);
-            self.changed_before_park.fetch_add(1, Ordering::Relaxed);
-            return AsyncRegisterOutcome::Changed;
-        }
-        self.async_parks.fetch_add(1, Ordering::Relaxed);
-        AsyncRegisterOutcome::Registered { buckets }
+        buckets
     }
 
-    /// Removes a future's parker from `buckets` (as returned by
-    /// [`register_async`](Self::register_async)) and drops any stored
-    /// waker. Idempotent per registration: positions are found by pointer
-    /// identity, so deregistering after a concurrent commit already woke
-    /// the task is harmless.
-    pub(crate) fn deregister_async(&self, buckets: &[usize], parker: &Arc<AsyncParker>) {
+    /// Removes `parker` from `buckets` (one set returned by [`register`])
+    /// and drops a future's stored waker, so a cancelled future does not
+    /// keep its executor task alive through the parker. Removal is by
+    /// pointer identity, so deregistering after a concurrent commit already
+    /// woke the parker is harmless.
+    pub(crate) fn deregister(&self, buckets: &[usize], parker: &Parker) {
         for &b in buckets {
             let bucket = &self.buckets[b];
             {
                 let mut list = bucket.list.lock();
-                if let Some(pos) = list.iter().position(|p| p.is_task(parker)) {
+                if let Some(pos) = list.iter().position(|p| p.is(parker)) {
                     list.swap_remove(pos);
                 }
             }
             bucket.waiters.fetch_sub(1, Ordering::SeqCst);
         }
-        // A waker left behind would keep the executor task alive (and a
-        // late advance would spuriously wake it); cancellation must sever
-        // that edge.
-        parker.clear_waker();
-    }
-
-    /// Books one suspended-future wake observation (the poll after a
-    /// commit-side advance) — the async counterpart of the `woken` bump in
-    /// [`wait`](Self::wait).
-    pub(crate) fn note_async_woken(&self) {
-        self.async_woken.fetch_add(1, Ordering::Relaxed);
+        if let Parker::Task(task) = parker {
+            task.clear_waker();
+        }
     }
 
     /// Exact number of parker registrations currently held across all
@@ -502,7 +476,7 @@ impl StripeWaitlist {
         // bounded deadline, so the system degrades to a delayed wakeup
         // rather than a lost one.
         let _ = crate::failpoint!(FaultSite::WaitWake);
-        // Pairs with the fence in `wait` (see there).
+        // Pairs with the fence in `register` (see there).
         fence(Ordering::SeqCst);
         for (i, &stripe) in stripes.iter().enumerate() {
             let b = stripe & self.mask;
@@ -526,12 +500,7 @@ impl StripeWaitlist {
                 if list.is_empty() {
                     continue;
                 }
-                list.iter()
-                    .map(|p| match p {
-                        Parker::Thread(ec) => Parker::Thread(Arc::clone(ec)),
-                        Parker::Task(ap) => Parker::Task(Arc::clone(ap)),
-                    })
-                    .collect()
+                list.clone()
             };
             self.wakes_issued.fetch_add(1, Ordering::Relaxed);
             let mut released = 0u64;
@@ -571,10 +540,10 @@ impl StripeWaitlist {
     /// Snapshot of the wait-op counters.
     pub(crate) fn stats(&self) -> RetryStats {
         RetryStats {
-            parked_waits: self.parked_waits.load(Ordering::Relaxed),
-            woken: self.woken.load(Ordering::Relaxed),
-            timed_out: self.timed_out.load(Ordering::Relaxed),
-            changed_before_park: self.changed_before_park.load(Ordering::Relaxed),
+            parked_waits: self.waits.parked.load(Ordering::Relaxed),
+            woken: self.waits.woken.load(Ordering::Relaxed),
+            timed_out: self.waits.timed_out.load(Ordering::Relaxed),
+            changed_before_park: self.waits.changed_before_park.load(Ordering::Relaxed),
             wakes_issued: self.wakes_issued.load(Ordering::Relaxed),
             threads_woken: self.threads_woken.load(Ordering::Relaxed),
             wasted_wakes: self.wasted_wakes.load(Ordering::Relaxed),
@@ -610,30 +579,70 @@ mod tests {
         orecs
     }
 
+    /// One thread round on a single-arm wait, booked into `wl`'s counters.
+    fn wait(
+        wl: &StripeWaitlist,
+        orecs: &OrecTable,
+        plan: &[(usize, u64)],
+        deadline: Instant,
+    ) -> RetryWaitOutcome {
+        let arm = WaitArm {
+            waitlist: wl,
+            orecs,
+            plan,
+        };
+        park_thread(&[arm], deadline, &wl.waits)
+    }
+
+    fn assert_no_residue(wl: &StripeWaitlist) {
+        for bucket in wl.buckets.iter() {
+            assert_eq!(bucket.waiters.load(Ordering::SeqCst), 0);
+            assert!(bucket.list.lock().is_empty());
+        }
+    }
+
     #[test]
     fn stale_plan_is_caught_before_parking() {
         let wl = StripeWaitlist::new(64);
         let orecs = table_with_version(3, 7);
-        let parker = Arc::new(EventCount::new());
         // Observed version 6, stripe already at 7: no sleep.
-        let outcome = wl.wait(
-            &orecs,
-            &[(3, 6)],
-            &parker,
-            Instant::now() + Duration::from_secs(30),
-        );
+        let far = Instant::now() + Duration::from_secs(30);
+        let outcome = wait(&wl, &orecs, &[(3, 6)], far);
         assert_eq!(outcome, RetryWaitOutcome::Changed);
         assert_eq!(wl.stats().changed_before_park, 1);
         assert_eq!(wl.stats().parked_waits, 0);
+        assert_no_residue(&wl);
+    }
+
+    #[test]
+    fn one_stale_arm_withdraws_the_registration_from_every_arm() {
+        let (wl_a, wl_b) = (StripeWaitlist::new(64), StripeWaitlist::new(64));
+        let fresh = table_with_version(3, 7);
+        let stale = table_with_version(5, 9);
+        let arms = [
+            WaitArm {
+                waitlist: &wl_a,
+                orecs: &fresh,
+                plan: &[(3, 7)],
+            },
+            WaitArm {
+                waitlist: &wl_b,
+                orecs: &stale,
+                plan: &[(5, 8)],
+            },
+        ];
+        let parker = Parker::Thread(Arc::new(EventCount::new()));
+        assert!(register(&arms, &parker).is_none());
+        assert_no_residue(&wl_a);
+        assert_no_residue(&wl_b);
     }
 
     #[test]
     fn unchanged_plan_times_out_at_the_deadline() {
         let wl = StripeWaitlist::new(64);
         let orecs = table_with_version(3, 7);
-        let parker = Arc::new(EventCount::new());
         let deadline = Instant::now() + Duration::from_millis(20);
-        let outcome = wl.wait(&orecs, &[(3, 7)], &parker, deadline);
+        let outcome = wait(&wl, &orecs, &[(3, 7)], deadline);
         assert_eq!(outcome, RetryWaitOutcome::TimedOut);
         assert!(Instant::now() >= deadline, "must not report expiry early");
         let stats = wl.stats();
@@ -645,22 +654,23 @@ mod tests {
     fn commit_to_a_watched_stripe_wakes_the_parker() {
         let wl = Arc::new(StripeWaitlist::new(64));
         let orecs = Arc::new(table_with_version(3, 7));
-        let parker = Arc::new(EventCount::new());
+        let (send, recv) = std::sync::mpsc::channel();
         let waiter = {
             let wl = Arc::clone(&wl);
             let orecs = Arc::clone(&orecs);
-            let parker = Arc::clone(&parker);
             std::thread::spawn(move || {
-                wl.wait(
+                send.send(THREAD_PARKER.with(Arc::clone)).unwrap();
+                wait(
+                    &wl,
                     &orecs,
                     &[(3, 7)],
-                    &parker,
                     Instant::now() + Duration::from_secs(30),
                 )
             })
         };
-        // Deterministic handshake: the parker's own waiter count proves it
+        // Deterministic handshake: the waiter's own parker count proves it
         // is inside the futex path before the "commit" fires.
+        let parker = recv.recv().unwrap();
         while parker.waiters() == 0 {
             std::thread::yield_now();
         }
@@ -690,9 +700,8 @@ mod tests {
         // deadline is what keeps it from blocking forever.
         let wl = StripeWaitlist::new(64);
         let orecs = OrecTable::new(64);
-        let parker = Arc::new(EventCount::new());
         let deadline = Instant::now() + Duration::from_millis(10);
-        let outcome = wl.wait(&orecs, &[], &parker, deadline);
+        let outcome = wait(&wl, &orecs, &[], deadline);
         assert_eq!(outcome, RetryWaitOutcome::TimedOut);
     }
 
@@ -700,17 +709,9 @@ mod tests {
     fn deregistration_leaves_no_residue() {
         let wl = StripeWaitlist::new(64);
         let orecs = OrecTable::new(64);
-        let parker = Arc::new(EventCount::new());
-        let _ = wl.wait(
-            &orecs,
-            &[(1, 0), (2, 0)],
-            &parker,
-            Instant::now() + Duration::from_millis(5),
-        );
-        for bucket in wl.buckets.iter() {
-            assert_eq!(bucket.waiters.load(Ordering::SeqCst), 0);
-            assert!(bucket.list.lock().is_empty());
-        }
+        let soon = Instant::now() + Duration::from_millis(5);
+        let _ = wait(&wl, &orecs, &[(1, 0), (2, 0)], soon);
+        assert_no_residue(&wl);
         // A later commit wakes nobody and wastes nothing.
         wl.notify_commit(&[1, 2]);
         assert_eq!(wl.stats().wakes_issued, 0);

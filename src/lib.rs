@@ -28,7 +28,7 @@ pub use shrink_workloads as workloads;
 
 /// The most common imports in one place.
 pub mod prelude {
-    pub use shrink_core::{Ats, AtsConfig, Pool, SchedulerKind, Serializer, Shrink, ShrinkConfig};
+    pub use shrink_core::{Ats, Pool, SchedulerKind, Serializer, Shrink, ShrinkConfig};
     pub use shrink_stm::{
         atomically, atomically_async, Abort, AbortReason, BackendKind, RetryStats, TArray, TVar,
         TmRuntime, TmStats, Tx, TxFuture, TxRead, TxResult, TxScheduler, TxnKind, WaitPolicy,

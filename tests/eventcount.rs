@@ -150,6 +150,10 @@ fn deadline_expiry_is_exact() {
 /// Bounded waits racing real advances: every outcome must be consistent
 /// with the word — `Advanced` implies the version moved; `TimedOut` implies
 /// the deadline truly passed.
+///
+/// The waiter's first wait has no deadline and the advancer starts only
+/// once it is parked, so the `Advanced` path is exercised by construction
+/// rather than by scheduling luck.
 #[test]
 fn bounded_waits_under_churn_report_consistent_outcomes() {
     let rounds = (2_000 * stress_factor()) as u32;
@@ -159,13 +163,16 @@ fn bounded_waits_under_churn_report_consistent_outcomes() {
         std::thread::spawn(move || {
             let mut advanced = 0u64;
             let mut timed_out = 0u64;
+            let mut first = true;
             loop {
                 let observed = ec.version();
                 if observed == rounds {
                     break;
                 }
                 let deadline = Instant::now() + Duration::from_micros(100);
-                match ec.wait_while_eq(observed, Some(deadline)) {
+                let bound = if first { None } else { Some(deadline) };
+                first = false;
+                match ec.wait_while_eq(observed, bound) {
                     WaitOutcome::Advanced => {
                         assert_ne!(ec.version(), observed);
                         advanced += 1;
@@ -179,6 +186,9 @@ fn bounded_waits_under_churn_report_consistent_outcomes() {
             (advanced, timed_out)
         })
     };
+    while ec.waiters() == 0 {
+        std::thread::yield_now();
+    }
     for i in 0..rounds {
         ec.advance();
         if i % 128 == 0 {

@@ -135,20 +135,6 @@ fn tiny_busy_conserves_money_under_all_schedulers() {
     }
 }
 
-#[test]
-fn swiss_parked_conserves_money_under_all_schedulers() {
-    for kind in scheduler_kinds() {
-        transfer_matrix_cell(BackendKind::Swiss, WaitPolicy::Parked, &kind);
-    }
-}
-
-#[test]
-fn tiny_parked_conserves_money_under_all_schedulers() {
-    for kind in scheduler_kinds() {
-        transfer_matrix_cell(BackendKind::Tiny, WaitPolicy::Parked, &kind);
-    }
-}
-
 /// The blocking-queue cell: money moves producer-account → queue →
 /// consumer-account through a bounded [`TxQueue`], with both blocking
 /// directions exercised (producers park on a full queue, consumers on an

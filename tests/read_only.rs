@@ -125,7 +125,7 @@ fn pure_reader_leaves_shrink_success_rate_untouched() {
 /// contention-intensity table untouched (no slot, no decay).
 #[test]
 fn pure_reader_leaves_ats_intensity_untouched() {
-    let sched = Arc::new(Ats::new(AtsConfig::default()));
+    let sched = Arc::new(Ats::new());
     let rt = TmRuntime::builder().scheduler_arc(sched.clone()).build();
     let v = TVar::new(1u64);
     for _ in 0..40 {

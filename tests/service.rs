@@ -1,8 +1,8 @@
 //! Sharded-service stress: cross-shard money conservation on mid-flight
-//! distributed snapshots, across every scheduler × Parked/Busy waiting,
-//! plus the open-loop traffic generator end to end and (with `--features
-//! faults`) seeded fault injection at the cross-runtime registry's
-//! register/wake sites.
+//! distributed snapshots, across every scheduler × Preemptive/Busy
+//! waiting, plus the open-loop traffic generator end to end and (with
+//! `--features faults`) seeded fault injection at the register and park
+//! sites of the cross-runtime selects.
 //!
 //! The store under test is `workloads::service::ShardedStore`: one
 //! `TmRuntime` per shard, four-phase escrow transfers, and two-shard
@@ -144,11 +144,11 @@ fn conservation_cell(wait: WaitPolicy, kind: &SchedulerKind) {
 }
 
 #[test]
-fn parked_conserves_across_shards_under_all_schedulers() {
+fn preemptive_conserves_across_shards_under_all_schedulers() {
     #[cfg(feature = "faults")]
     let _shield = shield();
     for kind in scheduler_kinds() {
-        conservation_cell(WaitPolicy::Parked, &kind);
+        conservation_cell(WaitPolicy::Preemptive, &kind);
     }
 }
 
@@ -170,7 +170,7 @@ fn open_loop_traffic_leaves_the_store_conserved() {
     let _shield = shield();
     let sf = stress_factor();
     for kind in [SchedulerKind::Noop, SchedulerKind::shrink_default()] {
-        let store = build_store(WaitPolicy::Parked, &kind);
+        let store = build_store(WaitPolicy::Preemptive, &kind);
         let cfg = TrafficConfig {
             clients: 128,
             workers: 4,
@@ -210,7 +210,7 @@ fn stranded_transfer_phases_balance_on_every_snapshot() {
     #[cfg(feature = "faults")]
     let _shield = shield();
     for phases in 1..=4 {
-        let store = build_store(WaitPolicy::Parked, &SchedulerKind::Noop);
+        let store = build_store(WaitPolicy::Preemptive, &SchedulerKind::Noop);
         store.transfer_phases(0, 1, 40, phases);
         assert_eq!(
             store.audit_conservation(),
@@ -220,8 +220,8 @@ fn stranded_transfer_phases_balance_on_every_snapshot() {
     }
 }
 
-/// Seeded fault injection at the registry's register/wake sites: delays
-/// and spurious wakes at `RegistryRegister`/`RegistryWake` must never
+/// Seeded fault injection where bookings' selects register and park:
+/// delays and spurious wakes at `WaitRegister`/`EventPark` must never
 /// break booking-capacity conservation or hang a select, and a panic
 /// injected at the register site must unwind without leaking a hold or a
 /// waitlist registration.
@@ -238,10 +238,10 @@ mod faulted {
         // while setting up; the storm below then installs over the shield.
         let _shield = shield();
         let sf = stress_factor();
-        let store = Arc::new(build_store(WaitPolicy::Parked, &SchedulerKind::Noop));
+        let store = Arc::new(build_store(WaitPolicy::Preemptive, &SchedulerKind::Noop));
         let guard = ScheduleBuilder::new(0xB00C)
             .rate_per_mille(400)
-            .sites(&[FaultSite::RegistryRegister, FaultSite::RegistryWake])
+            .sites(&[FaultSite::WaitRegister, FaultSite::EventPark])
             .kinds(&[FaultKind::Delay, FaultKind::SpuriousWake])
             .install();
         // Capacity 2 per shard and 4 bookers: selects park and wake under
@@ -278,16 +278,16 @@ mod faulted {
         let store = Arc::new(ShardedStore::new(2, 2, 100, 1, |_| {
             TmRuntime::builder()
                 .backend(BackendKind::Swiss)
-                .wait_policy(WaitPolicy::Parked)
+                .wait_policy(WaitPolicy::Preemptive)
                 .build()
         }));
-        // Drain both shards so the booking select must park — the only
-        // path through the RegistryRegister failpoint.
+        // Drain both shards so the booking select must park — its first
+        // pass through the WaitRegister failpoint.
         let sink = Instant::now() + Duration::from_secs(30);
         assert_eq!(store.hold_all_capacity(), 2, "both units held");
         let guard = ScheduleBuilder::new(0xDEAD)
             .rate_per_mille(1000)
-            .sites(&[FaultSite::RegistryRegister])
+            .sites(&[FaultSite::WaitRegister])
             .kinds(&[FaultKind::Panic])
             .install();
         let boom = catch_unwind(AssertUnwindSafe(|| {
@@ -295,6 +295,13 @@ mod faulted {
         }));
         assert!(boom.is_err(), "rate-1000 register panic must fire");
         drop(guard);
+        for shard in 0..store.n_shards() {
+            assert_eq!(
+                store.runtime(shard).retry_waiters(),
+                0,
+                "the panic leaked a registration on shard {shard}"
+            );
+        }
         // The panic unwound before any arm held capacity: the booking
         // invariant still balances and the registry is reusable.
         store.audit_bookings();
