@@ -132,6 +132,8 @@ struct ThreadState {
     /// attempt, for accuracy accounting.
     active_pred_reads: Vec<VarId>,
     active_pred_writes: Vec<VarId>,
+    /// Reused sort buffer for [`score`].
+    scratch: Vec<VarId>,
     last_committed: bool,
     rng: u64,
     stats: PredictionStats,
@@ -150,6 +152,7 @@ impl ThreadState {
             pred_writes: Vec::new(),
             active_pred_reads: Vec::new(),
             active_pred_writes: Vec::new(),
+            scratch: Vec::new(),
             last_committed: true,
             rng: seed | 1,
             stats: PredictionStats::default(),
@@ -279,8 +282,10 @@ impl TxScheduler for Shrink {
         // per Algorithm 1: the read prediction survives aborts (the retry
         // reads similar addresses), the write prediction is consumed every
         // start.
-        s.active_pred_reads = s.pred_reads.iter().copied().collect();
-        s.active_pred_writes = s.pred_writes.clone();
+        let s = &mut *s;
+        s.active_pred_reads.clear();
+        s.active_pred_reads.extend(&s.pred_reads);
+        s.active_pred_writes.clone_from(&s.pred_writes);
         if s.last_committed {
             s.pred_reads.clear();
         }
@@ -330,12 +335,14 @@ impl TxScheduler for Shrink {
                 score(
                     &mut s.active_pred_reads,
                     reads,
+                    &mut s.scratch,
                     &mut s.stats.read_predicted,
                     &mut s.stats.read_correct,
                 );
                 score(
                     &mut s.active_pred_writes,
                     writes,
+                    &mut s.scratch,
                     &mut s.stats.write_predicted,
                     &mut s.stats.write_correct,
                 );
@@ -376,12 +383,25 @@ impl TxScheduler for Shrink {
 }
 
 /// Scores the predictions that were in force for a committed attempt
-/// against what it actually accessed, and consumes them.
-fn score(predicted: &mut Vec<VarId>, actual: &[VarId], total: &mut u64, correct: &mut u64) {
+/// against what it actually accessed, and consumes them. `sorted` is a
+/// reused buffer: the accesses are sorted into it and probed by binary
+/// search, so scoring allocates nothing in steady state.
+fn score(
+    predicted: &mut Vec<VarId>,
+    actual: &[VarId],
+    sorted: &mut Vec<VarId>,
+    total: &mut u64,
+    correct: &mut u64,
+) {
     if !predicted.is_empty() {
-        let actual: HashSet<VarId> = actual.iter().copied().collect();
+        sorted.clear();
+        sorted.extend_from_slice(actual);
+        sorted.sort_unstable();
         *total += predicted.len() as u64;
-        *correct += predicted.iter().filter(|v| actual.contains(v)).count() as u64;
+        *correct += predicted
+            .iter()
+            .filter(|v| sorted.binary_search(v).is_ok())
+            .count() as u64;
         predicted.clear();
     }
 }

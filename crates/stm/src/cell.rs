@@ -14,9 +14,13 @@
 //!   are made of.
 //! * **Epoch-reclaimed box** — for everything else: an atomic pointer to a
 //!   heap value. Readers pin an epoch, load the pointer and clone the
-//!   value out; writers swap in a freshly allocated value at commit and
-//!   defer destruction of the old one until all pinned readers have moved
-//!   on (see `vendor/crossbeam` and DESIGN.md §7).
+//!   value out; a transactional write boxes its value once, commit swaps
+//!   that box in as it is, and destruction of the old one is deferred
+//!   until all pinned readers have moved on (see `vendor/crossbeam` and
+//!   DESIGN.md §7).
+//!
+//! A write log buffers values as [`Staged`]: the same two representations,
+//! detached from any cell.
 //!
 //! Neither path acquires a mutex or rwlock. Combined with the orec
 //! validate-read-validate protocol this gives torn-read-free, safe
@@ -95,22 +99,125 @@ impl<T: Clone + Send + Sync + 'static> ValueCell<T> {
         }
     }
 
-    /// Publishes `value`. On the boxed path, destruction of the previous
-    /// value is deferred until all current readers unpin.
+    /// Publishes a staged value, consuming it: inline bytes are copied in,
+    /// a boxed value's allocation is moved in as it is — no clone and no
+    /// second allocation.
+    ///
+    /// # Safety
+    ///
+    /// `staged` must hold a live value staged as `T` (by
+    /// [`Staged::new::<T>`]); it is consumed and must not be used again.
+    /// No other install into this cell may run concurrently (the commit
+    /// path holds the variable's stripe lock).
     #[inline]
-    pub(crate) fn store(&self, value: T) {
+    pub(crate) unsafe fn install(&self, staged: Staged) {
         match &self.repr {
-            Repr::Inline(cell) => cell.store(value),
+            // SAFETY (both arms): the cell's representation and the staged
+            // one are both chosen by `use_inline::<T>()`, so the union
+            // field read is the one `Staged::new` wrote.
+            Repr::Inline(cell) => cell.store_words(unsafe { staged.words }),
             Repr::Boxed(ptr) => {
-                let guard = epoch::pin();
-                let old = ptr.swap(Owned::new(value), Ordering::AcqRel, &guard);
-                // SAFETY: `old` was the uniquely installed previous value;
-                // no new reader can acquire it after the swap, and already
-                // pinned readers are covered by the two-epoch grace period.
-                unsafe {
-                    guard.defer_destroy(old);
-                }
+                // SAFETY: `Staged::new` leaked this box from a `Box<T>`, and
+                // the caller hands over its ownership.
+                let boxed = unsafe { Box::from_raw(staged.boxed.cast::<T>()) };
+                swap_in(ptr, Owned::from(boxed));
             }
+        }
+    }
+}
+
+/// Swaps `new` into a boxed cell, deferring destruction of the previous
+/// value until all current readers unpin.
+#[inline]
+fn swap_in<T: Send + 'static>(ptr: &Atomic<T>, new: Owned<T>) {
+    let guard = epoch::pin();
+    let old = ptr.swap(new, Ordering::AcqRel, &guard);
+    // SAFETY: `old` was the uniquely installed previous value; no new
+    // reader can acquire it after the swap, and already pinned readers are
+    // covered by the two-epoch grace period.
+    unsafe {
+        guard.defer_destroy(old);
+    }
+}
+
+/// One value detached from any cell, in the representation [`ValueCell`]
+/// stores for its type: the frozen bytes of an inline value, or the raw
+/// heap box of a boxed one. This is what a write log buffers (see
+/// `log.rs`): fixed-size whatever `T` is, so log entries need no box of
+/// their own.
+///
+/// The type is erased, so every accessor is `unsafe` and must be called
+/// with the `T` the value was staged as. A `Staged` owns its value but has
+/// no drop glue: the owner ends it with [`ValueCell::install`] or
+/// [`Staged::discard`].
+#[derive(Clone, Copy)]
+pub(crate) union Staged {
+    words: [u64; INLINE_WORDS],
+    boxed: *mut (),
+}
+
+impl Staged {
+    /// Detaches `value`: frozen into the inline words, or moved into a box
+    /// (the one allocation a boxed write costs).
+    #[inline]
+    pub(crate) fn new<T>(value: T) -> Self {
+        if use_inline::<T>() {
+            Staged {
+                words: freeze(value),
+            }
+        } else {
+            Staged {
+                boxed: Box::into_raw(Box::new(value)).cast(),
+            }
+        }
+    }
+
+    /// Clones the staged value out.
+    ///
+    /// # Safety
+    ///
+    /// `self` holds a live value staged as `T`.
+    #[inline]
+    pub(crate) unsafe fn get<T: Clone>(&self) -> T {
+        // SAFETY: per the contract, the field matching `use_inline::<T>()`
+        // holds a valid `T`.
+        unsafe {
+            if use_inline::<T>() {
+                assemble(&self.words)
+            } else {
+                (*self.boxed.cast::<T>()).clone()
+            }
+        }
+    }
+
+    /// Replaces the staged value in place: inline bytes are overwritten, a
+    /// box is reused (the old value is dropped inside it).
+    ///
+    /// # Safety
+    ///
+    /// `self` holds a live value staged as `T`.
+    #[inline]
+    pub(crate) unsafe fn set<T>(&mut self, value: T) {
+        if use_inline::<T>() {
+            // No drop glue on this path: the old bytes are simply replaced.
+            self.words = freeze(value);
+        } else {
+            // SAFETY: the box holds a live `T`, per the contract.
+            unsafe { *self.boxed.cast::<T>() = value };
+        }
+    }
+
+    /// Drops the staged value.
+    ///
+    /// # Safety
+    ///
+    /// `self` holds a live value staged as `T`; it is consumed and must not
+    /// be used again.
+    #[inline]
+    pub(crate) unsafe fn discard<T>(self) {
+        if !use_inline::<T>() {
+            // SAFETY: leaked from a `Box<T>` by `Staged::new`, owned here.
+            drop(unsafe { Box::from_raw(self.boxed.cast::<T>()) });
         }
     }
 }
@@ -126,12 +233,12 @@ impl<T> fmt::Debug for ValueCell<T> {
 
 /// Seqlock over an inline word buffer.
 ///
-/// `seq` is even when the words are stable and odd while a writer is
-/// copying new bytes in; writers claim the odd state with a CAS (so
-/// concurrent non-transactional stores stay safe even though the commit
-/// protocol already serializes transactional installs per variable), and
-/// readers retry until they observe the same even count on both sides of
-/// the word copy.
+/// `seq` is even when the words are stable and odd while the writer is
+/// copying new bytes in, and readers retry until they observe the same
+/// even count on both sides of the word copy. There is one writer at a
+/// time — every store after construction is a commit's install, which
+/// holds the variable's stripe lock — so the writer takes the odd state
+/// with a plain store, not a CAS.
 struct InlineCell<T> {
     seq: AtomicU64,
     words: [AtomicU64; INLINE_WORDS],
@@ -145,7 +252,7 @@ impl<T: Clone> InlineCell<T> {
             words: [const { AtomicU64::new(0) }; INLINE_WORDS],
             _marker: PhantomData,
         };
-        cell.store(value);
+        cell.store_words(freeze(value));
         cell
     }
 
@@ -171,41 +278,17 @@ impl<T: Clone> InlineCell<T> {
         }
     }
 
+    /// Publishes frozen bytes (from [`freeze`]) as the new value.
     #[inline]
-    fn store(&self, value: T) {
+    fn store_words(&self, buf: [u64; INLINE_WORDS]) {
         debug_assert!(use_inline::<T>());
-        let mut buf = [0u64; INLINE_WORDS];
-        // Freeze the value's bytes into the zero-initialized buffer. (Like
-        // crossbeam's `AtomicCell`, this byte copy may include internal
-        // padding; every tier-1 target handles that as a plain memcpy.)
-        // SAFETY: `use_inline` guarantees the value fits the buffer.
-        unsafe {
-            ptr::copy_nonoverlapping(
-                ptr::from_ref(&value).cast::<u8>(),
-                buf.as_mut_ptr().cast::<u8>(),
-                mem::size_of::<T>(),
-            );
-        }
-        // The cell now owns the bytes; `T` has no drop glue, so forgetting
-        // the source is a plain ownership transfer.
-        mem::forget(value);
-
-        // Claim the writer side: even -> odd.
-        let mut s = self.seq.load(Ordering::Relaxed);
-        loop {
-            if s & 1 == 1 {
-                std::hint::spin_loop();
-                s = self.seq.load(Ordering::Relaxed);
-                continue;
-            }
-            match self
-                .seq
-                .compare_exchange_weak(s, s + 1, Ordering::Acquire, Ordering::Relaxed)
-            {
-                Ok(_) => break,
-                Err(cur) => s = cur,
-            }
-        }
+        // Even -> odd. The release fence orders the odd count before the
+        // word stores: a reader that sees any new word then sees the count
+        // moved when it re-checks after its acquire fence.
+        let s = self.seq.load(Ordering::Relaxed);
+        debug_assert!(s & 1 == 0, "concurrent inline stores");
+        self.seq.store(s + 1, Ordering::Relaxed);
+        fence(Ordering::Release);
         for (word, val) in self.words.iter().zip(buf) {
             word.store(val, Ordering::Relaxed);
         }
@@ -215,6 +298,28 @@ impl<T: Clone> InlineCell<T> {
     }
 }
 
+/// Freezes an inline value's bytes into a zero-initialized word buffer,
+/// taking ownership of the value.
+#[inline]
+fn freeze<T>(value: T) -> [u64; INLINE_WORDS] {
+    debug_assert!(use_inline::<T>());
+    let mut buf = [0u64; INLINE_WORDS];
+    // (Like crossbeam's `AtomicCell`, this byte copy may include internal
+    // padding; every tier-1 target handles that as a plain memcpy.)
+    // SAFETY: `use_inline` guarantees the value fits the buffer.
+    unsafe {
+        ptr::copy_nonoverlapping(
+            ptr::from_ref(&value).cast::<u8>(),
+            buf.as_mut_ptr().cast::<u8>(),
+            mem::size_of::<T>(),
+        );
+    }
+    // The buffer now owns the bytes; `T` has no drop glue, so forgetting
+    // the source is a plain ownership transfer.
+    mem::forget(value);
+    buf
+}
+
 /// Materializes a `T` from validated seqlock bytes, preserving `Clone`
 /// semantics: the bitwise temporary is cloned, then forgotten (legal
 /// because the inline representation is only chosen for dropless types).
@@ -222,7 +327,8 @@ impl<T: Clone> InlineCell<T> {
 /// # Safety
 ///
 /// `buf` must hold the bytes of a valid, fully written `T` (guaranteed by
-/// the seqlock validation in `InlineCell::load`), and `T` must satisfy
+/// the seqlock validation in `InlineCell::load`, or by [`freeze`] for a
+/// staged value), and `T` must satisfy
 /// [`use_inline`].
 #[inline]
 unsafe fn assemble<T: Clone>(buf: &[u64; INLINE_WORDS]) -> T {
@@ -238,6 +344,14 @@ mod tests {
     use super::*;
     use std::sync::atomic::{AtomicUsize, Ordering as AtomicOrdering};
     use std::sync::Arc;
+
+    impl<T: Clone + Send + Sync + 'static> ValueCell<T> {
+        /// Publishes `value` through the commit path's staging.
+        pub(crate) fn store(&self, value: T) {
+            // SAFETY: staged as `T` right here, consumed once.
+            unsafe { self.install(Staged::new(value)) }
+        }
+    }
 
     #[test]
     fn load_returns_stored_value() {

@@ -103,7 +103,9 @@ struct Suspension {
 pub struct TxFuture<T, F> {
     rt: TmRuntime,
     body: F,
-    parker: Arc<AsyncParker>,
+    /// Created at the first suspension and kept for later ones: a future
+    /// that never blocks allocates none.
+    parker: Option<Arc<AsyncParker>>,
     suspended: Option<Suspension>,
     done: bool,
     _result: PhantomData<fn() -> T>,
@@ -141,7 +143,7 @@ where
     TxFuture {
         rt: rt.clone(),
         body,
-        parker: Arc::new(AsyncParker::new()),
+        parker: None,
         suspended: None,
         done: false,
         _result: PhantomData,
@@ -169,15 +171,20 @@ where
             // mutex — so whichever side runs second sees the other's
             // effect: either we observe the bumped epoch here, or the
             // committer finds our fresh waker and wakes us.
-            this.parker.set_waker(cx.waker());
-            if this.parker.epoch() == susp.observed {
+            let parker = this
+                .parker
+                .as_ref()
+                .expect("a suspended future has a parker");
+            parker.set_waker(cx.waker());
+            if parker.epoch() == susp.observed {
                 return Poll::Pending; // spurious poll; still waiting
             }
             // A commit touched a watched stripe: resume. Deregister before
             // re-running so a false alarm re-registers from scratch.
+            let parker = Parker::Task(Arc::clone(parker));
             let susp = this.suspended.take().expect("checked above");
             let waitlist = &this.rt.inner.retry_waits;
-            waitlist.deregister(&susp.buckets, &Parker::Task(Arc::clone(&this.parker)));
+            waitlist.deregister(&susp.buckets, &parker);
             waitlist.async_woken.fetch_add(1, Ordering::Relaxed);
         }
 
@@ -203,9 +210,12 @@ where
                     // a commit landing between the epoch sample and the
                     // registration also changed an orec, which the
                     // register-fence-validate protocol catches.
-                    this.parker.set_waker(cx.waker());
-                    let observed = this.parker.epoch();
-                    let parker = Parker::Task(Arc::clone(&this.parker));
+                    let task = this
+                        .parker
+                        .get_or_insert_with(|| Arc::new(AsyncParker::new()));
+                    task.set_waker(cx.waker());
+                    let observed = task.epoch();
+                    let parker = Parker::Task(Arc::clone(task));
                     let waitlist = &inner.retry_waits;
                     match register(&[inner.wait_arm(&wait_plan)], &parker) {
                         None => {
@@ -241,7 +251,7 @@ where
 
 impl<T, F> Drop for TxFuture<T, F> {
     fn drop(&mut self) {
-        let Some(susp) = self.suspended.take() else {
+        let (Some(susp), Some(parker)) = (self.suspended.take(), &self.parker) else {
             return;
         };
         let inner = &*self.rt.inner;
@@ -252,7 +262,7 @@ impl<T, F> Drop for TxFuture<T, F> {
         // list delivers no wake to a dead task.
         inner
             .retry_waits
-            .deregister(&susp.buckets, &Parker::Task(Arc::clone(&self.parker)));
+            .deregister(&susp.buckets, &Parker::Task(Arc::clone(parker)));
         // The suspension held no scheduler bracket open (the `RetryWait`
         // report closed it before Pending), but policies that tracked the
         // blocked transaction still hear about the abandonment —

@@ -84,6 +84,7 @@ pub mod epoch;
 pub mod error;
 pub mod faults;
 pub mod future;
+mod log;
 pub mod orec;
 pub mod registry;
 pub mod runtime;

@@ -13,10 +13,11 @@ use crate::clock::GlobalClock;
 use crate::config::{BackendKind, TmConfig, TxnKind, WaitPolicy};
 use crate::error::{AbortReason, TmError, TxResult};
 use crate::faults::FaultSite;
+use crate::log::{with_logs, ReadEntry};
 use crate::orec::OrecTable;
 use crate::sched::{AttemptEnd, NoopScheduler, SchedCtx, TxScheduler};
 use crate::stats::{ThreadStats, TmStats};
-use crate::thread::{ThreadCtx, ThreadId, ThreadRegistry};
+use crate::thread::{bump, ThreadCtx, ThreadId, ThreadRegistry};
 use crate::txn::{ReadTx, Tx};
 use crate::varid::VarId;
 use crate::visible::VisibleWrites;
@@ -163,7 +164,7 @@ impl<'a> AttemptGuard<'a> {
             AttemptEnd::Abandoned => (None, None),
         };
         if let Some(counter) = counter {
-            counter.fetch_add(1, Ordering::Relaxed);
+            bump(counter, 1);
         }
         let ctx = self.inner.sched_ctx(self.ctx.id(), self.kind);
         self.inner.scheduler.on_finish(&ctx, end, reads, writes);
@@ -218,42 +219,99 @@ impl RuntimeInner {
         ctx: &ThreadCtx,
         body: impl FnOnce(&mut Tx<'_>) -> TxResult<T>,
     ) -> Attempt<T> {
-        // Guard first, `tx` second: on an unwind the transaction rolls back
-        // (stripes released) before the guard closes the scheduler bracket
-        // and advances the attempt epoch.
-        let mut guard = AttemptGuard::new(self, ctx, TxnKind::ReadWrite);
-        guard.begin();
-        let mut tx = Tx::begin(self, ctx);
-        let abort = match body(&mut tx).and_then(|value| tx.try_commit().map(|()| value)) {
-            Ok(value) => {
-                let (reads, writes) = tx.take_logs();
-                drop(tx);
-                guard.finish(AttemptEnd::Committed, &reads, &writes);
-                return Attempt::Committed(value);
+        // The thread's logs first, guard second, `tx` third: on an unwind
+        // the transaction rolls back (stripes released) before the guard
+        // closes the scheduler bracket and advances the attempt epoch, and
+        // the logs are handed back last.
+        let attempt = with_logs(|logs| {
+            let mut guard = AttemptGuard::new(self, ctx, TxnKind::ReadWrite);
+            guard.begin();
+            let mut tx = Tx::begin(self, ctx, logs);
+            let abort = match body(&mut tx).and_then(|value| tx.try_commit().map(|()| value)) {
+                Ok(value) => {
+                    drop(tx);
+                    guard.finish(AttemptEnd::Committed, &logs.read_vars, &logs.write_vars);
+                    return Attempt::Committed(value);
+                }
+                Err(abort) => abort,
+            };
+            tx.rollback();
+            if abort.reason() == AbortReason::ForeignTVar {
+                // Not retryable, and not a conflict either: no abort is
+                // booked; the guard's drop closes the bracket as
+                // `Abandoned`.
+                return Attempt::Fatal(tx.refusal.take().expect("foreign abort carries details"));
             }
-            Err(abort) => abort,
-        };
-        tx.rollback();
-        if abort.reason() == AbortReason::ForeignTVar {
-            // Not retryable, and not a conflict either: no abort is booked;
-            // the guard's drop closes the bracket as `Abandoned`.
-            return Attempt::Fatal(tx.refusal.expect("foreign abort carries details"));
+            let wait_plan = abort.reason().is_retry().then(|| tx.retry_wait_plan());
+            drop(tx);
+            let (reads, writes) = (&logs.read_vars, &logs.write_vars);
+            match wait_plan {
+                // Deliberate blocking, not a conflict: the driver waits for
+                // a commit to overwrite something the attempt read.
+                Some(plan) => {
+                    guard.finish(AttemptEnd::RetryWait, reads, writes);
+                    Attempt::Blocked(plan)
+                }
+                None => {
+                    guard.finish(AttemptEnd::Aborted(&abort), reads, writes);
+                    Attempt::Aborted
+                }
+            }
+        });
+        if matches!(attempt, Attempt::Committed(_)) {
+            // A commit retires the values it replaced. With no lock, pin or
+            // scheduler bracket held any more, this is where a thread whose
+            // retired values pile up (another thread preempted while pinned
+            // holds the epoch back) gives way instead of piling on.
+            crossbeam::epoch::relieve();
         }
-        let wait_plan = abort.reason().is_retry().then(|| tx.retry_wait_plan());
-        let (reads, writes) = tx.take_logs();
-        drop(tx);
-        match wait_plan {
-            // Deliberate blocking, not a conflict: the driver waits for a
-            // commit to overwrite something the attempt read.
-            Some(plan) => {
-                guard.finish(AttemptEnd::RetryWait, &reads, &writes);
-                Attempt::Blocked(plan)
-            }
-            None => {
-                guard.finish(AttemptEnd::Aborted(&abort), &reads, &writes);
-                Attempt::Aborted
-            }
+        attempt
+    }
+}
+
+/// The restart loop of one read-only transaction, on the lent `read_log`.
+fn read_only_loop<T>(
+    inner: &RuntimeInner,
+    ctx: &ThreadCtx,
+    read_log: &mut Vec<ReadEntry>,
+    max_attempts: u64,
+    mut body: impl FnMut(&mut ReadTx<'_>) -> TxResult<T>,
+) -> Result<T, TmError> {
+    // One bracket per read-only transaction, kind-tagged: internal
+    // snapshot restarts are invisible to the scheduler. Every abnormal
+    // exit (body panic, foreign access, exhausted budget) drops the
+    // guard, which closes the bracket as `Abandoned`.
+    let mut guard = AttemptGuard::new(inner, ctx, TxnKind::ReadOnly);
+    guard.begin();
+    let mut attempts: u64 = 0;
+    loop {
+        attempts += 1;
+        let mut tx = ReadTx::begin(inner, ctx.id(), read_log);
+        let outcome = body(&mut tx);
+        let (reads, revalidations) = tx.counters();
+        bump(&ctx.ro_reads, reads);
+        bump(&ctx.ro_revalidations, revalidations);
+        if let Ok(value) = outcome {
+            guard.finish(AttemptEnd::Committed, &[], &[]);
+            return Ok(value);
         }
+        if let Some(refusal) = tx.refusal {
+            // Not retryable: a fresh snapshot cannot change which
+            // runtime owns the variable.
+            return Err(refusal);
+        }
+        // A concurrent writer invalidated the snapshot (or the body
+        // asked to restart). Not an abort — no lock was held, no writer
+        // was harmed. Grant the writer a short pause, then re-run on a
+        // fresh snapshot.
+        bump(&ctx.ro_revalidations, 1);
+        if attempts >= max_attempts {
+            return Err(TmError::RetryLimitExceeded { attempts });
+        }
+        pause(
+            inner.config.wait_policy,
+            u32::try_from(attempts).unwrap_or(u32::MAX),
+        );
     }
 }
 
@@ -631,49 +689,15 @@ impl TmRuntime {
     fn read_only_attempts<T>(
         &self,
         max_attempts: u64,
-        mut body: impl FnMut(&mut ReadTx<'_>) -> TxResult<T>,
+        body: impl FnMut(&mut ReadTx<'_>) -> TxResult<T>,
     ) -> Result<T, TmError> {
         let ctx = self.current_ctx();
-        let inner = &*self.inner;
-        // One bracket per read-only transaction, kind-tagged: internal
-        // snapshot restarts are invisible to the scheduler. Every abnormal
-        // exit (body panic, foreign access, exhausted budget) drops the
-        // guard, which closes the bracket as `Abandoned`.
-        let mut guard = AttemptGuard::new(inner, &ctx, TxnKind::ReadOnly);
-        guard.begin();
-        let mut attempts: u64 = 0;
-        loop {
-            attempts += 1;
-            let mut tx = ReadTx::begin(inner, ctx.id());
-            let outcome = body(&mut tx);
-            let (reads, revalidations) = tx.counters();
-            ctx.ro_reads.fetch_add(reads, Ordering::Relaxed);
-            ctx.ro_revalidations
-                .fetch_add(revalidations, Ordering::Relaxed);
-            if let Ok(value) = outcome {
-                guard.finish(AttemptEnd::Committed, &[], &[]);
-                return Ok(value);
-            }
-            if let Some(refusal) = tx.refusal {
-                // Not retryable: a fresh snapshot cannot change which
-                // runtime owns the variable.
-                return Err(refusal);
-            }
-            // A concurrent writer invalidated the snapshot (or the body
-            // asked to restart). Not an abort — no lock was held, no writer
-            // was harmed. Grant the writer a short pause, then re-run on a
-            // fresh snapshot.
-            ctx.ro_revalidations.fetch_add(1, Ordering::Relaxed);
-            if attempts >= max_attempts {
-                return Err(TmError::RetryLimitExceeded { attempts });
-            }
-            pause(
-                inner.config.wait_policy,
-                u32::try_from(attempts).unwrap_or(u32::MAX),
-            );
-        }
+        with_logs(|logs| read_only_loop(&self.inner, &ctx, &mut logs.read_log, max_attempts, body))
     }
-
+    // One bracket per read-only transaction, kind-tagged: internal
+    // snapshot restarts are invisible to the scheduler. Every abnormal
+    // exit (body panic, foreign access, exhausted budget) drops the
+    // guard, which closes the bracket as `Abandoned`.
     /// Runs `body` until it either commits or deliberately blocks: the
     /// abort loop every thread driver shares. Conflict aborts re-run the
     /// attempt step with the usual backoff, counting into `attempts` and
@@ -1374,12 +1398,14 @@ mod tests {
 
         let rt = TmRuntime::new();
         let v = TVar::new(0u64);
+        let s = TVar::new(String::from("kept"));
         rt.run(|tx| tx.modify(&v, |x| x + 1));
         let epoch_before = rt.inner.registry.epoch_of(ThreadId::from_u16(1));
         for _ in 0..3 {
             let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
                 rt.run(|tx| {
                     tx.write(&v, 99)?;
+                    tx.write(&s, String::from("lost"))?;
                     panic!("boom");
                     #[allow(unreachable_code)]
                     Ok(())
@@ -1392,8 +1418,49 @@ mod tests {
             epoch_after > epoch_before,
             "abandoned attempts must advance the epoch: {epoch_before:?} -> {epoch_after:?}"
         );
-        rt.run(|tx| tx.modify(&v, |x| x + 1));
+        rt.run(|tx| {
+            // The panicking attempts' logs were dropped, not handed on.
+            assert_eq!((tx.read_count(), tx.write_count()), (0, 0));
+            assert_eq!(tx.read(&s)?, "kept");
+            tx.modify(&v, |x| x + 1)
+        });
         assert_eq!(v.snapshot(), 2, "panicked writes rolled back");
+        assert_eq!(s.snapshot(), "kept");
         assert_eq!(rt.stats().commits, 2);
+    }
+
+    #[test]
+    fn transactions_nested_on_one_thread_keep_their_own_logs() {
+        // A body that runs a transaction on another runtime, and a
+        // read-only transaction inside a read-write one: each nested
+        // transaction gets logs of its own.
+        let rt_a = TmRuntime::new();
+        let rt_b = TmRuntime::new();
+        let a = TVar::new(0u64);
+        let b = TVar::new(String::new());
+        rt_a.run(|tx| {
+            tx.write(&a, 1)?;
+            assert_eq!(tx.read(&a)?, 1);
+            rt_b.run(|inner| {
+                assert_eq!((inner.read_count(), inner.write_count()), (0, 0));
+                inner.write(&b, String::from("b"))?;
+                assert_eq!(inner.read(&b)?, "b");
+                Ok(())
+            });
+            let seen = rt_b.read_only(|ro| {
+                assert_eq!(ro.read_count(), 0);
+                ro.read(&b)
+            });
+            assert_eq!(seen, "b");
+            assert_eq!((tx.read_count(), tx.write_count()), (1, 1));
+            assert_eq!(tx.read(&a)?, 1);
+            Ok(())
+        });
+        assert_eq!((a.snapshot(), b.snapshot().as_str()), (1, "b"));
+        assert_eq!((rt_a.stats().commits, rt_b.stats().commits), (1, 1));
+        rt_a.run(|tx| {
+            assert_eq!((tx.read_count(), tx.write_count()), (0, 0));
+            Ok(())
+        });
     }
 }

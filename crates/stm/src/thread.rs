@@ -125,6 +125,17 @@ pub struct ThreadCtx {
     epoch: EpochCell,
 }
 
+/// Adds `n` to one of a [`ThreadCtx`]'s counters and returns the new
+/// total. Only the owning thread writes them, so a plain load and store
+/// does, not a locked read-modify-write; readers on other threads see a
+/// recent total either way.
+#[inline]
+pub(crate) fn bump(counter: &AtomicU64, n: u64) -> u64 {
+    let total = counter.load(Ordering::Relaxed) + n;
+    counter.store(total, Ordering::Relaxed);
+    total
+}
+
 impl ThreadCtx {
     fn new(id: ThreadId) -> Self {
         ThreadCtx {
@@ -155,9 +166,11 @@ impl ThreadCtx {
         self.kill_requested.store(true, Ordering::Release);
     }
 
-    /// Returns and clears the kill request flag.
+    /// Returns and clears the kill request flag. A load first: the flag is
+    /// almost always clear, and then no read-modify-write is needed.
+    #[inline]
     pub(crate) fn take_kill_request(&self) -> bool {
-        self.kill_requested.swap(false, Ordering::AcqRel)
+        self.kill_pending() && self.kill_requested.swap(false, Ordering::AcqRel)
     }
 
     /// True if a kill has been requested but not yet consumed.
@@ -171,8 +184,9 @@ impl ThreadCtx {
     }
 
     /// Records one transactional access and returns the new total.
+    #[inline]
     pub(crate) fn bump_accesses(&self) -> u64 {
-        self.accesses.fetch_add(1, Ordering::Relaxed) + 1
+        bump(&self.accesses, 1)
     }
 
     /// Number of accesses performed by the current attempt (CM priority).

@@ -12,6 +12,15 @@
 //! * commit stamps a fresh clock value, validates the read log once more and
 //!   installs buffered values.
 //!
+//! The logs are not the transaction's own: a [`Tx`] or [`ReadTx`] works on
+//! the thread's [`TxLogs`], lent by reference for one attempt and taken
+//! back cleared (see `log.rs`), so a steady-state transaction allocates
+//! nothing for them. The write log is unboxed — each entry holds its value
+//! in the representation its cell stores — and is indexed by an
+//! open-addressed table that a read probes only once something was
+//! written. Which stripes the attempt owns is read from the orec word
+//! itself (`locked_by(me)`); `owned_order` is only the release list.
+//!
 //! Value snapshots (`ValueCell::load`) are lock-free on both storage paths
 //! (inline seqlock or epoch-pinned pointer load; see DESIGN.md §7), so the
 //! per-read cost on top of them is exactly the orec snapshot/validate pair
@@ -28,18 +37,17 @@
 //!   bounded spin budget and abort when it is exhausted (encounter-time
 //!   locking with suicide resolution).
 
-use std::any::Any;
-use std::collections::{HashMap, HashSet};
 use std::fmt;
-use std::sync::Arc;
+use std::mem;
 
 use crate::backoff::pause;
 use crate::config::{BackendKind, TxnKind};
 use crate::error::{Abort, AbortReason, TmError, TxResult};
 use crate::faults::FaultSite;
+use crate::log::{Checkpoint, ReadEntry, TxLogs, WriteEntry};
 use crate::orec::OrecSnapshot;
 use crate::runtime::RuntimeInner;
-use crate::thread::{ThreadCtx, ThreadId};
+use crate::thread::{bump, ThreadCtx, ThreadId};
 use crate::tvar::{TVar, TVarInner, TxValue};
 use crate::varid::VarId;
 
@@ -55,70 +63,6 @@ const CM_TIMID_THRESHOLD: u64 = 32;
 /// Spins a Swiss transaction waits for a killed victim to release its
 /// locks before giving up and aborting itself.
 const KILL_WAIT_BUDGET: u32 = 4096;
-
-/// One validated read: which stripe, and the version it had when read.
-#[derive(Clone, Copy, Debug)]
-struct ReadEntry {
-    orec: usize,
-    version: u64,
-}
-
-/// A buffered write that can be installed at commit.
-trait PendingWrite: Send {
-    fn install(&self);
-    fn as_any(&self) -> &dyn Any;
-    fn as_any_mut(&mut self) -> &mut dyn Any;
-    /// A boxed clone of this entry, for checkpoint undo records: an
-    /// [`or_else`](Tx::or_else) branch that overwrites a pre-branch entry
-    /// must be able to restore the old buffered value on rollback.
-    fn snapshot_entry(&self) -> Box<dyn PendingWrite>;
-}
-
-struct TypedWrite<T> {
-    target: Arc<TVarInner<T>>,
-    value: T,
-}
-
-impl<T: TxValue> PendingWrite for TypedWrite<T> {
-    fn install(&self) {
-        self.target.cell.store(self.value.clone());
-    }
-
-    fn as_any(&self) -> &dyn Any {
-        self
-    }
-
-    fn as_any_mut(&mut self) -> &mut dyn Any {
-        self
-    }
-
-    fn snapshot_entry(&self) -> Box<dyn PendingWrite> {
-        Box::new(TypedWrite {
-            target: Arc::clone(&self.target),
-            value: self.value.clone(),
-        })
-    }
-}
-
-/// A rollback point inside one transaction attempt, pushed by
-/// [`Tx::or_else`] around its first branch (DESIGN.md §9).
-///
-/// Rolling back to a checkpoint undoes everything the branch *wrote* —
-/// write-log entries are truncated, overwritten pre-branch entries are
-/// restored from `overwrites`, and stripes first acquired inside the branch
-/// are released — while the branch's *reads* are deliberately kept: they
-/// were real reads of the snapshot, keeping them validates the alternative
-/// branch against the same consistency, and a [`Tx::retry`] that escapes
-/// both branches must park on the union of both read sets.
-struct Checkpoint {
-    write_log_len: usize,
-    write_vars_len: usize,
-    owned_len: usize,
-    /// Pre-branch values of write-log entries the branch overwrote in
-    /// place, saved lazily at first overwrite: `(write_log index, entry as
-    /// it was when this checkpoint was live)`.
-    overwrites: Vec<(usize, Box<dyn PendingWrite>)>,
-}
 
 /// Binds `inner` to runtime `rt` on first transactional use, or refuses the
 /// access when it is already bound to a different one (orec striping and
@@ -151,17 +95,8 @@ pub struct Tx<'rt> {
     ctx: &'rt ThreadCtx,
     me: ThreadId,
     start_ts: u64,
-    read_log: Vec<ReadEntry>,
-    /// Every dynamic read, in order (may contain duplicates).
-    read_vars: Vec<VarId>,
-    write_log: Vec<Box<dyn PendingWrite>>,
-    /// Distinct written variables, in first-write order.
-    write_vars: Vec<VarId>,
-    write_index: HashMap<VarId, usize>,
-    owned_orecs: HashSet<usize>,
-    owned_order: Vec<usize>,
-    /// Active [`or_else`](Tx::or_else) rollback points, innermost last.
-    checkpoints: Vec<Checkpoint>,
+    /// The thread's logs, lent for this attempt (see `log.rs`).
+    logs: &'rt mut TxLogs,
     /// The refused access, once the body touched a `TVar` bound to another
     /// runtime (the abort was [`AbortReason::ForeignTVar`]).
     pub(crate) refusal: Option<TmError>,
@@ -169,7 +104,10 @@ pub struct Tx<'rt> {
 }
 
 impl<'rt> Tx<'rt> {
-    pub(crate) fn begin(rt: &'rt RuntimeInner, ctx: &'rt ThreadCtx) -> Self {
+    /// Starts an attempt on `logs`, which arrive empty and are cleared by
+    /// their lender once the attempt is over.
+    pub(crate) fn begin(rt: &'rt RuntimeInner, ctx: &'rt ThreadCtx, logs: &'rt mut TxLogs) -> Self {
+        debug_assert!(logs.write_log.is_empty() && logs.read_vars.is_empty());
         ctx.reset_accesses();
         // Drop any kill request aimed at a previous attempt.
         let _ = ctx.take_kill_request();
@@ -178,14 +116,7 @@ impl<'rt> Tx<'rt> {
             ctx,
             me: ctx.id(),
             start_ts: rt.clock.now(),
-            read_log: Vec::new(),
-            read_vars: Vec::new(),
-            write_log: Vec::new(),
-            write_vars: Vec::new(),
-            write_index: HashMap::new(),
-            owned_orecs: HashSet::new(),
-            owned_order: Vec::new(),
-            checkpoints: Vec::new(),
+            logs,
             refusal: None,
             finished: false,
         }
@@ -198,12 +129,12 @@ impl<'rt> Tx<'rt> {
 
     /// Number of dynamic reads so far.
     pub fn read_count(&self) -> usize {
-        self.read_vars.len()
+        self.logs.read_vars.len()
     }
 
     /// Number of distinct variables written so far.
     pub fn write_count(&self) -> usize {
-        self.write_vars.len()
+        self.logs.write_vars.len()
     }
 
     /// The snapshot timestamp the attempt currently validates against.
@@ -319,59 +250,55 @@ impl<'rt> Tx<'rt> {
         first: impl FnOnce(&mut Tx<'rt>) -> TxResult<T>,
         second: impl FnOnce(&mut Tx<'rt>) -> TxResult<T>,
     ) -> TxResult<T> {
-        self.checkpoints.push(Checkpoint {
-            write_log_len: self.write_log.len(),
-            write_vars_len: self.write_vars.len(),
-            owned_len: self.owned_order.len(),
-            overwrites: Vec::new(),
+        self.logs.checkpoints.push(Checkpoint {
+            writes: self.logs.write_log.len(),
+            owned: self.logs.owned_order.len(),
+            undo: self.logs.undo.len(),
         });
-        match first(self) {
+        let result = first(self);
+        let cp = self
+            .logs
+            .checkpoints
+            .pop()
+            .expect("checkpoint pushed above");
+        match result {
             Err(abort) if abort.reason() == AbortReason::Retry => {
-                let cp = self.checkpoints.pop().expect("checkpoint pushed above");
                 self.rollback_to(cp);
                 second(self)
             }
             other => {
-                let cp = self.checkpoints.pop().expect("checkpoint pushed above");
-                self.merge_checkpoint(cp);
+                // The branch's undo records stay for an enclosing
+                // checkpoint; with none left they can never be used.
+                if self.logs.checkpoints.is_empty() {
+                    self.logs.undo.clear();
+                }
                 other
             }
         }
     }
 
-    /// Restores the attempt to `cp`: truncate the write log, restore
-    /// overwritten pre-branch entries, release branch-acquired stripes.
+    /// Restores the attempt to `cp`: restore overwritten pre-branch
+    /// entries, truncate the write log, release branch-acquired stripes.
     /// Reads are kept (see [`Checkpoint`]).
     fn rollback_to(&mut self, cp: Checkpoint) {
-        debug_assert_eq!(self.write_log.len(), self.write_vars.len());
-        for var in self.write_vars.drain(cp.write_vars_len..) {
-            self.write_index.remove(&var);
+        let logs = &mut *self.logs;
+        debug_assert_eq!(logs.write_log.len(), logs.write_vars.len());
+        // Newest record first: when an entry was saved more than once
+        // (by this branch and by a completed inner one), the oldest value
+        // is restored last and wins.
+        for (i, saved) in logs.undo.drain(cp.undo..).rev() {
+            logs.write_log[i] = saved;
         }
-        self.write_log.truncate(cp.write_log_len);
-        for (i, saved) in cp.overwrites {
-            self.write_log[i] = saved;
+        if logs.write_log.len() > cp.writes {
+            logs.write_log.truncate(cp.writes);
+            logs.write_vars.truncate(cp.writes);
+            logs.write_index.rebuild(&logs.write_vars);
         }
         // Stripes first locked inside the branch guard only branch-local
         // first-writes (a pre-branch write would have acquired its stripe
         // at that earlier write), so they are safe to hand back.
-        for idx in self.owned_order.drain(cp.owned_len..) {
+        for idx in logs.owned_order.drain(cp.owned..) {
             self.rt.orecs.at(idx).unlock_abort(self.me);
-            self.owned_orecs.remove(&idx);
-        }
-    }
-
-    /// Folds a completed checkpoint's undo records into the enclosing one:
-    /// an entry the inner branch overwrote may predate the *outer*
-    /// checkpoint too, and the outer rollback must restore the oldest
-    /// saved value (the entry was untouched between the two pushes, so the
-    /// inner record is exact for both).
-    fn merge_checkpoint(&mut self, cp: Checkpoint) {
-        if let Some(outer) = self.checkpoints.last_mut() {
-            for (i, saved) in cp.overwrites {
-                if i < outer.write_log_len && !outer.overwrites.iter().any(|(j, _)| *j == i) {
-                    outer.overwrites.push((i, saved));
-                }
-            }
         }
     }
 
@@ -420,13 +347,10 @@ impl<'rt> Tx<'rt> {
         let var = tvar.inner.id;
 
         // Read-own-write.
-        if let Some(&i) = self.write_index.get(&var) {
-            let w = self.write_log[i]
-                .as_any()
-                .downcast_ref::<TypedWrite<T>>()
-                .expect("write log entry type mismatch");
-            self.read_vars.push(var);
-            return Ok(w.value.clone());
+        if let Some(i) = self.logs.write_index.get(var) {
+            let value = self.logs.write_log[i].value(&tvar.inner);
+            self.logs.read_vars.push(var);
+            return Ok(value);
         }
 
         let idx = self.rt.orecs.index_of(var);
@@ -483,8 +407,8 @@ impl<'rt> Tx<'rt> {
                 continue;
             }
             let version = s1.version();
-            self.read_log.push(ReadEntry { orec: idx, version });
-            self.read_vars.push(var);
+            self.logs.read_log.push(ReadEntry { orec: idx, version });
+            self.logs.read_vars.push(var);
             return Ok(value);
         }
     }
@@ -504,33 +428,39 @@ impl<'rt> Tx<'rt> {
         self.ctx.bump_accesses();
         let var = tvar.inner.id;
 
-        if let Some(&i) = self.write_index.get(&var) {
+        if let Some(i) = self.logs.write_index.get(var) {
+            let logs = &mut *self.logs;
             // Inside an or_else branch, overwriting an entry that predates
-            // the branch must be undoable: save the pre-branch value once.
-            if let Some(cp) = self.checkpoints.last_mut() {
-                if i < cp.write_log_len && !cp.overwrites.iter().any(|(j, _)| *j == i) {
-                    let saved = self.write_log[i].snapshot_entry();
-                    cp.overwrites.push((i, saved));
+            // the branch must be undoable: the first such overwrite moves
+            // the pre-branch entry itself onto the undo stack.
+            if let Some(cp) = logs.checkpoints.last() {
+                if i < cp.writes && !logs.undo[cp.undo..].iter().any(|&(j, _)| j == i) {
+                    let saved =
+                        mem::replace(&mut logs.write_log[i], WriteEntry::new(&tvar.inner, value));
+                    logs.undo.push((i, saved));
+                    return Ok(());
                 }
             }
-            let w = self.write_log[i]
-                .as_any_mut()
-                .downcast_mut::<TypedWrite<T>>()
-                .expect("write log entry type mismatch");
-            w.value = value;
+            logs.write_log[i].set(&tvar.inner, value);
             return Ok(());
         }
 
+        // The orec word names its owner: a stripe this attempt already
+        // locked (through a write to another variable) needs no acquire.
         let idx = self.rt.orecs.index_of(var);
-        if !self.owned_orecs.contains(&idx) {
+        if self.rt.orecs.at(idx).snapshot().locked_by(self.me) {
+            debug_assert!(
+                self.logs.owned_order.contains(&idx),
+                "stripe locked by another attempt of this thread: a read-write \
+                 transaction nested in another on the same runtime"
+            );
+        } else {
             self.acquire_stripe(idx, var)?;
         }
-        self.write_log.push(Box::new(TypedWrite {
-            target: Arc::clone(&tvar.inner),
-            value,
-        }));
-        self.write_index.insert(var, self.write_log.len() - 1);
-        self.write_vars.push(var);
+        let logs = &mut *self.logs;
+        logs.write_index.insert(var, logs.write_log.len());
+        logs.write_log.push(WriteEntry::new(&tvar.inner, value));
+        logs.write_vars.push(var);
         Ok(())
     }
 
@@ -593,8 +523,9 @@ impl<'rt> Tx<'rt> {
             }
 
             if s1.locked() {
-                // Owned by me but not in owned_orecs — impossible by
-                // construction; treat as a racing snapshot and retry.
+                // Locked by me — impossible: `write` read the orec word
+                // before calling, and only this thread locks as `me`.
+                // Treat as a racing snapshot and retry.
                 spins += 1;
                 continue;
             }
@@ -605,11 +536,8 @@ impl<'rt> Tx<'rt> {
             // Extend-then-lock needs no re-snapshot: the CAS compares
             // against `s1`, so a commit that slipped in fails it.
             if orec.try_lock(s1, self.me) {
-                self.ctx
-                    .orec_acquires
-                    .fetch_add(1, std::sync::atomic::Ordering::Relaxed);
-                self.owned_orecs.insert(idx);
-                self.owned_order.push(idx);
+                bump(&self.ctx.orec_acquires, 1);
+                self.logs.owned_order.push(idx);
                 return Ok(());
             }
             spins += 1;
@@ -644,7 +572,8 @@ impl<'rt> Tx<'rt> {
     }
 
     fn read_log_valid(&self) -> bool {
-        self.read_log
+        self.logs
+            .read_log
             .iter()
             .all(|e| self.entry_valid(e, self.rt.orecs.at(e.orec).snapshot()))
     }
@@ -654,13 +583,13 @@ impl<'rt> Tx<'rt> {
     /// [`rollback`](Tx::rollback).
     pub(crate) fn try_commit(&mut self) -> Result<(), Abort> {
         self.check_kill()?;
-        if self.write_log.is_empty() {
+        if self.logs.write_log.is_empty() {
             // Read-only: the incremental validation performed at each read
             // already guarantees a consistent snapshot.
             self.finished = true;
             return Ok(());
         }
-        for &idx in &self.owned_order {
+        for &idx in &self.logs.owned_order {
             self.rt.orecs.at(idx).begin_commit(self.me);
         }
         let commit_ts = self.rt.clock.tick();
@@ -675,10 +604,10 @@ impl<'rt> Tx<'rt> {
         if crate::failpoint!(FaultSite::CommitInstall) {
             return Err(Abort::new(AbortReason::FaultInjected));
         }
-        for w in &self.write_log {
-            w.install();
+        for entry in self.logs.write_log.drain(..) {
+            entry.install();
         }
-        for &idx in &self.owned_order {
+        for &idx in &self.logs.owned_order {
             self.rt.orecs.at(idx).unlock_commit(self.me, commit_ts);
         }
         // The commit is durable once the version stamps above are released;
@@ -689,7 +618,7 @@ impl<'rt> Tx<'rt> {
         // Wake transactions parked in `Tx::retry` on any stripe this commit
         // wrote — after the version stamps above, so a woken waiter always
         // observes the stripe moved (DESIGN.md §9).
-        self.rt.retry_waits.notify_commit(&self.owned_order);
+        self.rt.retry_waits.notify_commit(&self.logs.owned_order);
         Ok(())
     }
 
@@ -701,19 +630,11 @@ impl<'rt> Tx<'rt> {
         // Delay-only site (this path runs during unwinds): widens the
         // window in which other threads observe the stripes still locked.
         let _ = crate::failpoint!(FaultSite::OrecRelease);
-        for &idx in &self.owned_order {
+        for &idx in &self.logs.owned_order {
             self.rt.orecs.at(idx).unlock_abort(self.me);
         }
         let _ = self.ctx.take_kill_request();
         self.finished = true;
-    }
-
-    /// Extracts the access logs for the scheduler hooks.
-    pub(crate) fn take_logs(&mut self) -> (Vec<VarId>, Vec<VarId>) {
-        (
-            std::mem::take(&mut self.read_vars),
-            std::mem::take(&mut self.write_vars),
-        )
     }
 
     /// The `(stripe, observed version)` pairs a retrying attempt must park
@@ -721,8 +642,12 @@ impl<'rt> Tx<'rt> {
     /// [`rollback`](Tx::rollback) — released stripes carry their pre-lock
     /// versions again, so the observed versions below are live.
     pub(crate) fn retry_wait_plan(&self) -> Vec<(usize, u64)> {
-        let mut plan: Vec<(usize, u64)> =
-            self.read_log.iter().map(|e| (e.orec, e.version)).collect();
+        let mut plan: Vec<(usize, u64)> = self
+            .logs
+            .read_log
+            .iter()
+            .map(|e| (e.orec, e.version))
+            .collect();
         plan.sort_unstable();
         // A consistent read log holds one version per stripe (a version
         // moving mid-attempt forces extend-or-abort), so stripe dedup is
@@ -744,8 +669,8 @@ impl fmt::Debug for Tx<'_> {
         f.debug_struct("Tx")
             .field("thread", &self.me)
             .field("start_ts", &self.start_ts)
-            .field("reads", &self.read_vars.len())
-            .field("writes", &self.write_vars.len())
+            .field("reads", &self.logs.read_vars.len())
+            .field("writes", &self.logs.write_vars.len())
             .finish()
     }
 }
@@ -868,7 +793,8 @@ pub struct ReadTx<'rt> {
     rt: &'rt RuntimeInner,
     me: ThreadId,
     start_ts: u64,
-    read_log: Vec<ReadEntry>,
+    /// The read log of the thread's logs, lent for this attempt.
+    read_log: &'rt mut Vec<ReadEntry>,
     /// Reads performed by this attempt (flushed to `ThreadCtx::ro_reads`).
     reads: u64,
     /// Timestamp extensions performed by this attempt (flushed to
@@ -880,12 +806,17 @@ pub struct ReadTx<'rt> {
 }
 
 impl<'rt> ReadTx<'rt> {
-    pub(crate) fn begin(rt: &'rt RuntimeInner, me: ThreadId) -> Self {
+    pub(crate) fn begin(
+        rt: &'rt RuntimeInner,
+        me: ThreadId,
+        read_log: &'rt mut Vec<ReadEntry>,
+    ) -> Self {
+        read_log.clear();
         ReadTx {
             rt,
             me,
             start_ts: rt.clock.now(),
-            read_log: Vec::new(),
+            read_log,
             reads: 0,
             revalidations: 0,
             refusal: None,

@@ -466,7 +466,7 @@ impl StripeWaitlist {
     /// the commit path *after* the new orec versions are installed, so a
     /// woken (or racing) waiter always observes the stripe moved.
     ///
-    /// Costs one atomic load per distinct bucket when nobody is waiting.
+    /// Costs one atomic load per written stripe when nobody is waiting.
     pub(crate) fn notify_commit(&self, stripes: &[usize]) {
         if stripes.is_empty() {
             return;
@@ -480,12 +480,17 @@ impl StripeWaitlist {
         fence(Ordering::SeqCst);
         for (i, &stripe) in stripes.iter().enumerate() {
             let b = stripe & self.mask;
-            // Dedup without allocating: written-stripe sets are small.
-            if stripes[..i].iter().any(|&prev| prev & self.mask == b) {
-                continue;
-            }
             let bucket = &self.buckets[b];
             if bucket.waiters.load(Ordering::SeqCst) == 0 {
+                continue;
+            }
+            // Dedup without allocating, and only among buckets with
+            // waiters: a large write set without waiters costs one load
+            // per stripe, not a quadratic scan. (A bucket skipped earlier
+            // for having no waiters is skipped here too: a waiter that
+            // registered since then validates after the fence above and
+            // sees this commit's versions, so it does not park.)
+            if stripes[..i].iter().any(|&prev| prev & self.mask == b) {
                 continue;
             }
             // Snapshot the parker list and wake *outside* the bucket lock:
@@ -692,6 +697,19 @@ mod tests {
         // No waiters anywhere: notify must do nothing (and count nothing).
         wl.notify_commit(&[0, 1, 2, 3]);
         assert_eq!(wl.stats().wakes_issued, 0);
+    }
+
+    #[test]
+    fn a_large_commit_wakes_one_waiter_once() {
+        let wl = StripeWaitlist::new(64);
+        let parker = Parker::Task(Arc::new(AsyncParker::new()));
+        let held = wl.enlist(&[(3, 0)], &parker);
+        // 1024 written stripes alias bucket 3 sixteen times over.
+        let stripes: Vec<usize> = (0..1024).collect();
+        wl.notify_commit(&stripes);
+        assert_eq!(wl.stats().wakes_issued, 1);
+        wl.deregister(&held, &parker);
+        assert_no_residue(&wl);
     }
 
     #[test]

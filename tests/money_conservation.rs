@@ -20,10 +20,12 @@ fn transfer_matrix_cell(backend: BackendKind, wait: WaitPolicy, kind: &Scheduler
         .build();
     let accounts: Arc<Vec<TVar<i64>>> = Arc::new((0..ACCOUNTS).map(|_| TVar::new(500)).collect());
     let stop = Arc::new(AtomicBool::new(false));
+    let audited = Arc::new(AtomicBool::new(false));
     let auditor = {
         let rt = rt.clone();
         let accounts = Arc::clone(&accounts);
         let stop = Arc::clone(&stop);
+        let audited = Arc::clone(&audited);
         let label = kind.label().to_string();
         std::thread::spawn(move || {
             let mut audits = 0u64;
@@ -42,10 +44,16 @@ fn transfer_matrix_cell(backend: BackendKind, wait: WaitPolicy, kind: &Scheduler
                      wait={wait:?} scheduler={label}"
                 );
                 audits += 1;
+                audited.store(true, Ordering::Relaxed);
             }
             audits
         })
     };
+    // Handshake: on a small host the writers can finish before the auditor
+    // thread first runs, so they start only after its first audit.
+    while !audited.load(Ordering::Relaxed) {
+        std::thread::yield_now();
+    }
     let handles: Vec<_> = (0..THREADS)
         .map(|t| {
             let rt = rt.clone();

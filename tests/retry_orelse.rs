@@ -4,7 +4,7 @@
 //! * **checkpoint isolation** — writes made by a retried `or_else` branch
 //!   never become visible, at any nesting depth, even when the branch
 //!   overwrote values written before it (property-tested against a pure
-//!   model);
+//!   model, over an inline and a boxed value type);
 //! * **read-set union** — a retry escaping both branches parks on the union
 //!   of both read sets: a commit touching only the *second* branch's reads
 //!   must wake it;
@@ -24,6 +24,7 @@ use std::time::Duration;
 use proptest::prelude::*;
 
 use shrink::prelude::*;
+use shrink::stm::TxValue;
 
 /// Stress scaling: 1 in normal runs, larger under `SHRINK_STRESS=1`.
 fn stress_factor() -> usize {
@@ -73,15 +74,21 @@ fn segment_strategy(vars: usize) -> impl Strategy<Value = Segment> {
     )
 }
 
+/// A value type the model test runs over: `u64` takes the cells' inline
+/// path, `Box<u64>` the boxed one (and with it the write log's boxed
+/// entries and moved-out undo records).
+trait Val: TxValue + From<u64> + PartialEq + std::fmt::Debug {}
+impl<V: TxValue + From<u64> + PartialEq + std::fmt::Debug> Val for V {}
+
 /// Runs one segment transactionally: its writes, then its nested or_else.
-fn run_segment(tx: &mut Tx<'_>, vars: &[TVar<u64>], seg: &Segment) -> TxResult<()> {
+fn run_segment<V: Val>(tx: &mut Tx<'_>, vars: &[TVar<V>], seg: &Segment) -> TxResult<()> {
     for &(v, val) in &seg.writes {
-        tx.write(&vars[v], val)?;
+        tx.write(&vars[v], V::from(val))?;
     }
     tx.or_else(
         |tx| {
             for &(v, val) in &seg.inner_first {
-                tx.write(&vars[v], val)?;
+                tx.write(&vars[v], V::from(val))?;
             }
             if seg.inner_first_retries {
                 tx.retry()
@@ -91,7 +98,7 @@ fn run_segment(tx: &mut Tx<'_>, vars: &[TVar<u64>], seg: &Segment) -> TxResult<(
         },
         |tx| {
             for &(v, val) in &seg.inner_second {
-                tx.write(&vars[v], val)?;
+                tx.write(&vars[v], V::from(val))?;
             }
             Ok(())
         },
@@ -99,7 +106,7 @@ fn run_segment(tx: &mut Tx<'_>, vars: &[TVar<u64>], seg: &Segment) -> TxResult<(
 }
 
 /// Runs the right-associated `or_else` chain; returns the winning index.
-fn run_chain(tx: &mut Tx<'_>, vars: &[TVar<u64>], segs: &[Segment]) -> TxResult<usize> {
+fn run_chain<V: Val>(tx: &mut Tx<'_>, vars: &[TVar<V>], segs: &[Segment]) -> TxResult<usize> {
     let (first, rest) = segs.split_first().expect("chain is non-empty");
     if rest.is_empty() {
         run_segment(tx, vars, first)?;
@@ -150,6 +157,43 @@ fn model_chain(segs: &[Segment]) -> (HashMap<usize, u64>, usize) {
     unreachable!("loop returns at the last segment");
 }
 
+/// Runs prefix writes plus the chain over six `TVar<V>`s and compares the
+/// committed state with the model.
+fn check_chain<V: Val>(prefix: &[(usize, u64)], segs: &[Segment]) -> Result<(), TestCaseError> {
+    let rt = TmRuntime::new();
+    let vars: Vec<TVar<V>> = (0..6).map(|_| TVar::new(V::from(u64::MAX))).collect();
+    let winner = rt.run(|tx| {
+        for &(v, val) in prefix {
+            tx.write(&vars[v], V::from(val))?;
+        }
+        run_chain(tx, &vars, segs)
+    });
+
+    // Model: prefix writes, then the winning segment on top.
+    let mut expected: HashMap<usize, u64> = HashMap::new();
+    for &(v, val) in prefix {
+        expected.insert(v, val);
+    }
+    let (winner_state, expected_winner) = model_chain(segs);
+    for (v, val) in winner_state {
+        expected.insert(v, val);
+    }
+    prop_assert_eq!(winner, expected_winner);
+    for (i, var) in vars.iter().enumerate() {
+        let expected_val = V::from(expected.get(&i).copied().unwrap_or(u64::MAX));
+        prop_assert!(
+            var.snapshot() == expected_val,
+            "var {} diverged from the model (winner {}): {:?} != {:?}",
+            i,
+            winner,
+            var.snapshot(),
+            expected_val
+        );
+    }
+    prop_assert!(rt.stats().aborts == 0, "or_else handles retries inline");
+    Ok(())
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
@@ -165,37 +209,8 @@ proptest! {
         // blocks (that path is exercised by the wakeup tests below).
         segs.last_mut().expect("non-empty").retries = false;
 
-        let rt = TmRuntime::new();
-        let vars: Vec<TVar<u64>> = (0..6).map(|_| TVar::new(u64::MAX)).collect();
-        let winner = rt.run(|tx| {
-            for &(v, val) in &prefix {
-                tx.write(&vars[v], val)?;
-            }
-            run_chain(tx, &vars, &segs)
-        });
-
-        // Model: prefix writes, then the winning segment on top.
-        let mut expected: HashMap<usize, u64> = HashMap::new();
-        for &(v, val) in &prefix {
-            expected.insert(v, val);
-        }
-        let (winner_state, expected_winner) = model_chain(&segs);
-        for (v, val) in winner_state {
-            expected.insert(v, val);
-        }
-        prop_assert_eq!(winner, expected_winner);
-        for (i, var) in vars.iter().enumerate() {
-            let expected_val = expected.get(&i).copied().unwrap_or(u64::MAX);
-            prop_assert!(
-                var.snapshot() == expected_val,
-                "var {} diverged from the model (winner {}): {} != {}",
-                i,
-                winner,
-                var.snapshot(),
-                expected_val
-            );
-        }
-        prop_assert!(rt.stats().aborts == 0, "or_else handles retries inline");
+        check_chain::<u64>(&prefix, &segs)?;
+        check_chain::<Box<u64>>(&prefix, &segs)?;
     }
 
     /// try_push/try_pop round-trips preserve queue contents exactly (the

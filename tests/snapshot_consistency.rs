@@ -199,12 +199,15 @@ fn read_only_snapshot_stress(backend: BackendKind, wait: WaitPolicy, kind: Sched
         .build();
     let vars: Arc<Vec<TVar<u64>>> = Arc::new((0..VARS).map(|_| TVar::new(0)).collect());
     let stop = Arc::new(AtomicBool::new(false));
+    // Readers that completed their first snapshot.
+    let started = Arc::new(AtomicU64::new(0));
 
     let reader_handles: Vec<_> = (0..readers)
         .map(|_| {
             let rt = rt.clone();
             let vars = Arc::clone(&vars);
             let stop = Arc::clone(&stop);
+            let started = Arc::clone(&started);
             std::thread::spawn(move || {
                 let mut observations = 0u64;
                 while !stop.load(Ordering::Relaxed) {
@@ -230,11 +233,20 @@ fn read_only_snapshot_stress(backend: BackendKind, wait: WaitPolicy, kind: Sched
                         "tag {tag} not produced by any writer round"
                     );
                     observations += 1;
+                    if observations == 1 {
+                        started.fetch_add(1, Ordering::Relaxed);
+                    }
                 }
                 observations
             })
         })
         .collect();
+    // Handshake: on a small host the writers can finish before a reader
+    // thread first runs, so they start only once every reader has taken a
+    // snapshot.
+    while started.load(Ordering::Relaxed) < readers as u64 {
+        std::thread::yield_now();
+    }
 
     let writer_handles: Vec<_> = (0..writers)
         .map(|w| {
