@@ -1,8 +1,8 @@
 //! # shrink-bench — figure regeneration harness
 //!
-//! One binary per figure of the paper (see DESIGN.md §5 for the index),
-//! plus Criterion micro-benchmarks. Binaries share the option parsing,
-//! runtime construction and table formatting in this library.
+//! One binary per figure of the paper (see DESIGN.md §5 for the index).
+//! Binaries share the option parsing, runtime construction and table
+//! formatting in this library.
 //!
 //! Every binary accepts:
 //!

@@ -4,9 +4,9 @@
 //! through one process-wide mutex (the paper implements it with a pthread
 //! mutex). This wrapper adds the piece Shrink needs on top: a counter of
 //! threads currently serialized (waiting for or holding the lock), which is
-//! the *serialization affinity* signal, and per-thread ownership tracking so
-//! `on_finish` can release exactly when the paper's Algorithm 1
-//! says "if own global lock then unlock".
+//! the *serialization affinity* signal, and the holder's id so `on_finish`
+//! can release exactly when the paper's Algorithm 1 says "if own global
+//! lock then unlock".
 //!
 //! The backing is the futex-parked [`RawMutex`]: a queued transaction
 //! sleeps in the kernel instead of burning its core, which is precisely the
@@ -20,10 +20,10 @@ use parking_lot::lock_api::RawMutex as _;
 use parking_lot::RawMutex;
 use shrink_stm::ThreadId;
 
-use crate::slots::ThreadSlots;
+/// `owner` while nobody holds the lock: out of every `ThreadId`'s range.
+const NO_OWNER: u32 = u32::MAX;
 
-/// A global mutex with a serialized-thread counter and per-thread ownership
-/// bookkeeping.
+/// A global mutex with a serialized-thread counter and its holder's id.
 pub struct SerialLock {
     raw: RawMutex,
     /// Exact count of threads between `acquire`'s entry and
@@ -39,7 +39,10 @@ pub struct SerialLock {
     /// holders — `wait_count` is exact, never an estimate, across the
     /// futex park/unpark boundary.
     waiting: AtomicU32,
-    holds: ThreadSlots<AtomicU32>,
+    /// The holder's `ThreadId`, or [`NO_OWNER`]. Written only by the
+    /// holder, inside its critical section, so a thread reads its own id
+    /// here exactly while it holds the lock; `Relaxed` suffices.
+    owner: AtomicU32,
 }
 
 impl SerialLock {
@@ -48,7 +51,7 @@ impl SerialLock {
         SerialLock {
             raw: RawMutex::INIT,
             waiting: AtomicU32::new(0),
-            holds: ThreadSlots::new(|| AtomicU32::new(0)),
+            owner: AtomicU32::new(NO_OWNER),
         }
     }
 
@@ -63,27 +66,25 @@ impl SerialLock {
     /// (parked) until the lock is acquired. No-op if the thread already
     /// holds it.
     pub fn acquire(&self, me: ThreadId) {
-        let held = self.holds.get(me);
-        if held.load(Ordering::Relaxed) != 0 {
+        if self.is_held_by(me) {
             return;
         }
         // Count first, block second: a parked thread is always visible in
         // the affinity signal.
         self.waiting.fetch_add(1, Ordering::SeqCst);
         self.raw.lock();
-        held.store(1, Ordering::Relaxed);
+        self.owner.store(u32::from(me.as_u16()), Ordering::Relaxed);
     }
 
     /// Releases the lock if the calling thread holds it; returns whether a
     /// release happened.
     pub fn release_if_held(&self, me: ThreadId) -> bool {
-        let held = self.holds.get(me);
-        if held.load(Ordering::Relaxed) == 0 {
+        if !self.is_held_by(me) {
             return false;
         }
-        held.store(0, Ordering::Relaxed);
-        // SAFETY: this thread holds the raw mutex (tracked by `holds`, which
-        // is written only by the owning thread between acquire/release).
+        self.owner.store(NO_OWNER, Ordering::Relaxed);
+        // SAFETY: this thread holds the raw mutex (`owner` named it, and
+        // only the holder writes `owner`).
         unsafe {
             self.raw.unlock();
         }
@@ -95,9 +96,7 @@ impl SerialLock {
 
     /// True if `me` currently holds the lock.
     pub fn is_held_by(&self, me: ThreadId) -> bool {
-        self.holds
-            .try_get(me)
-            .is_some_and(|h| h.load(Ordering::Relaxed) != 0)
+        self.owner.load(Ordering::Relaxed) == u32::from(me.as_u16())
     }
 }
 
@@ -133,6 +132,10 @@ mod tests {
         lock.acquire(me);
         assert!(lock.is_held_by(me));
         assert_eq!(lock.wait_count(), 1);
+        let other = tid(2);
+        assert!(!lock.release_if_held(other), "only the holder releases");
+        assert!(!lock.is_held_by(other));
+        assert!(lock.is_held_by(me));
         assert!(lock.release_if_held(me));
         assert!(!lock.is_held_by(me));
         assert_eq!(lock.wait_count(), 0);

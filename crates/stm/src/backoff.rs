@@ -48,7 +48,7 @@ const BACKOFF_CEILING: u32 = 10;
 /// `2^BACKOFF_CEILING` pause units, with a cheap multiplicative-hash jitter
 /// so threads that abort together do not retry in lockstep.
 ///
-/// For [`WaitPolicy::Preemptive`] the *busy* portion is additionally capped at [`BACKOFF_BUSY_CAP`] pause units; the
+/// For [`WaitPolicy::Preemptive`] the *busy* portion is additionally capped at `BACKOFF_BUSY_CAP` pause units; the
 /// excess is served as a single bounded sleep, so an abort storm backs off
 /// without pegging cores. [`WaitPolicy::Busy`] is deliberately exempt: it
 /// is the paper's pathological baseline (Figures 8–11 measure precisely

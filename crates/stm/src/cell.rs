@@ -1,6 +1,6 @@
 //! Lock-free value storage for transactional variables.
 //!
-//! Each [`TVar`](crate::TVar) keeps its current value in a [`ValueCell`],
+//! Each [`TVar`](crate::TVar) keeps its current value in a `ValueCell`,
 //! which picks one of two lock-free representations at construction time
 //! (the choice is a compile-time constant per `T`, so the dispatch branch
 //! predicts perfectly):
@@ -19,7 +19,7 @@
 //!   until all pinned readers have moved on (see `vendor/crossbeam` and
 //!   DESIGN.md §7).
 //!
-//! A write log buffers values as [`Staged`]: the same two representations,
+//! A write log buffers values as `Staged`: the same two representations,
 //! detached from any cell.
 //!
 //! Neither path acquires a mutex or rwlock. Combined with the orec

@@ -1,12 +1,11 @@
 //! Per-thread *attempt epochs*: the epoch-futex oracle schedulers wait on.
 //!
-//! Every registered thread carries an [`EventCount`](parking_lot::EventCount)
-//! that the runtime advances (bump **and wake**) each time an attempt
-//! finishes — after the scheduler's `on_finish` hook has run, so
-//! a woken waiter observes the enemy's bookkeeping fully settled. The
-//! CAR-STM-style Serializer uses this to *sleep* until its enemy finishes
-//! the conflicting transaction instead of burning a `yield_now` poll loop
-//! (DESIGN.md §8.5), and the conflict paths in `txn.rs` stamp the enemy's
+//! Every registered thread carries an [`EventCount`] that the runtime
+//! advances (bump **and wake**) each time an attempt finishes — after the
+//! scheduler's `on_finish` hook has run, so a woken waiter observes the
+//! enemy's bookkeeping fully settled. The CAR-STM-style Serializer uses
+//! this to *sleep* until its enemy finishes the conflicting transaction
+//! instead of burning a `yield_now` poll loop (DESIGN.md §8.5), and the conflict paths in `txn.rs` stamp the enemy's
 //! epoch into the [`Abort`](crate::Abort) at detection time so the victim
 //! never serializes behind the wrong transaction.
 //!

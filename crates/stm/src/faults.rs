@@ -7,7 +7,7 @@
 //! [`failpoint!`](crate::failpoint) probe. With the `faults` cargo feature
 //! **off** (the default) every probe compiles to a `const false` and the
 //! instrumented code is byte-identical to uninstrumented code. With the
-//! feature **on**, an installed [`ScheduleBuilder`] schedule injects, from a
+//! feature **on**, an installed `ScheduleBuilder` schedule injects, from a
 //! seeded deterministic stream:
 //!
 //! * **delays** — a short sleep, widening race windows;

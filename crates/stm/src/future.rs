@@ -6,7 +6,7 @@
 //! `FnMut(&mut Tx)` closure — attempts run to completion *inside*
 //! [`poll`](Future::poll), never across an `.await` point — but a
 //! [`Tx::retry`] that would park the OS thread instead registers a
-//! [`Waker`]-backed parker on the per-stripe waitlist and returns
+//! [`Waker`](std::task::Waker)-backed parker on the per-stripe waitlist and returns
 //! [`Poll::Pending`]. The committing writer that would have issued a futex
 //! wake delivers the waker at the exact same protocol point, so one commit
 //! wakes thread-parked and future-suspended waiters alike (DESIGN.md §12).
@@ -34,8 +34,7 @@
 //! Dropping a suspended `TxFuture` is the async analogue of a panic
 //! unwinding out of [`TmRuntime::run`]: the drop handler deregisters the
 //! parker from every watched bucket (no waitlist slot leaks, no stray wake
-//! reaches a dead task) and reports
-//! [`AttemptEnd::Abandoned`](crate::sched::AttemptEnd::Abandoned) to the
+//! reaches a dead task) and reports [`AttemptEnd::Abandoned`] to the
 //! scheduler so policies that tracked the blocked transaction can clean
 //! up. No stripe lock can be held at that point — a future only suspends
 //! after its attempt rolled back — so the report never observes locked

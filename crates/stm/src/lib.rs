@@ -33,12 +33,12 @@
 //!   suspends the task with a `Waker`-backed parker on the same per-stripe
 //!   waitlists instead of parking a thread, so 100k+ blocked consumers fit
 //!   on a handful of executor workers (DESIGN.md §12);
-//! * cross-runtime blocking ([`retry_select`] and the [`registry`]
-//!   module): every runtime is published in a process-global registry, and
+//! * cross-runtime blocking ([`retry_select`] and the [`select`] module):
 //!   a select over arms bound to *different* runtimes parks one parker
 //!   across all their waitlists — the deliberate-sharing counterpart of
 //!   the accidental-sharing [`TmError::ForeignTVar`] refusal
-//!   (DESIGN.md §13).
+//!   (DESIGN.md §13). `run` is the same thread-side wait loop with one
+//!   arm.
 //!
 //! ## Quick start
 //!
@@ -86,9 +86,9 @@ pub mod faults;
 pub mod future;
 mod log;
 pub mod orec;
-pub mod registry;
 pub mod runtime;
 pub mod sched;
+pub mod select;
 pub mod stats;
 pub mod tarray;
 pub mod thread;
@@ -103,11 +103,9 @@ pub use epoch::{AttemptEpochs, EpochTable, EpochWaitOutcome, NoEpochs};
 pub use error::{Abort, AbortReason, TmError, TxResult};
 pub use faults::{FaultKind, FaultSite};
 pub use future::{atomically_async, TxFuture};
-pub use registry::{
-    lookup_runtime, retry_select, retry_select_deadline, select_stats, SelectArm, SelectStats,
-};
 pub use runtime::{atomically, quiesce, TmBuilder, TmRuntime};
 pub use sched::{AttemptEnd, NoopScheduler, SchedCtx, TxScheduler};
+pub use select::{retry_select, retry_select_deadline, select_stats, SelectArm, SelectStats};
 pub use stats::{ThreadStats, TmStats};
 pub use tarray::TArray;
 pub use thread::ThreadId;

@@ -1,5 +1,6 @@
 //! The transactional-memory runtime: configuration, thread registration and
-//! the retry loop.
+//! the attempt step every transaction driver runs (the thread-side wait
+//! loop around it lives in [`select`](crate::select)).
 
 use std::cell::RefCell;
 use std::collections::HashMap;
@@ -8,7 +9,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use crate::backoff::{pause, retry_backoff};
+use crate::backoff::pause;
 use crate::clock::GlobalClock;
 use crate::config::{BackendKind, TmConfig, TxnKind, WaitPolicy};
 use crate::error::{AbortReason, TmError, TxResult};
@@ -16,12 +17,13 @@ use crate::faults::FaultSite;
 use crate::log::{with_logs, ReadEntry};
 use crate::orec::OrecTable;
 use crate::sched::{AttemptEnd, NoopScheduler, SchedCtx, TxScheduler};
+use crate::select::wait_rounds;
 use crate::stats::{ThreadStats, TmStats};
 use crate::thread::{bump, ThreadCtx, ThreadId, ThreadRegistry};
 use crate::txn::{ReadTx, Tx};
 use crate::varid::VarId;
 use crate::visible::VisibleWrites;
-use crate::waitlist::{park_thread, RetryStats, RetryWaitOutcome, StripeWaitlist, WaitArm};
+use crate::waitlist::{RetryStats, StripeWaitlist, WaitArm};
 
 static NEXT_RUNTIME_ID: AtomicU64 = AtomicU64::new(1);
 
@@ -56,16 +58,6 @@ pub(crate) struct RuntimeInner {
     pub(crate) retry_waits: StripeWaitlist,
 }
 
-impl Drop for RuntimeInner {
-    fn drop(&mut self) {
-        // The last handle is gone: remove the process-global registry entry
-        // so `registry::lookup` stops resolving this id. (The entry holds a
-        // Weak, so lookups already failed to upgrade; this reclaims the
-        // slot.)
-        crate::registry::deregister_runtime(self.id);
-    }
-}
-
 /// How one read-write attempt left the transaction — what
 /// [`RuntimeInner::attempt`] hands its drivers. The drivers differ only in
 /// how they wait on `Blocked` and `Aborted` (DESIGN.md §12.2).
@@ -80,16 +72,6 @@ pub(crate) enum Attempt<T> {
     Aborted,
     /// A non-retryable error ended the transaction.
     Fatal(TmError),
-}
-
-/// How [`run_until_block`](TmRuntime::run_until_block) left the
-/// transaction: committed with a value, or rolled back at a deliberate
-/// [`Tx::retry`] with the wait plan it would have parked on.
-pub(crate) enum BlockOutcome<T> {
-    /// An attempt committed.
-    Committed(T),
-    /// The body retried; see [`Attempt::Blocked`].
-    Blocked(Vec<(usize, u64)>),
 }
 
 /// The scheduler bracket around one transaction attempt — the only place
@@ -402,9 +384,6 @@ impl TmBuilder {
             scheduler: self.scheduler,
             config: self.config,
         });
-        // Publish the runtime in the process-global registry so
-        // `registry::lookup` and cross-runtime selects can reach it by id.
-        crate::registry::register_runtime(&inner);
         TmRuntime { inner }
     }
 }
@@ -519,7 +498,7 @@ impl TmRuntime {
     /// [`run_with_deadline`]: TmRuntime::run_with_deadline
     pub fn run<T>(&self, body: impl FnMut(&mut Tx<'_>) -> TxResult<T>) -> T {
         // Unbounded: the only error left is the foreign `TVar` program bug.
-        self.run_attempts(u64::MAX, None, body)
+        self.run_arm(u64::MAX, None, body)
             .unwrap_or_else(|err| panic!("{err}"))
     }
 
@@ -536,7 +515,7 @@ impl TmRuntime {
         max_attempts: u64,
         body: impl FnMut(&mut Tx<'_>) -> TxResult<T>,
     ) -> Result<T, TmError> {
-        self.run_attempts(max_attempts, None, body)
+        self.run_arm(max_attempts, None, body)
     }
 
     /// Runs `body` as a transaction, retrying until it commits or until
@@ -579,7 +558,7 @@ impl TmRuntime {
         deadline: Instant,
         body: impl FnMut(&mut Tx<'_>) -> TxResult<T>,
     ) -> Result<T, TmError> {
-        self.run_attempts(u64::MAX, Some(deadline), body)
+        self.run_arm(u64::MAX, Some(deadline), body)
     }
 
     /// Runs `first` as a transaction, falling back to `second` whenever
@@ -694,94 +673,18 @@ impl TmRuntime {
         let ctx = self.current_ctx();
         with_logs(|logs| read_only_loop(&self.inner, &ctx, &mut logs.read_log, max_attempts, body))
     }
-    // One bracket per read-only transaction, kind-tagged: internal
-    // snapshot restarts are invisible to the scheduler. Every abnormal
-    // exit (body panic, foreign access, exhausted budget) drops the
-    // guard, which closes the bracket as `Abandoned`.
-    /// Runs `body` until it either commits or deliberately blocks: the
-    /// abort loop every thread driver shares. Conflict aborts re-run the
-    /// attempt step with the usual backoff, counting into `attempts` and
-    /// giving up once an aborted attempt exhausts `max_attempts`; a blocked
-    /// attempt's wait plan is handed to the caller — [`run`](TmRuntime::run)
-    /// and its siblings park on this runtime's waitlist with it, the
-    /// cross-runtime select
-    /// ([`registry::retry_select`](crate::registry::retry_select)) parks one
-    /// parker across *several* runtimes' waitlists.
-    pub(crate) fn run_until_block<T>(
-        &self,
-        ctx: &ThreadCtx,
-        attempts: &mut u64,
-        max_attempts: u64,
-        mut body: impl FnMut(&mut Tx<'_>) -> TxResult<T>,
-    ) -> Result<BlockOutcome<T>, TmError> {
-        let inner = &*self.inner;
-        let mut consecutive_aborts: u32 = 0;
-        loop {
-            *attempts += 1;
-            let attempts = *attempts;
-            match inner.attempt(ctx, &mut body) {
-                Attempt::Committed(value) => return Ok(BlockOutcome::Committed(value)),
-                Attempt::Blocked(plan) => return Ok(BlockOutcome::Blocked(plan)),
-                Attempt::Fatal(err) => return Err(err),
-                Attempt::Aborted if attempts >= max_attempts => {
-                    return Err(TmError::RetryLimitExceeded { attempts });
-                }
-                Attempt::Aborted => {
-                    consecutive_aborts += 1;
-                    retry_backoff(
-                        inner.config.wait_policy,
-                        consecutive_aborts,
-                        ctx.id().as_u16() as u64,
-                    );
-                }
-            }
-        }
-    }
 
-    fn run_attempts<T>(
+    /// The one-arm wait loop behind `run` and its siblings, booking its
+    /// parks into this runtime's `RetryStats`.
+    fn run_arm<T>(
         &self,
         max_attempts: u64,
         deadline: Option<Instant>,
-        mut body: impl FnMut(&mut Tx<'_>) -> TxResult<T>,
+        body: impl FnMut(&mut Tx<'_>) -> TxResult<T>,
     ) -> Result<T, TmError> {
-        let ctx = self.current_ctx();
-        let inner = &*self.inner;
-        // Sampled only for deadline-bounded runs, to report `waited`.
-        let started = deadline.map(|_| Instant::now());
-        let mut attempts: u64 = 0;
-        loop {
-            // Waking from the park below is progress, not an abort storm:
-            // each round starts its backoff afresh.
-            let outcome = self.run_until_block(&ctx, &mut attempts, max_attempts, &mut body)?;
-            let wait_plan = match outcome {
-                BlockOutcome::Committed(value) => return Ok(value),
-                BlockOutcome::Blocked(plan) => plan,
-            };
-            if attempts >= max_attempts {
-                return Err(TmError::RetryLimitExceeded { attempts });
-            }
-            // Park until a commit overwrites something the attempt read. A
-            // deadline-bounded run never parks past its deadline; once the
-            // deadline passed the wait degenerates to one
-            // registration-and-revalidate pass.
-            let round = Instant::now() + inner.config.retry_wait;
-            let bound = deadline.map_or(round, |d| round.min(d));
-            let outcome = park_thread(
-                &[inner.wait_arm(&wait_plan)],
-                bound,
-                &inner.retry_waits.waits,
-            );
-            if let Some(d) = deadline {
-                // A real wake (or a changed read set) earns one more
-                // attempt even at the deadline; only an expired wait with
-                // nothing new gives up.
-                if outcome == RetryWaitOutcome::TimedOut && Instant::now() >= d {
-                    return Err(TmError::RetryTimeout {
-                        waited: started.expect("deadline implies start").elapsed(),
-                    });
-                }
-            }
-        }
+        let waits = &self.inner.retry_waits.waits;
+        wait_rounds(&mut [(self, body)], max_attempts, deadline, None, waits)
+            .map(|(_, value)| value)
     }
 
     /// Takes a statistics snapshot over all registered threads.

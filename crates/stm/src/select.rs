@@ -1,110 +1,169 @@
-//! Process-global runtime registry and cross-runtime blocking select.
+//! The thread-side wait loop and the cross-runtime blocking select built
+//! on it.
 //!
-//! PR 8 made cross-runtime `TVar` *touch* a typed refusal
+//! Touching a `TVar` from another runtime is a typed refusal
 //! ([`TmError::ForeignTVar`]): a sharded deployment that accidentally
 //! shares a variable fails loud instead of losing wakeups. This module is
-//! the *deliberate* counterpart — the ROADMAP's named gap. A thread that
-//! must wait for "whichever of these shards changes first" cannot express
-//! that with per-runtime [`TmRuntime::run`] calls: each call parks on one
-//! runtime's waitlist and is deaf to commits on every other shard.
+//! the *deliberate* counterpart. A thread that must wait for "whichever of
+//! these shards changes first" cannot express that with per-runtime
+//! [`TmRuntime::run`] calls: each call parks on one runtime's waitlist and
+//! is deaf to commits on every other shard.
 //!
-//! Two pieces close the gap:
+//! The **cross-runtime select** ([`retry_select`] /
+//! [`retry_select_deadline`]) closes the gap: each [`SelectArm`] is an
+//! ordinary transaction body bound to its own runtime; the select runs
+//! every arm until one commits (done: that arm's value is returned) or
+//! every arm blocks in [`Tx::retry`], and then parks **one** parker on the
+//! union of every arm's read-set stripes *across all the involved runtimes'
+//! waitlists*, so a commit on any shard wakes the thread.
 //!
-//! * a **registry** — every [`TmRuntime`] is published here at build (and
-//!   withdrawn when its last handle drops), so shard ids resolve back to
-//!   live runtimes ([`lookup_runtime`]);
-//! * a **cross-runtime select** ([`retry_select`] /
-//!   [`retry_select_deadline`]) — each [`SelectArm`] is an ordinary
-//!   transaction body on its own runtime; the select runs every arm until
-//!   it either commits (done: that arm's value is returned) or blocks in
-//!   [`Tx::retry`], and when *all* arms block it registers **one** parker
-//!   on the union of every arm's read-set stripes *across all the involved
-//!   runtimes' waitlists*, so a commit on any shard wakes the thread.
+//! [`TmRuntime::run`] and its siblings are the same loop with one arm.
 //!
 //! # Lost-wakeup protocol
 //!
-//! The park is the single-runtime retry wait with one arm per select arm:
-//! the same register → `SeqCst` fence → validate → park → deregister
-//! function ([`waitlist`](crate::waitlist) module docs) registers the
-//! thread's one parker on every involved runtime's waitlist, validates
-//! every arm's plan against its own runtime's orec table, and sleeps. The
-//! commit side needs no changes at all: `notify_commit` on any involved
-//! runtime advances the select's parker exactly as it would a native
-//! waiter. Rounds are booked into [`select_stats`], not into any runtime's
-//! `RetryStats`.
+//! The park is the register → `SeqCst` fence → validate → park →
+//! deregister function of the [`waitlist`](crate::waitlist) module docs,
+//! with one wait arm per select arm: it registers the thread's one parker
+//! on every involved runtime's waitlist, validates every arm's plan
+//! against its own runtime's orec table, and sleeps. The commit side needs
+//! no changes at all: `notify_commit` on any involved runtime advances the
+//! select's parker exactly as it would a native waiter. Select rounds are
+//! booked into [`select_stats`], not into any runtime's `RetryStats`;
+//! `run`'s rounds go to its runtime's `RetryStats`.
 //!
 //! Each park round is bounded by the smallest `retry_wait` among the arms'
-//! configurations — the same safety net single-runtime retries have
-//! against waits no commit will ever satisfy.
+//! configurations — the safety net against waits no commit will ever
+//! satisfy — and clamped to the caller's deadline, if any.
 //!
 //! [`TmError::ForeignTVar`]: crate::TmError::ForeignTVar
 
-use std::collections::HashMap;
 use std::fmt;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Weak};
 use std::time::Instant;
 
-use parking_lot::Mutex;
-
+use crate::backoff::retry_backoff;
 use crate::error::{TmError, TxResult};
-use crate::runtime::{BlockOutcome, RuntimeInner, TmRuntime};
+use crate::runtime::{Attempt, TmRuntime};
+use crate::thread::ThreadCtx;
 use crate::txn::Tx;
 use crate::waitlist::{park_thread, RetryWaitOutcome, WaitArm, WaitCounters};
-
-/// Live runtimes by id. Weak entries: the registry must never keep a
-/// runtime alive, only make it findable while someone else does.
-static RUNTIMES: Mutex<Option<HashMap<u64, Weak<RuntimeInner>>>> = Mutex::new(None);
 
 static SELECT_ROUNDS: AtomicU64 = AtomicU64::new(0);
 static SELECT_WAITS: WaitCounters = WaitCounters::new();
 
-/// Publishes a freshly built runtime. Called by `TmBuilder::build`.
-pub(crate) fn register_runtime(inner: &Arc<RuntimeInner>) {
-    let mut map = RUNTIMES.lock();
-    map.get_or_insert_with(HashMap::new)
-        .insert(inner.id, Arc::downgrade(inner));
+/// One arm of [`wait_rounds`]: a transaction body bound to the runtime it
+/// runs on.
+pub(crate) trait Arm<T> {
+    /// The runtime the body runs on.
+    fn runtime(&self) -> &TmRuntime;
+    /// Runs the body once as a read-write attempt on that runtime.
+    fn attempt(&mut self, ctx: &ThreadCtx) -> Attempt<T>;
 }
 
-/// Withdraws a dying runtime's entry. Called by `RuntimeInner::drop`.
-pub(crate) fn deregister_runtime(id: u64) {
-    if let Some(map) = RUNTIMES.lock().as_mut() {
-        map.remove(&id);
+/// The one-arm form `run` uses: no boxing, the body stays generic.
+impl<T, B: FnMut(&mut Tx<'_>) -> TxResult<T>> Arm<T> for (&TmRuntime, B) {
+    #[inline]
+    fn runtime(&self) -> &TmRuntime {
+        self.0
+    }
+
+    #[inline]
+    fn attempt(&mut self, ctx: &ThreadCtx) -> Attempt<T> {
+        self.0.inner.attempt(ctx, &mut self.1)
     }
 }
 
-/// Resolves a runtime id — the value [`TmRuntime::id`] returns and
-/// [`TmError::ForeignTVar`](crate::TmError::ForeignTVar) reports — back to
-/// a live handle, if any handle still exists.
+/// The thread-side wait loop every blocking thread entry point drives.
 ///
-/// This is what lets a sharded service route a foreign-access refusal (or
-/// a cross-shard protocol step) to the owning shard without threading every
-/// runtime handle through every call path.
+/// Each round runs every arm in order through the attempt step — conflict
+/// aborts re-run the arm with the usual backoff, afresh each round — until
+/// one arm commits (its index and value are returned) or blocks in
+/// [`Tx::retry`]. When every arm has blocked, the thread parks once across
+/// all their wait plans, bounded by the smallest `retry_wait` and clamped
+/// to `deadline`.
 ///
-/// # Examples
+/// Each round bumps `rounds`, if given, and each park is booked into
+/// `waits`: `run` books into its runtime's `RetryStats` and counts no
+/// rounds, a select books both into the process-global [`select_stats`].
 ///
-/// ```
-/// use shrink_stm::{registry, TmRuntime};
+/// # Errors
 ///
-/// let rt = TmRuntime::new();
-/// let found = registry::lookup_runtime(rt.id()).expect("still alive");
-/// assert_eq!(found.id(), rt.id());
-/// drop(found);
-/// drop(rt);
-/// // The last handle is gone: the id no longer resolves.
-/// ```
-pub fn lookup_runtime(id: u64) -> Option<TmRuntime> {
-    let map = RUNTIMES.lock();
-    let inner = map.as_ref()?.get(&id)?.upgrade()?;
-    Some(TmRuntime { inner })
-}
-
-/// Number of live runtimes currently published in the registry.
-pub fn registered_runtimes() -> usize {
-    RUNTIMES
-        .lock()
-        .as_ref()
-        .map_or(0, |m| m.values().filter(|w| w.strong_count() > 0).count())
+/// [`TmError::RetryLimitExceeded`] once `max_attempts` attempts (over all
+/// arms and rounds) are used; [`TmError::RetryTimeout`] when a park expires
+/// past `deadline` with nothing changed — a wake, or a plan that changed
+/// before the park, earns one more round even at the deadline; and an
+/// arm's [`TmError::ForeignTVar`].
+pub(crate) fn wait_rounds<T>(
+    arms: &mut [impl Arm<T>],
+    max_attempts: u64,
+    deadline: Option<Instant>,
+    rounds: Option<&AtomicU64>,
+    waits: &WaitCounters,
+) -> Result<(usize, T), TmError> {
+    // Sampled only for deadline-bounded waits, to report `waited`.
+    let started = deadline.map(|_| Instant::now());
+    let mut attempts: u64 = 0;
+    let mut plans: Vec<Vec<(usize, u64)>> = Vec::new();
+    loop {
+        if let Some(rounds) = rounds {
+            rounds.fetch_add(1, Ordering::Relaxed);
+        }
+        plans.clear();
+        for (i, arm) in arms.iter_mut().enumerate() {
+            let ctx = arm.runtime().current_ctx();
+            // Waking from a park is progress, not an abort storm: each
+            // round starts the backoff afresh.
+            let mut consecutive_aborts: u32 = 0;
+            loop {
+                attempts += 1;
+                match arm.attempt(&ctx) {
+                    Attempt::Committed(value) => return Ok((i, value)),
+                    Attempt::Blocked(plan) => {
+                        plans.push(plan);
+                        break;
+                    }
+                    Attempt::Fatal(err) => return Err(err),
+                    Attempt::Aborted if attempts >= max_attempts => {
+                        return Err(TmError::RetryLimitExceeded { attempts });
+                    }
+                    Attempt::Aborted => {
+                        consecutive_aborts += 1;
+                        retry_backoff(
+                            arm.runtime().config().wait_policy,
+                            consecutive_aborts,
+                            ctx.id().as_u16() as u64,
+                        );
+                    }
+                }
+            }
+        }
+        if attempts >= max_attempts {
+            return Err(TmError::RetryLimitExceeded { attempts });
+        }
+        // Every arm blocked: park one parker across all their waitlists.
+        // Once the deadline passed the park degenerates to one
+        // registration-and-revalidate pass.
+        let round = arms
+            .iter()
+            .map(|arm| arm.runtime().config().retry_wait)
+            .min()
+            .expect("arms is non-empty");
+        let bound = Instant::now() + round;
+        let bound = deadline.map_or(bound, |d| bound.min(d));
+        let wait_arms: Vec<WaitArm<'_>> = arms
+            .iter()
+            .zip(&plans)
+            .map(|(arm, plan)| arm.runtime().inner.wait_arm(plan))
+            .collect();
+        let outcome = park_thread(&wait_arms, bound, waits);
+        if let Some(d) = deadline {
+            if outcome == RetryWaitOutcome::TimedOut && Instant::now() >= d {
+                return Err(TmError::RetryTimeout {
+                    waited: started.expect("deadline implies start").elapsed(),
+                });
+            }
+        }
+    }
 }
 
 /// Wait-op counters of the cross-runtime select path, process-global
@@ -159,6 +218,16 @@ impl<'a, T> SelectArm<'a, T> {
     }
 }
 
+impl<T> Arm<T> for SelectArm<'_, T> {
+    fn runtime(&self) -> &TmRuntime {
+        &self.rt
+    }
+
+    fn attempt(&mut self, ctx: &ThreadCtx) -> Attempt<T> {
+        self.rt.inner.attempt(ctx, &mut *self.body)
+    }
+}
+
 impl<T> fmt::Debug for SelectArm<'_, T> {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.debug_struct("SelectArm")
@@ -176,9 +245,8 @@ impl<T> fmt::Debug for SelectArm<'_, T> {
 ///
 /// # Panics
 ///
-/// Panics if `arms` is empty, and propagates the
-/// [`TmError::ForeignTVar`](crate::TmError::ForeignTVar) panic when an
-/// arm's body touches a `TVar` owned by a *different* runtime than the
+/// Panics if `arms` is empty, and propagates the [`TmError::ForeignTVar`]
+/// panic when an arm's body touches a `TVar` owned by a *different* runtime than the
 /// arm's own (binding arms to the right runtimes is exactly the caller's
 /// contract).
 ///
@@ -187,7 +255,7 @@ impl<T> fmt::Debug for SelectArm<'_, T> {
 /// Wait for a message on whichever of two shards delivers first:
 ///
 /// ```
-/// use shrink_stm::registry::{retry_select, SelectArm};
+/// use shrink_stm::select::{retry_select, SelectArm};
 /// use shrink_stm::{TmRuntime, TVar};
 ///
 /// let shard_a = TmRuntime::new();
@@ -209,7 +277,7 @@ impl<T> fmt::Debug for SelectArm<'_, T> {
 /// ```
 pub fn retry_select<T>(arms: &mut [SelectArm<'_, T>]) -> (usize, T) {
     // Without a deadline the only error left is the foreign `TVar`.
-    select_rounds(arms, None).unwrap_or_else(|err| panic!("{err}"))
+    retry_select_until(arms, None).unwrap_or_else(|err| panic!("{err}"))
 }
 
 /// [`retry_select`] with a blocking bound: once `deadline` passes while
@@ -228,52 +296,21 @@ pub fn retry_select_deadline<T>(
     arms: &mut [SelectArm<'_, T>],
     deadline: Instant,
 ) -> Result<(usize, T), TmError> {
-    select_rounds(arms, Some(deadline))
+    retry_select_until(arms, Some(deadline))
 }
 
-fn select_rounds<T>(
+fn retry_select_until<T>(
     arms: &mut [SelectArm<'_, T>],
     deadline: Option<Instant>,
 ) -> Result<(usize, T), TmError> {
     assert!(!arms.is_empty(), "retry_select needs at least one arm");
-    let started = deadline.map(|_| Instant::now());
-    let mut plans: Vec<Vec<(usize, u64)>> = vec![Vec::new(); arms.len()];
-    loop {
-        SELECT_ROUNDS.fetch_add(1, Ordering::Relaxed);
-        for (i, arm) in arms.iter_mut().enumerate() {
-            let ctx = arm.rt.current_ctx();
-            match arm
-                .rt
-                .run_until_block(&ctx, &mut 0, u64::MAX, &mut *arm.body)?
-            {
-                BlockOutcome::Committed(value) => return Ok((i, value)),
-                BlockOutcome::Blocked(plan) => plans[i] = plan,
-            }
-        }
-        // Every arm blocked: park one parker across all their waitlists.
-        let round = arms
-            .iter()
-            .map(|arm| arm.rt.config().retry_wait)
-            .min()
-            .expect("arms is non-empty");
-        let bound = Instant::now() + round;
-        let bound = deadline.map_or(bound, |d| bound.min(d));
-        let wait_arms: Vec<WaitArm<'_>> = arms
-            .iter()
-            .zip(&plans)
-            .map(|(arm, plan)| arm.rt.inner.wait_arm(plan))
-            .collect();
-        let outcome = park_thread(&wait_arms, bound, &SELECT_WAITS);
-        if let Some(d) = deadline {
-            // A wake (or a changed plan) earns one more round even at the
-            // deadline; only an expired park with nothing new gives up.
-            if outcome == RetryWaitOutcome::TimedOut && Instant::now() >= d {
-                return Err(TmError::RetryTimeout {
-                    waited: started.expect("deadline implies start").elapsed(),
-                });
-            }
-        }
-    }
+    wait_rounds(
+        arms,
+        u64::MAX,
+        deadline,
+        Some(&SELECT_ROUNDS),
+        &SELECT_WAITS,
+    )
 }
 
 #[cfg(test)]
@@ -281,28 +318,6 @@ mod tests {
     use super::*;
     use crate::tvar::TVar;
     use std::time::Duration;
-
-    #[test]
-    fn lookup_resolves_live_runtimes_and_forgets_dead_ones() {
-        let rt = TmRuntime::new();
-        let id = rt.id();
-        let found = lookup_runtime(id).expect("live runtime resolves");
-        assert_eq!(found.id(), id);
-        // Registry entries are weak: dropping every handle kills the entry.
-        drop(found);
-        drop(rt);
-        assert!(lookup_runtime(id).is_none(), "dead id must not resolve");
-    }
-
-    #[test]
-    fn lookup_is_usable_as_a_runtime_handle() {
-        let rt = TmRuntime::new();
-        let v = TVar::new(3u64);
-        rt.run(|tx| tx.write(&v, 4));
-        let via_registry = lookup_runtime(rt.id()).unwrap();
-        let got = via_registry.run(|tx| tx.read(&v));
-        assert_eq!(got, 4);
-    }
 
     #[test]
     fn select_returns_the_already_ready_arm() {
@@ -371,6 +386,10 @@ mod tests {
         assert_eq!(a.retry_waiters(), 0, "deregistered from the loser too");
         assert_eq!(b.retry_waiters(), 0);
         assert!(select_stats().woken >= 1, "the park was wake-ended");
+        // Select parks are booked into the select counters, never into
+        // either runtime's own wait counters.
+        assert_eq!(a.retry_stats().parked_waits, 0);
+        assert_eq!(b.retry_stats().parked_waits, 0);
     }
 
     #[test]

@@ -13,7 +13,7 @@
 //!   installs buffered values.
 //!
 //! The logs are not the transaction's own: a [`Tx`] or [`ReadTx`] works on
-//! the thread's [`TxLogs`], lent by reference for one attempt and taken
+//! the thread's `TxLogs`, lent by reference for one attempt and taken
 //! back cleared (see `log.rs`), so a steady-state transaction allocates
 //! nothing for them. The write log is unboxed — each entry holds its value
 //! in the representation its cell stores — and is indexed by an
@@ -761,7 +761,7 @@ impl TxRead for Tx<'_> {
 ///
 /// * the global clock is sampled **once** at begin (`start_ts`);
 /// * every read snapshots the guarding orec, loads the value through the
-///   lock-free [`ValueCell::load`](crate::cell::ValueCell) path, and
+///   lock-free `ValueCell::load` path, and
 ///   re-snapshots to confirm the stripe did not move;
 /// * a version newer than `start_ts` triggers a timestamp extension
 ///   (revalidate the whole read log against the current clock); a

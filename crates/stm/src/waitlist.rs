@@ -11,9 +11,9 @@
 //! The orec table's stripes are hashed down onto a fixed set of *wait
 //! buckets* (aliasing produces spurious wakeups, never missed ones — the
 //! same trade-off as the orec striping itself). Each bucket holds an exact
-//! waiter count plus a list of registered [`Parker`]s.
+//! waiter count plus a list of registered `Parker`s.
 //!
-//! 1. [`register`] is the waiter half, and the only one: it registers the
+//! 1. `register` is the waiter half, and the only one: it registers the
 //!    waiter's parker on every bucket its read set hashes to — on one
 //!    runtime's waitlist, or on several for a cross-runtime select — and
 //!    **then** validates every read snapshot against the live orec
@@ -23,12 +23,12 @@
 //!    store-buffer window between "publish my registration" and "read your
 //!    version stamp".
 //! 2. If every snapshot is still current, the waiter sleeps. A thread
-//!    ([`park_thread`], used by `run` and by `retry_select`) parks on its
+//!    (`park_thread`, used by `run` and by `retry_select`) parks on its
 //!    parker — a single futex word, regardless of how many stripes or
 //!    runtimes it watches — with a bounded deadline
 //!    ([`TmConfig::retry_wait`]), then deregisters. A future returns
 //!    `Poll::Pending` and deregisters when it is re-polled or dropped.
-//! 3. The commit path calls [`notify_commit`](StripeWaitlist::notify_commit)
+//! 3. The commit path calls `StripeWaitlist::notify_commit`
 //!    with its written stripes *after* the new versions are installed. A
 //!    bucket with zero waiters costs one atomic load; otherwise every
 //!    registered parker is advanced (bump **and wake**).
@@ -40,11 +40,11 @@
 //!
 //! # Two kinds of parker
 //!
-//! * [`Parker::Thread`] — an [`EventCount`](parking_lot::EventCount): the
-//!   waiter is an OS thread that futex-sleeps until the count advances.
-//!   Each thread has one, shared by every place it can block, since a
-//!   thread parks in at most one place at a time.
-//! * [`Parker::Task`] — an [`AsyncParker`]: the waiter is a *future*
+//! * `Parker::Thread` — an [`EventCount`]: the waiter is an OS thread
+//!   that futex-sleeps until the count advances. Each thread has one,
+//!   shared by every place it can block, since a thread parks in at most
+//!   one place at a time.
+//! * `Parker::Task` — an `AsyncParker`: the waiter is a *future*
 //!   ([`TxFuture`](crate::future::TxFuture)) that returned `Poll::Pending`
 //!   instead of blocking a thread. The commit-side advance bumps an atomic
 //!   wake epoch and fires the stored [`Waker`], handing the task back to
@@ -346,7 +346,7 @@ pub struct RetryStats {
     /// another bucket in the same instant — or, for a task, another stripe
     /// of the same commit already consumed the waker).
     pub wasted_wakes: u64,
-    /// Futures suspended with a registered [`AsyncParker`] (the async
+    /// Futures suspended with a registered `AsyncParker` (the async
     /// counterpart of `parked_waits`; a suspension parks a *task*, never a
     /// thread).
     pub async_parks: u64,

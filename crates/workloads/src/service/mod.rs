@@ -15,7 +15,8 @@
 //!   **exact** conservation on audited global snapshots (escrow accounting
 //!   and a freeze-gated audit; see the module docs for the impossibility
 //!   argument that forces this design), and a cross-shard booking flow
-//!   built on the cross-runtime [`retry_select`] registry;
+//!   built on the cross-runtime [`retry_select`], which parks one waiter
+//!   across both shards' waitlists;
 //! * [`traffic`] — an open-loop generator: thousands of simulated clients
 //!   with Zipfian key popularity and bursty exponential inter-arrival
 //!   produce a pre-computed arrival schedule; a bounded worker pool serves

@@ -18,7 +18,7 @@ use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use shrink::prelude::*;
-use shrink::stm::registry;
+use shrink::stm::select_stats;
 use shrink::workloads::service::{BookingOutcome, ShardedStore};
 
 const ACCOUNTS_PER_SHARD: usize = 8;
@@ -48,8 +48,8 @@ fn main() {
     store.set_tx_work(20_000);
     let store = Arc::new(store);
     println!(
-        "two shards ({} runtimes live in the process registry), {} keys, {} minted",
-        registry::registered_runtimes(),
+        "two shards ({} runtimes), {} keys, {} minted",
+        store.n_shards(),
         store.n_keys(),
         store.expected_total()
     );
@@ -68,7 +68,7 @@ fn main() {
     }
     store.release_all_holds();
     assert_eq!(waiter.join().unwrap(), BookingOutcome::Confirmed);
-    assert!(registry::select_stats().parked >= 1);
+    assert!(select_stats().parked >= 1);
     println!(
         "a booking against two sold-out shards parked across both waitlists \
          and was woken by the seat-release commit"
@@ -134,7 +134,7 @@ fn main() {
     for shard in 0..store.n_shards() {
         println!("  shard {shard}: {}", store.runtime(shard).stats());
     }
-    let stats = registry::select_stats();
+    let stats = select_stats();
     println!("  bookings: {confirmed} confirmed, {declined} declined (deadline-compensated)");
     println!(
         "  cross-runtime selects: {} rounds, {} parked, {} woken",

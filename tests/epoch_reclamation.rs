@@ -31,21 +31,16 @@
 //! Set `SHRINK_STRESS=1` (CI stress job) to raise thread counts and
 //! iteration multipliers.
 
+mod common;
+
 use std::collections::HashSet;
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 
+use common::stress_factor;
 use crossbeam::epoch::{self, Atomic, Owned};
 use shrink::prelude::*;
 use shrink::stm::quiesce;
-
-/// Stress scaling: 1 in normal runs, larger under `SHRINK_STRESS=1`.
-fn stress_factor() -> usize {
-    match std::env::var("SHRINK_STRESS") {
-        Ok(v) if !v.is_empty() && v != "0" => 4,
-        _ => 1,
-    }
-}
 
 fn stress_threads(base: usize) -> usize {
     if stress_factor() > 1 {

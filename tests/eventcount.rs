@@ -17,19 +17,14 @@
 //! instead of flaking an assertion. Set `SHRINK_STRESS=1` (CI stress job)
 //! to raise thread counts and iteration multipliers.
 
+mod common;
+
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
+use common::stress_factor;
 use parking_lot::{EventCount, WaitOutcome};
-
-/// Stress scaling: 1 in normal runs, larger under `SHRINK_STRESS=1`.
-fn stress_factor() -> usize {
-    match std::env::var("SHRINK_STRESS") {
-        Ok(v) if !v.is_empty() && v != "0" => 4,
-        _ => 1,
-    }
-}
 
 /// Lost-wakeup hammer: M waiters ride the version from 0 to the target
 /// with *unbounded* waits while N wakers race exactly `target` advances in

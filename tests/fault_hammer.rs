@@ -15,12 +15,15 @@
 
 #![cfg(feature = "faults")]
 
+mod common;
+
 use std::cell::Cell;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard};
 use std::time::{Duration, Instant};
 
+use common::{all_schedulers, stress_factor};
 use shrink::prelude::*;
 use shrink::stm::faults::{self, FaultGuard, ScheduleBuilder};
 use shrink::stm::{FaultKind, FaultSite, TmError};
@@ -39,24 +42,6 @@ fn serialize() -> MutexGuard<'static, ()> {
 /// and reuse phases around them inert, whatever the environment says.
 fn quiet() -> FaultGuard {
     ScheduleBuilder::new(0).rate_per_mille(0).install()
-}
-
-/// Stress scaling: 1 in normal runs, larger under `SHRINK_STRESS=1`.
-fn stress_factor() -> usize {
-    match std::env::var("SHRINK_STRESS") {
-        Ok(v) if !v.is_empty() && v != "0" => 4,
-        _ => 1,
-    }
-}
-
-fn scheduler_matrix() -> Vec<SchedulerKind> {
-    vec![
-        SchedulerKind::Noop,
-        SchedulerKind::shrink_default(),
-        SchedulerKind::ats_default(),
-        SchedulerKind::Pool,
-        SchedulerKind::Serializer(Default::default()),
-    ]
 }
 
 fn build_runtime(kind: &SchedulerKind, wait: WaitPolicy) -> TmRuntime {
@@ -88,7 +73,7 @@ fn total(accounts: &[TVar<i64>]) -> i64 {
 fn mid_commit_panic_leaves_every_scheduler_reusable() {
     let _serial = serialize();
     let _quiet = quiet();
-    for kind in scheduler_matrix() {
+    for kind in all_schedulers() {
         for wait in [WaitPolicy::Preemptive, WaitPolicy::Busy] {
             let rt = build_runtime(&kind, wait);
             let accounts: Vec<TVar<i64>> = (0..4).map(|_| TVar::new(100)).collect();
@@ -217,7 +202,7 @@ fn seeded_hammer_conserves_money() {
     };
     let transfers = 150 * stress_factor();
     for seed in seeds {
-        for kind in scheduler_matrix() {
+        for kind in all_schedulers() {
             for wait in [WaitPolicy::Preemptive, WaitPolicy::Busy] {
                 let rt = build_runtime(&kind, wait);
                 let accounts: Arc<Vec<TVar<i64>>> =

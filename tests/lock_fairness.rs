@@ -19,20 +19,15 @@
 //! Set `SHRINK_STRESS=1` (CI stress job) to raise thread counts and
 //! iteration multipliers.
 
+mod common;
+
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
 
+use common::stress_factor;
 use shrink_core::SerialLock;
 use shrink_stm::ThreadId;
-
-/// Stress scaling: 1 in normal runs, larger under `SHRINK_STRESS=1`.
-fn stress_factor() -> usize {
-    match std::env::var("SHRINK_STRESS") {
-        Ok(v) if !v.is_empty() && v != "0" => 4,
-        _ => 1,
-    }
-}
 
 fn tid(raw: u16) -> ThreadId {
     ThreadId::from_u16(raw)

@@ -4,9 +4,12 @@
 //! transfer writers — conservation must hold on *every* lock-free
 //! snapshot, not just at the end.
 
+mod common;
+
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 
+use common::all_schedulers;
 use shrink::prelude::*;
 
 fn transfer_matrix_cell(backend: BackendKind, wait: WaitPolicy, kind: &SchedulerKind) {
@@ -105,40 +108,30 @@ fn transfer_matrix_cell(backend: BackendKind, wait: WaitPolicy, kind: &Scheduler
     }
 }
 
-fn scheduler_kinds() -> Vec<SchedulerKind> {
-    vec![
-        SchedulerKind::Noop,
-        SchedulerKind::shrink_default(),
-        SchedulerKind::ats_default(),
-        SchedulerKind::Pool,
-        SchedulerKind::Serializer(shrink::sched::SerializerConfig::default()),
-    ]
-}
-
 #[test]
 fn swiss_preemptive_conserves_money_under_all_schedulers() {
-    for kind in scheduler_kinds() {
+    for kind in all_schedulers() {
         transfer_matrix_cell(BackendKind::Swiss, WaitPolicy::Preemptive, &kind);
     }
 }
 
 #[test]
 fn swiss_busy_conserves_money_under_all_schedulers() {
-    for kind in scheduler_kinds() {
+    for kind in all_schedulers() {
         transfer_matrix_cell(BackendKind::Swiss, WaitPolicy::Busy, &kind);
     }
 }
 
 #[test]
 fn tiny_preemptive_conserves_money_under_all_schedulers() {
-    for kind in scheduler_kinds() {
+    for kind in all_schedulers() {
         transfer_matrix_cell(BackendKind::Tiny, WaitPolicy::Preemptive, &kind);
     }
 }
 
 #[test]
 fn tiny_busy_conserves_money_under_all_schedulers() {
-    for kind in scheduler_kinds() {
+    for kind in all_schedulers() {
         transfer_matrix_cell(BackendKind::Tiny, WaitPolicy::Busy, &kind);
     }
 }
@@ -235,14 +228,14 @@ fn blocking_queue_cell(backend: BackendKind, kind: &SchedulerKind) {
 
 #[test]
 fn swiss_blocking_queue_conserves_money_under_all_schedulers() {
-    for kind in scheduler_kinds() {
+    for kind in all_schedulers() {
         blocking_queue_cell(BackendKind::Swiss, &kind);
     }
 }
 
 #[test]
 fn tiny_blocking_queue_conserves_money_under_all_schedulers() {
-    for kind in scheduler_kinds() {
+    for kind in all_schedulers() {
         blocking_queue_cell(BackendKind::Tiny, &kind);
     }
 }

@@ -17,22 +17,17 @@
 //!
 //! Set `SHRINK_STRESS=1` (CI stress job) to raise thread counts and volume.
 
+mod common;
+
 use std::collections::HashMap;
 use std::sync::Arc;
 use std::time::Duration;
 
 use proptest::prelude::*;
 
+use common::stress_factor;
 use shrink::prelude::*;
 use shrink::stm::TxValue;
-
-/// Stress scaling: 1 in normal runs, larger under `SHRINK_STRESS=1`.
-fn stress_factor() -> usize {
-    match std::env::var("SHRINK_STRESS") {
-        Ok(v) if !v.is_empty() && v != "0" => 4,
-        _ => 1,
-    }
-}
 
 /// A runtime whose retry deadline is far beyond the test length: a lost
 /// wakeup hangs instead of being papered over by deadline revalidation.

@@ -14,8 +14,9 @@ use std::time::{Duration, Instant};
 
 use parking_lot::Mutex;
 use shrink::prelude::*;
-use shrink::stm::registry::{retry_select, SelectArm};
-use shrink::stm::{AttemptEnd, ReadTx, SchedCtx, ThreadId, TmError, VarId};
+use shrink::stm::{
+    retry_select, AttemptEnd, ReadTx, SchedCtx, SelectArm, ThreadId, TmError, VarId,
+};
 
 /// How a recorded bracket was closed. `Cancelled` is an `Abandoned` report
 /// that arrived with no bracket open (a suspended future was dropped).

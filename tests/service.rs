@@ -6,16 +6,19 @@
 //!
 //! The store under test is `workloads::service::ShardedStore`: one
 //! `TmRuntime` per shard, four-phase escrow transfers, and two-shard
-//! bookings through the cross-runtime `retry_select` registry. The
-//! auditor takes **freeze-gated distributed snapshots** while transfers
+//! bookings through a cross-runtime `retry_select`, whose arms carry
+//! their own runtimes. The auditor takes **freeze-gated distributed snapshots** while transfers
 //! and bookings are mid-protocol — the invariant must be exact on every
 //! snapshot, not just at the end.
 //!
 //! Set `SHRINK_STRESS=1` (CI stress job) to raise the volume.
 
+mod common;
+
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
+use common::{all_schedulers, stress_factor};
 use shrink::prelude::*;
 use shrink::workloads::service::{
     build_schedule, run_open_loop, BookingOutcome, RequestKind, RequestMix, ShardedStore,
@@ -39,24 +42,6 @@ fn shield() -> (
     let serial = FAULT_LOCK.lock().unwrap_or_else(|p| p.into_inner());
     let quiet = ScheduleBuilder::new(0).rate_per_mille(0).install();
     (serial, quiet)
-}
-
-/// Stress scaling: 1 in normal runs, larger under `SHRINK_STRESS=1`.
-fn stress_factor() -> usize {
-    match std::env::var("SHRINK_STRESS") {
-        Ok(v) if !v.is_empty() && v != "0" => 4,
-        _ => 1,
-    }
-}
-
-fn scheduler_kinds() -> Vec<SchedulerKind> {
-    vec![
-        SchedulerKind::Noop,
-        SchedulerKind::shrink_default(),
-        SchedulerKind::ats_default(),
-        SchedulerKind::Pool,
-        SchedulerKind::Serializer(Default::default()),
-    ]
 }
 
 fn build_store(wait: WaitPolicy, kind: &SchedulerKind) -> ShardedStore {
@@ -147,7 +132,7 @@ fn conservation_cell(wait: WaitPolicy, kind: &SchedulerKind) {
 fn preemptive_conserves_across_shards_under_all_schedulers() {
     #[cfg(feature = "faults")]
     let _shield = shield();
-    for kind in scheduler_kinds() {
+    for kind in all_schedulers() {
         conservation_cell(WaitPolicy::Preemptive, &kind);
     }
 }
@@ -156,7 +141,7 @@ fn preemptive_conserves_across_shards_under_all_schedulers() {
 fn busy_conserves_across_shards_under_all_schedulers() {
     #[cfg(feature = "faults")]
     let _shield = shield();
-    for kind in scheduler_kinds() {
+    for kind in all_schedulers() {
         conservation_cell(WaitPolicy::Busy, &kind);
     }
 }
@@ -233,7 +218,7 @@ mod faulted {
     use std::panic::{catch_unwind, AssertUnwindSafe};
 
     #[test]
-    fn registry_storm_keeps_bookings_correct() {
+    fn select_storm_keeps_bookings_correct() {
         // Serialize on the shared lock and shadow any ambient schedule
         // while setting up; the storm below then installs over the shield.
         let _shield = shield();
@@ -303,13 +288,13 @@ mod faulted {
             );
         }
         // The panic unwound before any arm held capacity: the booking
-        // invariant still balances and the registry is reusable.
+        // invariant still balances and the select is reusable.
         store.audit_bookings();
         store.release_all_holds();
         assert_eq!(
             store.book(0, 1, sink),
             BookingOutcome::Confirmed,
-            "registry reusable after an injected register panic"
+            "select reusable after an injected register panic"
         );
         assert_eq!(store.audit_bookings(), 1);
     }

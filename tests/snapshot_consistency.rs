@@ -20,9 +20,12 @@
 //!
 //! Set `SHRINK_STRESS=1` to raise thread counts and rounds.
 
+mod common;
+
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 
+use common::stress_factor;
 use shrink::prelude::*;
 
 fn snapshot_stress(backend: BackendKind, wait: WaitPolicy, kind: SchedulerKind) {
@@ -84,14 +87,6 @@ fn snapshot_stress(backend: BackendKind, wait: WaitPolicy, kind: SchedulerKind) 
     assert!(vars.iter().all(|v| v.snapshot() == round));
 }
 
-/// Stress scaling: 1 in normal runs, larger under `SHRINK_STRESS=1`.
-fn stress_factor() -> u64 {
-    match std::env::var("SHRINK_STRESS") {
-        Ok(v) if !v.is_empty() && v != "0" => 4,
-        _ => 1,
-    }
-}
-
 /// The same opacity invariants under real multi-writer contention: W writer
 /// threads race to install their own tag across the whole group, so every
 /// commit-time install overlaps other writers' acquires, aborts and
@@ -100,9 +95,9 @@ fn stress_factor() -> u64 {
 /// `round * WRITERS + writer_id`, so tag consistency is checkable).
 fn contended_snapshot_stress(backend: BackendKind, wait: WaitPolicy, kind: SchedulerKind) {
     const VARS: usize = 12;
-    let writers: u64 = 4 * stress_factor().min(2);
-    let readers: usize = (3 * stress_factor().min(2)) as usize;
-    let writer_rounds: u64 = 200 * stress_factor();
+    let writers = 4 * stress_factor().min(2) as u64;
+    let readers = 3 * stress_factor().min(2);
+    let writer_rounds = 200 * stress_factor() as u64;
 
     let rt = TmRuntime::builder()
         .backend(backend)
@@ -188,9 +183,9 @@ fn contended_snapshot_stress(backend: BackendKind, wait: WaitPolicy, kind: Sched
 /// lock-freedom claim, checked rather than assumed.
 fn read_only_snapshot_stress(backend: BackendKind, wait: WaitPolicy, kind: SchedulerKind) {
     const VARS: usize = 12;
-    let writers: u64 = 4 * stress_factor().min(2);
-    let readers: usize = (3 * stress_factor().min(2)) as usize;
-    let writer_rounds: u64 = 200 * stress_factor();
+    let writers = 4 * stress_factor().min(2) as u64;
+    let readers = 3 * stress_factor().min(2);
+    let writer_rounds = 200 * stress_factor() as u64;
 
     let rt = TmRuntime::builder()
         .backend(backend)

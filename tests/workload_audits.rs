@@ -2,8 +2,11 @@
 //! under both backends with the Shrink scheduler and passes its own
 //! consistency verification.
 
+mod common;
+
 use std::sync::Arc;
 
+use common::all_schedulers;
 use shrink::prelude::*;
 use shrink::workloads::harness::run_fixed_steps;
 use shrink::workloads::stamp;
@@ -66,13 +69,7 @@ fn rbtree_workload_verifies_under_heavy_updates() {
 #[test]
 fn stamp_runs_under_every_scheduler_on_one_representative() {
     // `intruder` has the hot queue — the scheduler-sensitive case.
-    for kind in [
-        SchedulerKind::Noop,
-        SchedulerKind::shrink_default(),
-        SchedulerKind::ats_default(),
-        SchedulerKind::Pool,
-        SchedulerKind::Serializer(shrink::sched::SerializerConfig::default()),
-    ] {
+    for kind in all_schedulers() {
         let rt = TmRuntime::builder()
             .backend(BackendKind::Swiss)
             .scheduler_arc(kind.build())
