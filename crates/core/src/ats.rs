@@ -91,12 +91,6 @@ impl fmt::Debug for Ats {
 
 impl TxScheduler for Ats {
     fn before_start(&self, ctx: &SchedCtx<'_>) {
-        // Read-only transactions cannot conflict, so they never serialize —
-        // and they must not create thread state, or a pure reader would show
-        // up in the intensity table.
-        if ctx.kind.is_read_only() {
-            return;
-        }
         let slot = self.threads.get(ctx.thread);
         let serialized = slot.lock().contention_intensity > THRESHOLD;
         if serialized {
@@ -111,11 +105,6 @@ impl TxScheduler for Ats {
         _reads: &[VarId],
         _writes: &[VarId],
     ) {
-        // A read-only completion carries no contention signal: decaying the
-        // intensity here would let a reader launder a writer's abort history.
-        if ctx.kind.is_read_only() {
-            return;
-        }
         match end {
             AttemptEnd::Committed => {
                 self.threads.get(ctx.thread).lock().contention_intensity *= ALPHA;
@@ -141,7 +130,7 @@ impl TxScheduler for Ats {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::testkit::{abort, ctx, finish, ro_ctx};
+    use crate::testkit::{abort, ctx, finish};
     use shrink_stm::StaticWrites;
 
     #[test]
@@ -198,45 +187,6 @@ mod tests {
         finish(&ats, &c, AttemptEnd::RetryWait);
         assert_eq!(ats.wait_count(), 0, "retry wait releases the queue");
         assert_eq!(ats.contention_intensity(t), Some(intensity));
-    }
-
-    #[test]
-    fn read_only_transactions_are_invisible() {
-        let ats = Ats::new();
-        let oracle = StaticWrites::new();
-        let c = ro_ctx(1, &oracle);
-        for _ in 0..20 {
-            ats.before_start(&c);
-            finish(&ats, &c, AttemptEnd::Committed);
-        }
-        assert_eq!(
-            ats.contention_intensity(ThreadId::from_u16(1)),
-            None,
-            "a pure reader must not even create intensity state"
-        );
-        assert_eq!(ats.wait_count(), 0);
-    }
-
-    #[test]
-    fn read_only_commits_do_not_decay_a_writers_intensity() {
-        let ats = Ats::new();
-        let oracle = StaticWrites::new();
-        let rw = ctx(1, &oracle);
-        let ro = ro_ctx(1, &oracle);
-        let t = ThreadId::from_u16(1);
-        ats.before_start(&rw);
-        abort(&ats, &rw);
-        let intensity = ats.contention_intensity(t).unwrap();
-        assert!(intensity > 0.0);
-        for _ in 0..8 {
-            ats.before_start(&ro);
-            finish(&ats, &ro, AttemptEnd::Committed);
-        }
-        assert_eq!(
-            ats.contention_intensity(t),
-            Some(intensity),
-            "read-only completions must not launder abort history"
-        );
     }
 
     #[test]

@@ -63,11 +63,6 @@ impl fmt::Debug for Pool {
 
 impl TxScheduler for Pool {
     fn before_start(&self, ctx: &SchedCtx<'_>) {
-        // Read-only transactions take no locks and cannot face contention;
-        // even a contended thread runs its reads outside the queue.
-        if ctx.kind.is_read_only() {
-            return;
-        }
         if self.contended.get(ctx.thread).load(Ordering::Relaxed) {
             self.lock.acquire(ctx.thread);
         }
@@ -80,11 +75,6 @@ impl TxScheduler for Pool {
         _reads: &[VarId],
         _writes: &[VarId],
     ) {
-        // A read-only completion must not clear the contended flag — the
-        // thread's next read-write attempt still owes the queue a pass.
-        if ctx.kind.is_read_only() {
-            return;
-        }
         let contended = match end {
             AttemptEnd::Committed => Some(false),
             AttemptEnd::Aborted(_) => Some(true),
@@ -108,7 +98,7 @@ impl TxScheduler for Pool {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::testkit::{abort, ctx, finish, ro_ctx};
+    use crate::testkit::{abort, ctx, finish};
     use shrink_stm::StaticWrites;
 
     #[test]
@@ -152,29 +142,6 @@ mod tests {
         pool.before_start(&c);
         assert_eq!(pool.wait_count(), 1, "contended flag survives the wait");
         finish(&pool, &c, AttemptEnd::Committed);
-    }
-
-    #[test]
-    fn read_only_transactions_bypass_the_queue_and_keep_the_flag() {
-        let pool = Pool::new();
-        let oracle = StaticWrites::new();
-        let rw = ctx(1, &oracle);
-        let ro = ro_ctx(1, &oracle);
-        // Mark the thread contended with a real abort.
-        pool.before_start(&rw);
-        abort(&pool, &rw);
-        // Read-only brackets run free even while the thread is contended...
-        for _ in 0..5 {
-            pool.before_start(&ro);
-            assert_eq!(pool.wait_count(), 0, "readers never serialize");
-            finish(&pool, &ro, AttemptEnd::Committed);
-        }
-        // ...and do not clear the flag: the next read-write attempt still
-        // pays the serialization toll.
-        pool.before_start(&rw);
-        assert_eq!(pool.wait_count(), 1, "contended flag survives ro commits");
-        finish(&pool, &rw, AttemptEnd::Committed);
-        assert_eq!(pool.wait_count(), 0);
     }
 
     #[test]

@@ -170,13 +170,6 @@ impl fmt::Debug for Serializer {
 
 impl TxScheduler for Serializer {
     fn before_start(&self, ctx: &SchedCtx<'_>) {
-        // A read-only transaction takes no locks and can have no enemy, so
-        // it never waits — and it must not *consume* a pending
-        // schedule-after either: that wait belongs to the thread's next
-        // read-write attempt.
-        if ctx.kind.is_read_only() {
-            return;
-        }
         let slot = self.threads.get(ctx.thread);
         let pending = slot.pending.lock().take();
         if let Some((enemy, observed)) = pending {
@@ -238,7 +231,6 @@ mod tests {
             thread: ThreadId::from_u16(thread),
             visible: oracle,
             epochs,
-            kind: shrink_stm::TxnKind::ReadWrite,
         }
     }
 
@@ -400,45 +392,6 @@ mod tests {
         s.before_start(&c);
         assert!(start.elapsed() < Duration::from_secs(5));
         assert_eq!(s.wait_stats().absent_skips, 1);
-    }
-
-    #[test]
-    fn read_only_brackets_neither_wait_nor_consume_a_pending_schedule_after() {
-        let s = Serializer::new(SerializerConfig {
-            max_wait: Duration::from_millis(20),
-        });
-        let oracle = StaticWrites::new();
-        let epochs = EpochTable::new();
-        let enemy = ThreadId::from_u16(2);
-        epochs.ensure(enemy);
-        let rw = ctx(1, &oracle, &epochs);
-        let ro = SchedCtx {
-            kind: shrink_stm::TxnKind::ReadOnly,
-            ..ctx(1, &oracle, &epochs)
-        };
-
-        s.before_start(&rw);
-        finish(&s, &rw, AttemptEnd::Aborted(&live_conflict(&epochs, enemy)));
-
-        // Read-only brackets in between return instantly and leave the
-        // pending schedule-after alone.
-        for _ in 0..3 {
-            let start = Instant::now();
-            s.before_start(&ro);
-            assert!(start.elapsed() < Duration::from_millis(5));
-            finish(&s, &ro, AttemptEnd::Committed);
-        }
-        assert_eq!(s.wait_stats().parked_waits, 0, "readers never wait");
-
-        // The next read-write attempt still pays the wait (idle enemy, so
-        // it times out — proving the pending entry survived).
-        s.before_start(&rw);
-        assert_eq!(
-            s.wait_stats().timed_out,
-            1,
-            "the schedule-after belonged to the read-write attempt"
-        );
-        finish(&s, &rw, AttemptEnd::Committed);
     }
 
     #[test]

@@ -250,13 +250,6 @@ impl fmt::Debug for Shrink {
 
 impl TxScheduler for Shrink {
     fn before_start(&self, ctx: &SchedCtx<'_>) {
-        if ctx.kind.is_read_only() {
-            // A read-only transaction can neither cause nor lose a conflict:
-            // no prediction, no serialization, and no per-thread state is
-            // created or touched for it (the success-rate EMA must only ever
-            // see read-write attempts).
-            return;
-        }
         let slot = self.threads.get(ctx.thread);
         let mut s = slot.lock();
 
@@ -299,13 +292,6 @@ impl TxScheduler for Shrink {
         reads: &[VarId],
         writes: &[VarId],
     ) {
-        if ctx.kind.is_read_only() {
-            // No lock was acquired in `before_start`, and folding a
-            // read-only completion into the success rate or rotating the
-            // locality ring would dilute the read-write history the
-            // predictions are built from.
-            return;
-        }
         let slot = self.threads.get(ctx.thread);
         let mut s = slot.lock();
         // "On transactional read of addr", replayed in program order (an
@@ -410,7 +396,7 @@ fn score(
 mod tests {
     use super::*;
     use crate::testkit::ctx;
-    use shrink_stm::{Abort, AbortReason, StaticWrites, TxnKind};
+    use shrink_stm::{Abort, AbortReason, StaticWrites};
 
     /// One attempt that reads `reads` and commits.
     fn commit(s: &Shrink, c: &SchedCtx<'_>, reads: &[VarId]) {
@@ -607,40 +593,6 @@ mod tests {
         assert_eq!(stats.read_predicted, 2);
         assert_eq!(stats.read_correct, 1);
         assert_eq!(stats.read_accuracy(), Some(0.5));
-    }
-
-    #[test]
-    fn read_only_transactions_are_invisible() {
-        let s = Shrink::new(ShrinkConfig::default());
-        let oracle = StaticWrites::new();
-        let mut c = ctx(1, &oracle);
-        c.kind = TxnKind::ReadOnly;
-        for _ in 0..20 {
-            commit(&s, &c, &[]);
-        }
-        // No per-thread state was even created: the success-rate EMA, the
-        // locality ring and the prediction counters never saw the reader.
-        assert_eq!(s.success_rate(ThreadId::from_u16(1)), None);
-        assert_eq!(s.prediction_stats(), PredictionStats::default());
-        assert_eq!(s.wait_count(), 0);
-    }
-
-    #[test]
-    fn read_only_completion_does_not_disturb_a_struggling_thread() {
-        // A thread mixing read-write aborts with read-only scans: the scans
-        // must leave the decayed success rate exactly where it was.
-        let s = Shrink::new(ShrinkConfig::default());
-        let oracle = StaticWrites::new();
-        let c = ctx(1, &oracle);
-        let t = ThreadId::from_u16(1);
-        abort(&s, &c, &[], &[]);
-        assert_eq!(s.success_rate(t), Some(0.5));
-        let mut ro = ctx(1, &oracle);
-        ro.kind = TxnKind::ReadOnly;
-        for _ in 0..8 {
-            commit(&s, &ro, &[]);
-        }
-        assert_eq!(s.success_rate(t), Some(0.5), "scans must not heal the EMA");
     }
 
     #[test]

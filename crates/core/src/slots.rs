@@ -62,16 +62,6 @@ impl<S: Send + Sync> ThreadSlots<S> {
     pub fn snapshot(&self) -> Vec<Arc<S>> {
         self.slots.read().clone()
     }
-
-    /// Number of created slots.
-    pub fn len(&self) -> usize {
-        self.slots.read().len()
-    }
-
-    /// True if no thread has registered state yet.
-    pub fn is_empty(&self) -> bool {
-        self.slots.read().is_empty()
-    }
 }
 
 impl<S> fmt::Debug for ThreadSlots<S> {
@@ -98,14 +88,14 @@ mod tests {
         a.store(7, Ordering::Relaxed);
         let again = slots.get(tid(1));
         assert_eq!(again.load(Ordering::Relaxed), 7);
-        assert_eq!(slots.len(), 1);
+        assert_eq!(slots.snapshot().len(), 1);
     }
 
     #[test]
     fn sparse_registration_fills_gaps() {
         let slots = ThreadSlots::new(|| AtomicU64::new(0));
         let _ = slots.get(tid(5));
-        assert_eq!(slots.len(), 5);
+        assert_eq!(slots.snapshot().len(), 5);
         let early = slots.get(tid(2));
         early.store(3, Ordering::Relaxed);
         assert_eq!(slots.get(tid(2)).load(Ordering::Relaxed), 3);

@@ -3,24 +3,14 @@
 
 use shrink_stm::{
     Abort, AbortReason, AttemptEnd, NoEpochs, SchedCtx, StaticWrites, ThreadId, TxScheduler,
-    TxnKind,
 };
 
-/// A read-write hook context for `thread` (no epoch oracle).
+/// A hook context for `thread` (no epoch oracle).
 pub(crate) fn ctx<'a>(thread: u16, oracle: &'a StaticWrites) -> SchedCtx<'a> {
     SchedCtx {
         thread: ThreadId::from_u16(thread),
         visible: oracle,
         epochs: &NoEpochs,
-        kind: TxnKind::ReadWrite,
-    }
-}
-
-/// The same context for a read-only transaction.
-pub(crate) fn ro_ctx<'a>(thread: u16, oracle: &'a StaticWrites) -> SchedCtx<'a> {
-    SchedCtx {
-        kind: TxnKind::ReadOnly,
-        ..ctx(thread, oracle)
     }
 }
 

@@ -65,43 +65,6 @@ impl fmt::Display for WaitPolicy {
     }
 }
 
-/// What a transaction is declared to be: a full read-write transaction, or
-/// a lock-free read-only one.
-///
-/// Read-only transactions (started via
-/// [`TmRuntime::read_only`](crate::TmRuntime::read_only)) snapshot the
-/// global clock once, read versioned cells through the seqlock fast path
-/// and revalidate per read. They acquire no orecs, take no commit ticket,
-/// register on no waitlist, and are invisible to the schedulers: hooks see
-/// the kind in [`SchedCtx`](crate::sched::SchedCtx) and skip conflict
-/// bookkeeping for [`TxnKind::ReadOnly`].
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, Default)]
-pub enum TxnKind {
-    /// A normal transaction: may write, acquires orec stripes eagerly and
-    /// commits under the global clock.
-    #[default]
-    ReadWrite,
-    /// A declared read-only transaction: never locks, never aborts a
-    /// writer, restarts itself on snapshot invalidation.
-    ReadOnly,
-}
-
-impl TxnKind {
-    /// `true` for [`TxnKind::ReadOnly`].
-    pub fn is_read_only(self) -> bool {
-        matches!(self, TxnKind::ReadOnly)
-    }
-}
-
-impl fmt::Display for TxnKind {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            TxnKind::ReadWrite => f.write_str("read-write"),
-            TxnKind::ReadOnly => f.write_str("read-only"),
-        }
-    }
-}
-
 /// The policies of a [`TmRuntime`](crate::TmRuntime).
 ///
 /// Construct via [`TmRuntime::builder`](crate::TmRuntime::builder); the
@@ -179,14 +142,5 @@ mod tests {
         assert_eq!(BackendKind::Tiny.to_string(), "tiny");
         assert_eq!(WaitPolicy::Preemptive.to_string(), "preemptive");
         assert_eq!(WaitPolicy::Busy.to_string(), "busy");
-        assert_eq!(TxnKind::ReadWrite.to_string(), "read-write");
-        assert_eq!(TxnKind::ReadOnly.to_string(), "read-only");
-    }
-
-    #[test]
-    fn txn_kind_defaults_to_read_write() {
-        assert_eq!(TxnKind::default(), TxnKind::ReadWrite);
-        assert!(!TxnKind::ReadWrite.is_read_only());
-        assert!(TxnKind::ReadOnly.is_read_only());
     }
 }

@@ -31,14 +31,16 @@
 //!
 //! # Cancellation
 //!
-//! Dropping a suspended `TxFuture` is the async analogue of a panic
-//! unwinding out of [`TmRuntime::run`]: the drop handler deregisters the
-//! parker from every watched bucket (no waitlist slot leaks, no stray wake
-//! reaches a dead task) and reports [`AttemptEnd::Abandoned`] to the
-//! scheduler so policies that tracked the blocked transaction can clean
-//! up. No stripe lock can be held at that point — a future only suspends
-//! after its attempt rolled back — so the report never observes locked
-//! stripes.
+//! Dropping a suspended `TxFuture` only deregisters its parker from every
+//! watched bucket: no waitlist slot leaks, and no stray wake reaches a dead
+//! task. The scheduler hears nothing more. A future suspends only after its
+//! attempt rolled back and reported [`AttemptEnd::RetryWait`], which closed
+//! the bracket and left every scheduler ready for the thread's next
+//! `before_start`. The drop may also run on any thread, even inside another
+//! attempt's bracket, so reporting from it would act on scheduler state
+//! (a held serialization lock) that belongs to someone else.
+//!
+//! [`AttemptEnd::RetryWait`]: crate::sched::AttemptEnd::RetryWait
 //!
 //! # What never happens here
 //!
@@ -60,11 +62,8 @@ use std::sync::atomic::Ordering;
 use std::sync::Arc;
 use std::task::{Context, Poll};
 
-use crate::config::TxnKind;
 use crate::error::TxResult;
 use crate::runtime::{Attempt, TmRuntime};
-use crate::sched::AttemptEnd;
-use crate::thread::ThreadId;
 use crate::txn::Tx;
 use crate::waitlist::{register, AsyncParker, Parker};
 
@@ -82,10 +81,6 @@ struct Suspension {
     /// The parker epoch sampled before registration; an unequal value on
     /// re-poll proves a commit bumped a watched stripe since.
     observed: u32,
-    /// The thread the suspending attempt ran under — kept so a
-    /// drop-while-suspended can report the cancellation to the scheduler
-    /// under the same identity the `RetryWait` report used.
-    thread: ThreadId,
 }
 
 /// A transaction running as a future — created by [`atomically_async`].
@@ -228,7 +223,6 @@ where
                             this.suspended = Some(Suspension {
                                 buckets: buckets.pop().expect("one arm"),
                                 observed,
-                                thread: ctx.id(),
                             });
                             return Poll::Pending;
                         }
@@ -253,26 +247,16 @@ impl<T, F> Drop for TxFuture<T, F> {
         let (Some(susp), Some(parker)) = (self.suspended.take(), &self.parker) else {
             return;
         };
-        let inner = &*self.rt.inner;
-        // Cancellation-as-unwind, async flavour. Deregistration removes the
-        // parker from every watched bucket (registered-parker counts return
-        // to zero, a later commit finds nothing to wake) and clears the
-        // stored waker, so even a committer that snapshotted the old bucket
-        // list delivers no wake to a dead task.
-        inner
+        // Deregistration removes the parker from every watched bucket
+        // (registered-parker counts return to zero, a later commit finds
+        // nothing to wake) and clears the stored waker, so even a committer
+        // that snapshotted the old bucket list delivers no wake to a dead
+        // task. No scheduler hook fires: the `RetryWait` report closed the
+        // bracket before `Pending`.
+        self.rt
+            .inner
             .retry_waits
             .deregister(&susp.buckets, &Parker::Task(Arc::clone(parker)));
-        // The suspension held no scheduler bracket open (the `RetryWait`
-        // report closed it before Pending), but policies that tracked the
-        // blocked transaction still hear about the abandonment —
-        // `Abandoned` is specified to tolerate arriving with nothing held.
-        // No attempt ran, so the attempt epoch stays put.
-        inner.scheduler.on_finish(
-            &inner.sched_ctx(susp.thread, TxnKind::ReadWrite),
-            AttemptEnd::Abandoned,
-            &[],
-            &[],
-        );
     }
 }
 

@@ -98,7 +98,7 @@ pub mod varid;
 pub mod visible;
 pub mod waitlist;
 
-pub use config::{BackendKind, TmConfig, TxnKind, WaitPolicy};
+pub use config::{BackendKind, TmConfig, WaitPolicy};
 pub use epoch::{AttemptEpochs, EpochTable, EpochWaitOutcome, NoEpochs};
 pub use error::{Abort, AbortReason, TmError, TxResult};
 pub use faults::{FaultKind, FaultSite};

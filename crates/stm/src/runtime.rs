@@ -11,7 +11,7 @@ use std::time::{Duration, Instant};
 
 use crate::backoff::pause;
 use crate::clock::GlobalClock;
-use crate::config::{BackendKind, TmConfig, TxnKind, WaitPolicy};
+use crate::config::{BackendKind, TmConfig, WaitPolicy};
 use crate::error::{AbortReason, TmError, TxResult};
 use crate::faults::FaultSite;
 use crate::log::{with_logs, ReadEntry};
@@ -22,7 +22,6 @@ use crate::stats::{ThreadStats, TmStats};
 use crate::thread::{bump, ThreadCtx, ThreadId, ThreadRegistry};
 use crate::txn::{ReadTx, Tx};
 use crate::varid::VarId;
-use crate::visible::VisibleWrites;
 use crate::waitlist::{RetryStats, StripeWaitlist, WaitArm};
 
 static NEXT_RUNTIME_ID: AtomicU64 = AtomicU64::new(1);
@@ -74,7 +73,7 @@ pub(crate) enum Attempt<T> {
     Fatal(TmError),
 }
 
-/// The scheduler bracket around one transaction attempt — the only place
+/// The scheduler bracket around one read-write attempt — the only place
 /// the runtime talks to its [`TxScheduler`].
 ///
 /// [`begin`](AttemptGuard::begin) opens the bracket (`before_start`),
@@ -93,16 +92,14 @@ pub(crate) enum Attempt<T> {
 struct AttemptGuard<'a> {
     inner: &'a RuntimeInner,
     ctx: &'a ThreadCtx,
-    kind: TxnKind,
     open: bool,
 }
 
 impl<'a> AttemptGuard<'a> {
-    fn new(inner: &'a RuntimeInner, ctx: &'a ThreadCtx, kind: TxnKind) -> Self {
+    fn new(inner: &'a RuntimeInner, ctx: &'a ThreadCtx) -> Self {
         AttemptGuard {
             inner,
             ctx,
-            kind,
             open: false,
         }
     }
@@ -114,13 +111,11 @@ impl<'a> AttemptGuard<'a> {
     #[inline]
     fn begin(&mut self) {
         self.open = true;
-        let sched_ctx = self.inner.sched_ctx(self.ctx.id(), self.kind);
-        self.inner.scheduler.before_start(&sched_ctx);
-        if self.kind == TxnKind::ReadWrite {
-            // Hazard probe with serialization possibly held: a panic here
-            // must release it through the guard's drop.
-            let _ = crate::failpoint!(FaultSite::SchedBeforeStart);
-        }
+        let ctx = self.inner.sched_ctx(self.ctx.id());
+        self.inner.scheduler.before_start(&ctx);
+        // Hazard probe with serialization possibly held: a panic here must
+        // release it through the guard's drop.
+        let _ = crate::failpoint!(FaultSite::SchedBeforeStart);
     }
 
     /// Closes the bracket; the guard's drop, at the end of the caller's
@@ -132,25 +127,18 @@ impl<'a> AttemptGuard<'a> {
         // Closed first: a panic below (scheduler bug, injected fault) must
         // not make the drop handler dispatch a second completion.
         self.open = false;
-        let read_write = self.kind == TxnKind::ReadWrite;
-        let (counter, site) = match end {
-            AttemptEnd::Committed if read_write => {
-                (Some(&self.ctx.commits), Some(FaultSite::SchedOnCommit))
-            }
-            AttemptEnd::Committed => (Some(&self.ctx.ro_commits), None),
-            AttemptEnd::Aborted(_) => (Some(&self.ctx.aborts), Some(FaultSite::SchedOnAbort)),
-            AttemptEnd::RetryWait => (
-                Some(&self.ctx.retry_waits),
-                Some(FaultSite::SchedOnRetryWait),
-            ),
-            AttemptEnd::Abandoned => (None, None),
+        let booked = match end {
+            AttemptEnd::Committed => Some((&self.ctx.commits, FaultSite::SchedOnCommit)),
+            AttemptEnd::Aborted(_) => Some((&self.ctx.aborts, FaultSite::SchedOnAbort)),
+            AttemptEnd::RetryWait => Some((&self.ctx.retry_waits, FaultSite::SchedOnRetryWait)),
+            AttemptEnd::Abandoned => None,
         };
-        if let Some(counter) = counter {
+        if let Some((counter, _)) = booked {
             bump(counter, 1);
         }
-        let ctx = self.inner.sched_ctx(self.ctx.id(), self.kind);
+        let ctx = self.inner.sched_ctx(self.ctx.id());
         self.inner.scheduler.on_finish(&ctx, end, reads, writes);
-        if let Some(site) = site {
+        if let Some((_, site)) = booked {
             let _ = crate::failpoint!(site);
         }
     }
@@ -163,21 +151,17 @@ impl Drop for AttemptGuard<'_> {
             self.finish(AttemptEnd::Abandoned, &[], &[]);
         }
         // Bump-and-wake *after* the hook: a victim released here observes
-        // the enemy's scheduler bookkeeping settled. Read-only transactions
-        // never advance epochs.
-        if self.kind == TxnKind::ReadWrite {
-            self.ctx.finish_attempt();
-        }
+        // the enemy's scheduler bookkeeping settled.
+        self.ctx.finish_attempt();
     }
 }
 
 impl RuntimeInner {
-    pub(crate) fn sched_ctx(&self, thread: ThreadId, kind: TxnKind) -> SchedCtx<'_> {
+    fn sched_ctx(&self, thread: ThreadId) -> SchedCtx<'_> {
         SchedCtx {
             thread,
             visible: &self.orecs,
             epochs: &self.registry,
-            kind,
         }
     }
 
@@ -206,7 +190,7 @@ impl RuntimeInner {
         // closes the scheduler bracket and advances the attempt epoch, and
         // the logs are handed back last.
         let attempt = with_logs(|logs| {
-            let mut guard = AttemptGuard::new(self, ctx, TxnKind::ReadWrite);
+            let mut guard = AttemptGuard::new(self, ctx);
             guard.begin();
             let mut tx = Tx::begin(self, ctx, logs);
             let abort = match body(&mut tx).and_then(|value| tx.try_commit().map(|()| value)) {
@@ -259,12 +243,9 @@ fn read_only_loop<T>(
     max_attempts: u64,
     mut body: impl FnMut(&mut ReadTx<'_>) -> TxResult<T>,
 ) -> Result<T, TmError> {
-    // One bracket per read-only transaction, kind-tagged: internal
-    // snapshot restarts are invisible to the scheduler. Every abnormal
-    // exit (body panic, foreign access, exhausted budget) drops the
-    // guard, which closes the bracket as `Abandoned`.
-    let mut guard = AttemptGuard::new(inner, ctx, TxnKind::ReadOnly);
-    guard.begin();
+    // No scheduler bracket: a reader can neither cause nor lose a
+    // conflict, so there is nothing to predict, serialize or book, and no
+    // attempt epoch to advance.
     let mut attempts: u64 = 0;
     loop {
         attempts += 1;
@@ -274,7 +255,7 @@ fn read_only_loop<T>(
         bump(&ctx.ro_reads, reads);
         bump(&ctx.ro_revalidations, revalidations);
         if let Ok(value) = outcome {
-            guard.finish(AttemptEnd::Committed, &[], &[]);
+            bump(&ctx.ro_commits, 1);
             return Ok(value);
         }
         if let Some(refusal) = tx.refusal {
@@ -365,6 +346,11 @@ impl TmBuilder {
 
     /// Installs an already-shared scheduler, letting the caller keep a typed
     /// handle to it (e.g. to read Shrink's prediction-accuracy counters).
+    ///
+    /// Share the handle, not the instance between runtimes: thread ids are
+    /// numbered per runtime, so one scheduler installed in two runtimes
+    /// would alias two threads in its per-thread state and serialization
+    /// lock.
     #[must_use]
     pub fn scheduler_arc(mut self, scheduler: Arc<dyn TxScheduler>) -> Self {
         self.scheduler = scheduler;
@@ -450,11 +436,6 @@ impl TmRuntime {
     /// The installed scheduler's short name.
     pub fn scheduler_name(&self) -> &str {
         self.inner.scheduler.name()
-    }
-
-    /// The visible-writes oracle (the ownership-record table).
-    pub fn visible_writes(&self) -> &dyn VisibleWrites {
-        &self.inner.orecs
     }
 
     /// Registers the calling thread (if needed) and returns its context.
@@ -612,10 +593,10 @@ impl TmRuntime {
     /// * **zero waitlist registration** — there is no retry/blocking
     ///   support; a read-only body that cannot proceed should return its
     ///   "not ready" answer and let the caller decide;
-    /// * **invisible to the scheduler** — the single
-    ///   `before_start`/`on_finish(Committed)` hook pair fires with
-    ///   [`TxnKind::ReadOnly`], which Shrink/ATS/Serializer treat as "skip
-    ///   conflict bookkeeping", and internal restarts fire no hooks at all.
+    /// * **invisible to the scheduler** — no
+    ///   [`TxScheduler`] hook fires, neither for the transaction nor for
+    ///   its internal restarts, so a reader is never serialized and never
+    ///   moves a success rate or contention intensity.
     ///
     /// Restarts are accounted as `ro_revalidations` (never as aborts) in
     /// [`stats`](TmRuntime::stats); completions as `ro_commits`.

@@ -20,7 +20,10 @@
 //! prediction is only ever consulted at the next `before_start`, so the
 //! access sets handed over at the end carry everything a per-read hook
 //! could have seen. Both hooks fire from one place, the runtime's attempt
-//! step (DESIGN.md §12.2).
+//! step (DESIGN.md §12.2), and only around read-write attempts: a
+//! read-only transaction can neither cause nor lose a conflict, so it never
+//! reaches the scheduler, and a suspended future that is dropped has
+//! already closed its bracket.
 //!
 //! Concrete schedulers (Shrink, ATS, Pool, Serializer) live in the
 //! `shrink-core` crate; this crate ships only [`NoopScheduler`], the
@@ -28,7 +31,6 @@
 
 use std::fmt;
 
-use crate::config::TxnKind;
 use crate::epoch::AttemptEpochs;
 use crate::error::Abort;
 use crate::thread::ThreadId;
@@ -49,11 +51,6 @@ pub struct SchedCtx<'a> {
     pub visible: &'a dyn VisibleWrites,
     /// Per-thread attempt epochs: read, and park until one advances.
     pub epochs: &'a dyn AttemptEpochs,
-    /// What the transaction declared itself to be. Schedulers must skip
-    /// conflict bookkeeping (success rates, contention intensity,
-    /// serialization) for [`TxnKind::ReadOnly`]: a read-only transaction
-    /// can neither cause nor lose a write conflict.
-    pub kind: TxnKind,
 }
 
 impl fmt::Debug for SchedCtx<'_> {
@@ -84,8 +81,10 @@ pub enum AttemptEnd<'a> {
     /// The attempt was abandoned without a normal completion: the body
     /// panicked (the hook then runs during unwinding), or a non-retryable
     /// error such as a foreign-`TVar` access cut it short. The access sets
-    /// are empty. Also reported, with no bracket open, when a suspended
-    /// [`TxFuture`](crate::future::TxFuture) is dropped.
+    /// are empty. It always closes an open bracket, but `before_start` need
+    /// not have taken a lock (a scheduler may serialize only some attempts,
+    /// and a panic can cut `before_start` short), so releases on this path
+    /// stay conditional.
     Abandoned,
 }
 
@@ -95,10 +94,21 @@ pub enum AttemptEnd<'a> {
 /// block (that is how serialization is implemented); `on_finish` should be
 /// fast and must not panic (it also runs during unwinding).
 ///
+/// One scheduler instance serves one runtime. [`ThreadId`]s are numbered
+/// per runtime, so an instance installed in two runtimes would see two
+/// different threads under one id and alias their per-thread state and
+/// serialization-lock ownership.
+///
 /// # Contract
 ///
-/// * Every attempt is bracketed: `before_start` is followed by exactly one
-///   `on_finish` for the same thread.
+/// * Hooks bracket **read-write attempts only**, and they run on the
+///   transacting thread. A read-only transaction
+///   ([`TmRuntime::read_only`](crate::TmRuntime::read_only)) fires no hook:
+///   it takes no lock and has no write set, so there is nothing to predict,
+///   serialize or book.
+/// * Every read-write attempt is bracketed: `before_start` is followed by
+///   exactly one `on_finish` for the same thread, before that thread
+///   starts its next attempt.
 /// * `reads` and `writes` list the variables accessed by the finished
 ///   attempt. `reads` has one entry per dynamic read, in program order
 ///   (duplicates and reads of the attempt's own writes included); `writes`
@@ -108,16 +118,12 @@ pub enum AttemptEnd<'a> {
 ///   per-thread attempt state (pending schedule-after targets, active
 ///   predictions) ready for the thread's next `before_start` — this is
 ///   what makes a panicking transaction body recoverable instead of fatal
-///   for the runtime. [`AttemptEnd::Abandoned`] can arrive with nothing
-///   held (a dropped suspended future); release conditionally.
-/// * A *read-only* transaction
-///   ([`TmRuntime::read_only`](crate::TmRuntime::read_only)) fires exactly
-///   one `before_start`/`on_finish(Committed)` pair with empty access sets
-///   and [`SchedCtx::kind`] set to [`TxnKind::ReadOnly`] — internal
-///   snapshot restarts are invisible. Schedulers must not serialize or
-///   book conflicts for these.
+///   for the runtime. [`AttemptEnd::RetryWait`] in particular closes the
+///   bracket for good when the thread parks or the future suspends:
+///   dropping a suspended [`TxFuture`](crate::future::TxFuture) reports
+///   nothing more.
 pub trait TxScheduler: Send + Sync + fmt::Debug {
-    /// Called before every transaction attempt (first try and retries).
+    /// Called before every read-write attempt (first try and retries).
     /// May block to serialize the transaction.
     fn before_start(&self, ctx: &SchedCtx<'_>) {
         let _ = ctx;
@@ -172,7 +178,6 @@ mod tests {
             thread: ThreadId::from_raw(1),
             visible: &oracle,
             epochs: &crate::epoch::NoEpochs,
-            kind: TxnKind::ReadWrite,
         };
         s.before_start(&ctx);
         let abort = Abort::new(crate::AbortReason::ReadValidation);

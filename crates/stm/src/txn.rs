@@ -41,7 +41,7 @@ use std::fmt;
 use std::mem;
 
 use crate::backoff::pause;
-use crate::config::{BackendKind, TxnKind};
+use crate::config::BackendKind;
 use crate::error::{Abort, AbortReason, TmError, TxResult};
 use crate::faults::FaultSite;
 use crate::log::{Checkpoint, ReadEntry, TxLogs, WriteEntry};
@@ -716,15 +716,6 @@ pub trait TxRead {
     /// added to a consistent snapshot.
     fn read<T: TxValue>(&mut self, tvar: &TVar<T>) -> TxResult<T>;
 
-    /// What this transaction declared itself to be.
-    fn kind(&self) -> TxnKind;
-
-    /// The id of the thread running this transaction.
-    fn thread(&self) -> ThreadId;
-
-    /// The snapshot timestamp the attempt currently validates against.
-    fn start_timestamp(&self) -> u64;
-
     /// Requests an abort-and-restart of this attempt.
     ///
     /// # Errors
@@ -738,18 +729,6 @@ pub trait TxRead {
 impl TxRead for Tx<'_> {
     fn read<T: TxValue>(&mut self, tvar: &TVar<T>) -> TxResult<T> {
         Tx::read(self, tvar)
-    }
-
-    fn kind(&self) -> TxnKind {
-        TxnKind::ReadWrite
-    }
-
-    fn thread(&self) -> ThreadId {
-        Tx::thread(self)
-    }
-
-    fn start_timestamp(&self) -> u64 {
-        Tx::start_timestamp(self)
     }
 }
 
@@ -939,18 +918,6 @@ impl<'rt> ReadTx<'rt> {
 impl TxRead for ReadTx<'_> {
     fn read<T: TxValue>(&mut self, tvar: &TVar<T>) -> TxResult<T> {
         ReadTx::read(self, tvar)
-    }
-
-    fn kind(&self) -> TxnKind {
-        TxnKind::ReadOnly
-    }
-
-    fn thread(&self) -> ThreadId {
-        ReadTx::thread(self)
-    }
-
-    fn start_timestamp(&self) -> u64 {
-        ReadTx::start_timestamp(self)
     }
 }
 

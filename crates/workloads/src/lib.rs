@@ -11,8 +11,9 @@
 //! * [`stamp`] — analogues of all ten STAMP configurations (bayes, genome,
 //!   intruder, kmeans ×2, labyrinth, ssca2, vacation ×2, yada) preserving
 //!   each application's transactional access pattern;
-//! * [`queue`] — blocking bounded queues and the async MPMC channel churn
-//!   built on the composable `retry`/`or_else` API (DESIGN.md §9);
+//! * [`queue`] — blocking bounded queues built on the composable
+//!   `retry`/`or_else` API (DESIGN.md §9), usable from threads and async
+//!   tasks alike;
 //! * [`harness`] — the time-boxed committed-tx/s measurement used by every
 //!   figure;
 //! * [`service`] — the production-shaped scenario: a sharded transactional
@@ -32,7 +33,7 @@ pub mod stamp;
 pub mod stmbench7;
 
 pub use harness::{run_fixed_steps, run_throughput, RunConfig, RunOutcome, TxWorkload};
-pub use queue::{AsyncQueueChurn, ChurnTask, TxQueue};
+pub use queue::TxQueue;
 pub use rbtree::{RbTreeWorkload, TxRbTree};
 pub use service::{
     build_schedule, run_open_loop, BookingOutcome, Request, RequestKind, RequestMix, ShardedStore,

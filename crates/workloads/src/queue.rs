@@ -8,27 +8,17 @@
 //! which is the point of composable blocking: one blocking primitive, every
 //! polling/timeout/alternative flavour derived from it (DESIGN.md §9).
 //!
-//! [`AsyncQueueChurn`] is a producers-versus-consumers MPMC churn over one
-//! queue with **tasks instead of threads**: every producer and consumer is
-//! a plain future composed from [`atomically_async`], so a blocked `pop`
-//! suspends its task on the retry waitlist rather than parking an OS
-//! thread. The queue type is untouched —
-//! transaction bodies stay synchronous closures — which is the whole point
-//! of the pluggable-parker refactor (DESIGN.md §12). The churn is
-//! executor-agnostic: it hands out boxed tasks and the caller spawns them
-//! (`bench_async` uses the vendored `futures::executor::ThreadPool`).
+//! The operations are plain transaction bodies, so the same queue serves
+//! thread-parked and async callers alike: inside
+//! [`atomically_async`](shrink_stm::future::atomically_async) a blocked
+//! `pop` suspends its task on the retry waitlist instead of parking an OS
+//! thread (DESIGN.md §12).
 //!
 //! [`Tx::retry`]: shrink_stm::Tx::retry
 
 use std::fmt;
-use std::future::Future;
-use std::pin::Pin;
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
 
-use parking_lot::EventCount;
-use shrink_stm::future::atomically_async;
-use shrink_stm::{TVar, TmRuntime, Tx, TxResult, TxValue};
+use shrink_stm::{TVar, Tx, TxResult, TxValue};
 
 /// A bounded, blocking, transactional MPMC FIFO queue.
 ///
@@ -200,205 +190,10 @@ impl<T: TxValue> fmt::Debug for TxQueue<T> {
     }
 }
 
-/// A boxed task produced by [`AsyncQueueChurn`]: spawn it on any executor.
-pub type ChurnTask = Pin<Box<dyn Future<Output = ()> + Send + 'static>>;
-
-/// The MPMC queue churn as **futures**: N producer tasks push a fixed
-/// number of items each, M consumer tasks pop fixed quotas summing to the
-/// total, and a blocked `pop`/`push` suspends its task (no thread parks).
-///
-/// Logical concurrency is decoupled from OS threads: ten thousand consumer
-/// tasks run fine on an 8-worker pool, because a consumer waiting on an
-/// empty queue costs a registered parker, not a stack. Conservation is
-/// audited by [`verify`](AsyncQueueChurn::verify): everything produced is
-/// consumed, by count and by value sum (consumers drain the queue completely — quotas
-/// cover the full production).
-///
-/// # Examples
-///
-/// ```
-/// use futures::executor::ThreadPool;
-/// use shrink_stm::TmRuntime;
-/// use shrink_workloads::AsyncQueueChurn;
-///
-/// let rt = TmRuntime::new();
-/// let pool = ThreadPool::builder().pool_size(4).create().unwrap();
-/// let churn = AsyncQueueChurn::new(8, 4, 16, 100);
-/// for task in churn.tasks(&rt) {
-///     pool.spawn_ok(task);
-/// }
-/// churn.wait_finished();
-/// churn.verify().unwrap();
-/// ```
-pub struct AsyncQueueChurn {
-    queue: Arc<TxQueue<u64>>,
-    producers: usize,
-    consumers: usize,
-    items_per_producer: u64,
-    produced: AtomicU64,
-    produced_sum: AtomicU64,
-    consumed: AtomicU64,
-    consumed_sum: AtomicU64,
-    /// Tasks (producer and consumer) that ran to completion.
-    finished: AtomicU64,
-    /// Advanced once per task completion; [`wait_finished`] parks on it.
-    ///
-    /// [`wait_finished`]: AsyncQueueChurn::wait_finished
-    done: EventCount,
-}
-
-impl AsyncQueueChurn {
-    /// Creates a churn over a fresh queue of `capacity`: `producers` tasks
-    /// pushing `items_per_producer` items each, `consumers` tasks popping
-    /// quotas that exactly cover the total.
-    ///
-    /// # Panics
-    ///
-    /// Panics if any count is zero.
-    #[must_use]
-    pub fn new(
-        capacity: usize,
-        producers: usize,
-        consumers: usize,
-        items_per_producer: u64,
-    ) -> Arc<Self> {
-        assert!(producers > 0 && consumers > 0 && items_per_producer > 0);
-        Arc::new(AsyncQueueChurn {
-            queue: Arc::new(TxQueue::new(capacity)),
-            producers,
-            consumers,
-            items_per_producer,
-            produced: AtomicU64::new(0),
-            produced_sum: AtomicU64::new(0),
-            consumed: AtomicU64::new(0),
-            consumed_sum: AtomicU64::new(0),
-            finished: AtomicU64::new(0),
-            done: EventCount::new(),
-        })
-    }
-
-    /// Total tasks the churn consists of.
-    pub fn task_count(&self) -> u64 {
-        (self.producers + self.consumers) as u64
-    }
-
-    /// Items moved end to end so far (consumer side).
-    pub fn items_moved(&self) -> u64 {
-        self.consumed.load(Ordering::Relaxed)
-    }
-
-    /// Builds every producer and consumer task, ready to spawn. Each task
-    /// is an ordinary future: a loop of `atomically_async(..).await`
-    /// transactions, suspending wherever the thread version would park.
-    pub fn tasks(self: &Arc<Self>, rt: &TmRuntime) -> Vec<ChurnTask> {
-        let total = self.producers as u64 * self.items_per_producer;
-        let base_quota = total / self.consumers as u64;
-        let remainder = total % self.consumers as u64;
-        let mut tasks: Vec<ChurnTask> = Vec::with_capacity(self.producers + self.consumers);
-        for p in 0..self.producers {
-            tasks.push(Box::pin(Arc::clone(self).produce(rt.clone(), p as u64)));
-        }
-        for c in 0..self.consumers {
-            // Spread the remainder over the first `remainder` consumers.
-            let quota = base_quota + u64::from((c as u64) < remainder);
-            tasks.push(Box::pin(Arc::clone(self).consume(rt.clone(), quota)));
-        }
-        tasks
-    }
-
-    async fn produce(self: Arc<Self>, rt: TmRuntime, seed: u64) {
-        // Deterministic per-producer value stream (splitmix-style), so the
-        // value-sum audit catches duplicated or invented items.
-        let mut s = seed.wrapping_mul(0x9e3779b97f4a7c15).wrapping_add(1);
-        for _ in 0..self.items_per_producer {
-            s = s
-                .wrapping_mul(6364136223846793005)
-                .wrapping_add(1442695040888963407);
-            let v = s >> 33;
-            let queue = Arc::clone(&self.queue);
-            atomically_async(&rt, move |tx| queue.push(tx, v)).await;
-            self.produced.fetch_add(1, Ordering::Relaxed);
-            self.produced_sum.fetch_add(v, Ordering::Relaxed);
-        }
-        self.finish_task();
-    }
-
-    async fn consume(self: Arc<Self>, rt: TmRuntime, quota: u64) {
-        for _ in 0..quota {
-            let queue = Arc::clone(&self.queue);
-            let v = atomically_async(&rt, move |tx| queue.pop(tx)).await;
-            self.consumed.fetch_add(1, Ordering::Relaxed);
-            self.consumed_sum.fetch_add(v, Ordering::Relaxed);
-        }
-        self.finish_task();
-    }
-
-    fn finish_task(&self) {
-        self.finished.fetch_add(1, Ordering::Release);
-        self.done.advance();
-    }
-
-    /// Parks the calling thread until every task has finished. The churn
-    /// deadlocks only if tasks were dropped unrun (quotas then never
-    /// complete) — spawn everything [`tasks`](AsyncQueueChurn::tasks)
-    /// returned before waiting.
-    pub fn wait_finished(&self) {
-        loop {
-            let observed = self.done.version();
-            if self.finished.load(Ordering::Acquire) >= self.task_count() {
-                return;
-            }
-            self.done.wait_while_eq(observed, None);
-        }
-    }
-
-    /// Post-run conservation audit: every produced item consumed (the
-    /// quotas drain the queue), counts and value sums matching.
-    ///
-    /// # Errors
-    ///
-    /// A message describing the lost or invented items.
-    pub fn verify(&self) -> Result<(), String> {
-        let produced = self.produced.load(Ordering::Relaxed);
-        let consumed = self.consumed.load(Ordering::Relaxed);
-        let expected = self.producers as u64 * self.items_per_producer;
-        if produced != expected || consumed != expected {
-            return Err(format!(
-                "async churn lost items: produced {produced}, consumed {consumed}, \
-                 expected {expected}"
-            ));
-        }
-        let produced_sum = self.produced_sum.load(Ordering::Relaxed);
-        let consumed_sum = self.consumed_sum.load(Ordering::Relaxed);
-        if produced_sum != consumed_sum {
-            return Err(format!(
-                "async churn transferred wrong values: consumed sum {consumed_sum} \
-                 != produced sum {produced_sum}"
-            ));
-        }
-        let residue = self.queue.drain_snapshot();
-        if !residue.is_empty() {
-            return Err(format!("{} items still queued after drain", residue.len()));
-        }
-        Ok(())
-    }
-}
-
-impl fmt::Debug for AsyncQueueChurn {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.debug_struct("AsyncQueueChurn")
-            .field("capacity", &self.queue.capacity())
-            .field("producers", &self.producers)
-            .field("consumers", &self.consumers)
-            .field("moved", &self.items_moved())
-            .finish()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use shrink_stm::atomically;
+    use shrink_stm::{atomically, TmRuntime};
     use std::sync::Arc;
 
     #[test]
@@ -477,49 +272,5 @@ mod tests {
         atomically(&rt, |tx| q.push(tx, 77));
         assert_eq!(consumer.join().unwrap(), 77);
         assert!(rt.retry_stats().woken >= 1, "{:?}", rt.retry_stats());
-    }
-
-    #[test]
-    fn async_churn_conserves_items_with_more_tasks_than_workers() {
-        // 64 tasks on 4 workers: most consumers spend most of their life
-        // suspended on the waitlist, which is exactly the regime the
-        // pluggable parker exists for.
-        let rt = TmRuntime::new();
-        let pool = futures::executor::ThreadPool::builder()
-            .pool_size(4)
-            .create()
-            .unwrap();
-        let churn = AsyncQueueChurn::new(4, 32, 32, 50);
-        for task in churn.tasks(&rt) {
-            pool.spawn_ok(task);
-        }
-        churn.wait_finished();
-        churn.verify().unwrap();
-        let stats = rt.retry_stats();
-        assert!(
-            stats.async_parks >= 1,
-            "a 4-slot queue under 64 tasks must have suspended someone: {stats:?}"
-        );
-        assert_eq!(
-            stats.async_parks, stats.async_woken,
-            "every suspension resumed (none cancelled): {stats:?}"
-        );
-        assert_eq!(rt.retry_waiters(), 0, "no parker left registered");
-    }
-
-    #[test]
-    fn async_churn_runs_on_block_on_when_tasks_fit_one_thread() {
-        // A single producer and consumer can interleave through one
-        // blocking driver only if neither ever truly blocks — give the
-        // queue enough capacity that the producer finishes first.
-        let rt = TmRuntime::new();
-        let churn = AsyncQueueChurn::new(64, 1, 1, 64);
-        let mut tasks = churn.tasks(&rt);
-        let consumer = tasks.pop().unwrap();
-        let producer = tasks.pop().unwrap();
-        futures::executor::block_on(producer);
-        futures::executor::block_on(consumer);
-        churn.wait_finished();
-        churn.verify().unwrap();
     }
 }

@@ -31,7 +31,7 @@ pub mod prelude {
     pub use shrink_core::{Ats, Pool, SchedulerKind, Serializer, Shrink, ShrinkConfig};
     pub use shrink_stm::{
         atomically, atomically_async, Abort, AbortReason, BackendKind, RetryStats, TArray, TVar,
-        TmRuntime, TmStats, Tx, TxFuture, TxRead, TxResult, TxScheduler, TxnKind, WaitPolicy,
+        TmRuntime, TmStats, Tx, TxFuture, TxRead, TxResult, TxScheduler, WaitPolicy,
     };
     pub use shrink_workloads::{RbTreeWorkload, TxQueue, TxRbTree, TxWorkload};
 }

@@ -8,16 +8,19 @@
 //!   and the next poll resumes and completes;
 //! * **cancellation** — dropping a suspended future deregisters its parker
 //!   (waiter count back to zero), leaves no stray wake for a later commit,
-//!   and reports the abandonment to the scheduler as `Abandoned`;
+//!   and fires no scheduler hook — not even from inside another attempt's
+//!   serialized bracket on the same thread;
 //! * **wake/drop race** — dropping after the wake fired but before the
 //!   re-poll still cleans up;
 //! * **selective cancellation** — cancelled and surviving futures on the
-//!   same bucket don't disturb each other.
+//!   same bucket don't disturb each other;
+//! * **task churn** — more producer and consumer tasks than executor
+//!   workers move every item through one small queue.
 
 use std::future::Future;
 use std::pin::Pin;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
+use std::sync::{mpsc, Arc};
 use std::task::{Context, Poll, Wake, Waker};
 
 use shrink::prelude::*;
@@ -46,9 +49,9 @@ impl Wake for CountingWaker {
     }
 }
 
-/// Scheduler double recording the hooks the async path must fire: the
-/// retry-wait bracket around each suspension and the `Abandoned` report a
-/// cancellation must deliver.
+/// Scheduler double recording the hooks the async path fires: the
+/// retry-wait bracket closed before each suspension, and any `Abandoned`
+/// report (a cancellation must deliver none).
 #[derive(Debug, Default)]
 struct RecordingScheduler {
     retry_waits: AtomicU64,
@@ -136,8 +139,8 @@ fn dropping_a_suspended_future_deregisters_and_never_wakes() {
     );
     assert_eq!(
         recorder.resets.load(Ordering::SeqCst),
-        1,
-        "the scheduler hears about the abandonment"
+        0,
+        "the RetryWait report already closed the bracket"
     );
 
     // A later commit to the watched stripe finds an empty bucket: no wake
@@ -197,7 +200,7 @@ fn cancelled_and_surviving_futures_on_one_bucket_do_not_disturb_each_other() {
     drop(futures.pop().expect("four futures"));
     drop(futures.pop().expect("three futures"));
     assert_eq!(rt.retry_waiters(), 2);
-    assert_eq!(recorder.resets.load(Ordering::SeqCst), 2);
+    assert_eq!(recorder.resets.load(Ordering::SeqCst), 0);
 
     rt.run(|tx| tx.write(&gate, 9));
     assert_eq!(
@@ -214,6 +217,94 @@ fn cancelled_and_surviving_futures_on_one_bucket_do_not_disturb_each_other() {
         assert!(matches!(Pin::new(&mut fut).poll(&mut cx), Poll::Ready(9)));
     }
     assert_eq!(rt.retry_waiters(), 0);
+}
+
+#[test]
+fn dropping_a_suspended_future_inside_a_serialized_attempt_keeps_the_lock() {
+    let pool = Arc::new(Pool::new());
+    let rt = TmRuntime::builder().scheduler_arc(pool.clone()).build();
+    let gate = TVar::new(0u64);
+    let waker = Waker::from(Arc::new(CountingWaker::default()));
+    let mut cx = Context::from_waker(&waker);
+
+    let mut fut = gate_future(&rt, &gate);
+    assert!(matches!(Pin::new(&mut fut).poll(&mut cx), Poll::Pending));
+    assert_eq!(pool.wait_count(), 0, "a retry wait is not contention");
+
+    // The first attempt restarts, so Pool serializes the second one; the
+    // future, suspended by an earlier attempt of this same thread, is
+    // dropped while that serialized bracket is open.
+    let mut fut = Some(fut);
+    let mut first = true;
+    let (before, after) = rt.run(|tx| {
+        if std::mem::replace(&mut first, false) {
+            return tx.restart();
+        }
+        let before = pool.wait_count();
+        drop(fut.take());
+        Ok((before, pool.wait_count()))
+    });
+    assert_eq!(
+        (before, after),
+        (1, 1),
+        "the drop must not release the serialization lock the running attempt holds"
+    );
+    assert_eq!(pool.wait_count(), 0, "the commit released it");
+    assert_eq!(rt.retry_waiters(), 0, "the drop still deregistered");
+}
+
+#[test]
+fn task_churn_conserves_items_with_more_tasks_than_workers() {
+    // 64 tasks on 4 workers over a 4-slot queue: most tasks spend most of
+    // their life suspended on the waitlist, the regime async transactions
+    // exist for.
+    const TASKS: u64 = 32;
+    const PER_TASK: u64 = 50;
+    let n = TASKS * PER_TASK;
+    let rt = TmRuntime::new();
+    let queue = Arc::new(TxQueue::<u64>::new(4));
+    let pool = futures::executor::ThreadPool::builder()
+        .pool_size(4)
+        .create()
+        .unwrap();
+    // Every task reports once: a producer 0, a consumer the sum it popped.
+    let (done, reports) = mpsc::channel::<u64>();
+    for p in 0..TASKS {
+        let (rt, queue, done) = (rt.clone(), Arc::clone(&queue), done.clone());
+        pool.spawn_ok(async move {
+            // Producer `p` pushes `p·PER_TASK ..`: the values `0..n`, once each.
+            for v in p * PER_TASK..(p + 1) * PER_TASK {
+                atomically_async(&rt, |tx| queue.push(tx, v)).await;
+            }
+            done.send(0).unwrap();
+        });
+    }
+    for _ in 0..TASKS {
+        let (rt, queue, done) = (rt.clone(), Arc::clone(&queue), done.clone());
+        pool.spawn_ok(async move {
+            let mut sum = 0;
+            for _ in 0..PER_TASK {
+                sum += atomically_async(&rt, |tx| queue.pop(tx)).await;
+            }
+            done.send(sum).unwrap();
+        });
+    }
+    // Only the tasks hold senders now: a task that dies ends the
+    // iteration short instead of hanging it.
+    drop(done);
+    let total: u64 = reports.iter().take(2 * TASKS as usize).sum();
+    assert_eq!(total, n * (n - 1) / 2, "every value popped exactly once");
+
+    let stats = rt.retry_stats();
+    assert!(
+        stats.async_parks >= 1,
+        "a 4-slot queue under 64 tasks must have suspended someone: {stats:?}"
+    );
+    assert_eq!(
+        stats.async_parks, stats.async_woken,
+        "every suspension resumed (none cancelled): {stats:?}"
+    );
+    assert_eq!(rt.retry_waiters(), 0, "no parker left registered");
 }
 
 #[test]

@@ -1,8 +1,9 @@
 //! The scheduler hook contract, as a driver × outcome matrix: through every
-//! transaction entry point and for every way an attempt can end, each
+//! read-write entry point and for every way an attempt can end, each
 //! `before_start` is closed by exactly one `on_finish` carrying the expected
 //! [`AttemptEnd`], the access sets handed over match what the attempt did,
-//! and the runtime's statistics agree with what the hooks saw.
+//! and the runtime's statistics agree with what the hooks saw. Read-only
+//! transactions and dropped suspended futures fire no hook at all.
 
 use std::collections::HashSet;
 use std::future::Future;
@@ -18,21 +19,18 @@ use shrink::stm::{
     retry_select, AttemptEnd, ReadTx, SchedCtx, SelectArm, ThreadId, TmError, VarId,
 };
 
-/// How a recorded bracket was closed. `Cancelled` is an `Abandoned` report
-/// that arrived with no bracket open (a suspended future was dropped).
+/// How a recorded bracket was closed.
 #[derive(Clone, Debug, PartialEq)]
 enum End {
     Committed,
     Aborted(AbortReason),
     RetryWait,
     Abandoned,
-    Cancelled,
 }
 
 #[derive(Clone, Debug)]
 struct Finish {
     thread: ThreadId,
-    kind: TxnKind,
     end: End,
     reads: Vec<VarId>,
     writes: Vec<VarId>,
@@ -51,12 +49,9 @@ struct RecordingScheduler {
 }
 
 impl RecordingScheduler {
-    fn count(&self, end: &End, kind: TxnKind) -> u64 {
+    fn count(&self, end: &End) -> u64 {
         let finishes = self.finishes.lock();
-        finishes
-            .iter()
-            .filter(|f| f.end == *end && f.kind == kind)
-            .count() as u64
+        finishes.iter().filter(|f| f.end == *end).count() as u64
     }
 
     fn aborts(&self) -> u64 {
@@ -72,34 +67,22 @@ impl RecordingScheduler {
     fn assert_settled(&self, rt: &TmRuntime, label: &str) {
         assert_eq!(*self.violations.lock(), Vec::<String>::new(), "{label}");
         assert!(self.open.lock().is_empty(), "{label}: in flight");
-        let closed = self
-            .finishes
-            .lock()
-            .iter()
-            .filter(|f| f.end != End::Cancelled)
-            .count() as u64;
         assert_eq!(
-            self.starts.lock().len() as u64,
-            closed,
+            self.starts.lock().len(),
+            self.finishes.lock().len(),
             "{label}: every start completes exactly once"
         );
         let stats = rt.stats();
-        let rw = TxnKind::ReadWrite;
         assert_eq!(
             stats.commits,
-            self.count(&End::Committed, rw),
+            self.count(&End::Committed),
             "{label}: commits"
         );
         assert_eq!(stats.aborts, self.aborts(), "{label}: aborts");
         assert_eq!(
             stats.retry_waits,
-            self.count(&End::RetryWait, rw),
+            self.count(&End::RetryWait),
             "{label}: retry waits"
-        );
-        assert_eq!(
-            stats.ro_commits,
-            self.count(&End::Committed, TxnKind::ReadOnly),
-            "{label}: read-only commits"
         );
     }
 }
@@ -126,10 +109,9 @@ impl TxScheduler for RecordingScheduler {
             AttemptEnd::Committed => End::Committed,
             AttemptEnd::Aborted(abort) => End::Aborted(abort.reason()),
             AttemptEnd::RetryWait => End::RetryWait,
-            AttemptEnd::Abandoned if was_open => End::Abandoned,
-            AttemptEnd::Abandoned => End::Cancelled,
+            AttemptEnd::Abandoned => End::Abandoned,
         };
-        if !was_open && end != End::Cancelled {
+        if !was_open {
             self.violations
                 .lock()
                 .push(format!("{:?}: {end:?} without before_start", ctx.thread));
@@ -147,7 +129,6 @@ impl TxScheduler for RecordingScheduler {
         }
         self.finishes.lock().push(Finish {
             thread: ctx.thread,
-            kind: ctx.kind,
             end,
             reads: reads.to_vec(),
             writes: writes.to_vec(),
@@ -203,7 +184,6 @@ enum Want {
     Restart,
     RetryWait,
     Abandoned,
-    Cancelled,
 }
 
 impl Want {
@@ -217,7 +197,6 @@ impl Want {
             Want::Restart => *end == End::Aborted(UserRestart),
             Want::RetryWait => *end == End::RetryWait,
             Want::Abandoned => *end == End::Abandoned,
-            Want::Cancelled => *end == End::Cancelled,
         }
     }
 }
@@ -236,15 +215,16 @@ enum Ran {
 /// `retry`; only a future can be dropped while suspended).
 fn expected(driver: Driver, outcome: Outcome) -> Option<Vec<Want>> {
     use Want::*;
-    let read_only = driver == Driver::ReadOnly;
     Some(match outcome {
+        Outcome::Retry | Outcome::DroppedWhileSuspended if driver == Driver::ReadOnly => {
+            return None
+        }
+        // A read-only transaction, restarts included, fires no hook.
+        _ if driver == Driver::ReadOnly => vec![],
         Outcome::Commit => vec![Committed],
-        // Read-only restarts are internal: one bracket per transaction.
-        Outcome::ConflictAbort | Outcome::Restart if read_only => vec![Committed],
         Outcome::ConflictAbort => vec![Conflict, Committed],
         Outcome::Restart => vec![Restart, Committed],
         Outcome::Retry => match driver {
-            Driver::ReadOnly => return None,
             // The gate never opens: the budget allows two rounds; the
             // deadline at least one.
             Driver::RunBudgeted => vec![RetryWait, RetryWait],
@@ -252,9 +232,8 @@ fn expected(driver: Driver, outcome: Outcome) -> Option<Vec<Want>> {
             _ => vec![RetryWait, Committed],
         },
         Outcome::ForeignTVar | Outcome::BodyPanic => vec![Abandoned],
-        Outcome::DroppedWhileSuspended if driver == Driver::Async => {
-            vec![RetryWait, Cancelled]
-        }
+        // The `RetryWait` report closed the bracket; the drop adds nothing.
+        Outcome::DroppedWhileSuspended if driver == Driver::Async => vec![RetryWait],
         Outcome::DroppedWhileSuspended => return None,
     })
 }
@@ -460,10 +439,14 @@ impl Cell {
             _ => assert_eq!(ran, Ran::Value(self.a.snapshot() + 2), "{label}"),
         }
 
-        // The subject thread opened the first bracket; helper threads
-        // (conflicting writer, gate opener) only ever commit.
+        // Helper threads (conflicting writer, gate opener) only ever commit.
+        // The transaction that shows the runtime stays usable on the
+        // subject thread after every cell also names that thread.
         let finishes = self.recorder.finishes.lock().clone();
-        let subject = self.recorder.starts.lock()[0];
+        let subject = self.rt.run(|tx| {
+            tx.modify(&self.a, |x| x + 1)?;
+            Ok(tx.thread())
+        });
         let (mine, others): (Vec<_>, Vec<_>) = finishes.iter().partition(|f| f.thread == subject);
         assert!(others.iter().all(|f| f.end == End::Committed), "{label}");
         let ends: Vec<&End> = mine.iter().map(|f| &f.end).collect();
@@ -488,18 +471,7 @@ impl Cell {
             Outcome::Retry | Outcome::DroppedWhileSuspended
         );
         for f in &mine {
-            let read_only = self.driver == Driver::ReadOnly;
-            assert_eq!(
-                f.kind,
-                if read_only {
-                    TxnKind::ReadOnly
-                } else {
-                    TxnKind::ReadWrite
-                },
-                "{label}"
-            );
             let (reads, writes) = match &f.end {
-                _ if read_only => (vec![], vec![]),
                 End::Committed if gated => (vec![a, b, gate, a], vec![b]),
                 End::Committed => (vec![a, b, a], vec![b]),
                 // `or_else` rolled the first branch's writes back before
@@ -507,21 +479,21 @@ impl Cell {
                 End::RetryWait if self.driver == Driver::RunOrElse => (vec![a, b, gate], vec![]),
                 End::RetryWait => (vec![a, b, gate], vec![b]),
                 End::Aborted(_) => (vec![a, b], vec![b]),
-                End::Abandoned | End::Cancelled => (vec![], vec![]),
+                End::Abandoned => (vec![], vec![]),
             };
             assert_eq!(f.reads, reads, "{label}: reads of {:?}", f.end);
             assert_eq!(f.writes, writes, "{label}: writes of {:?}", f.end);
         }
 
         self.recorder.assert_settled(&self.rt, &label);
-        if self.driver == Driver::ReadOnly && self.outcome == Outcome::ConflictAbort {
-            assert!(
-                self.rt.stats().ro_revalidations >= 1,
-                "{label}: restarted inside"
-            );
+        if self.driver == Driver::ReadOnly {
+            let stats = self.rt.stats();
+            let completed = matches!(ran, Ran::Value(_));
+            assert_eq!(stats.ro_commits, u64::from(completed), "{label}");
+            if self.outcome == Outcome::ConflictAbort {
+                assert!(stats.ro_revalidations >= 1, "{label}: restarted inside");
+            }
         }
-        // The runtime stays usable on the subject thread after every cell.
-        self.rt.run(|tx| tx.modify(&self.a, |x| x + 1));
     }
 }
 
@@ -594,6 +566,6 @@ fn hook_counts_match_under_concurrency() {
         h.join().unwrap();
     }
     assert_eq!(v.snapshot(), 1000);
-    assert_eq!(recorder.count(&End::Committed, TxnKind::ReadWrite), 1000);
+    assert_eq!(recorder.count(&End::Committed), 1000);
     recorder.assert_settled(&rt, "4 × 250 increments");
 }
