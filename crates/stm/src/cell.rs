@@ -13,11 +13,12 @@
 //!   the counters, prices and keys the paper's word-based STM workloads
 //!   are made of.
 //! * **Epoch-reclaimed box** — for everything else: an atomic pointer to a
-//!   heap value. Readers pin an epoch, load the pointer and clone the
-//!   value out; a transactional write boxes its value once, commit swaps
-//!   that box in as it is, and destruction of the old one is deferred
-//!   until all pinned readers have moved on (see `vendor/crossbeam` and
-//!   DESIGN.md §7).
+//!   heap value. A reader loads the pointer under an epoch pin — inside a
+//!   transaction, the attempt's one pin — and borrows the value behind it
+//!   until the pin drops; a transactional write boxes its value once,
+//!   commit swaps that box in as it is, and destruction of the old one is
+//!   deferred until all pinned readers have moved on (see
+//!   `vendor/crossbeam` and DESIGN.md §7).
 //!
 //! A write log buffers values as `Staged`: the same two representations,
 //! detached from any cell.
@@ -28,8 +29,10 @@
 //!
 //! This load path is what makes the lock-free read-only mode
 //! ([`TmRuntime::read_only`](crate::TmRuntime::read_only)) possible: a
-//! `ReadTx` read is exactly `orec snapshot → ValueCell::load → orec
-//! re-snapshot`, with no shared-state write anywhere on the path.
+//! `ReadTx` read is exactly `orec snapshot → ValueCell::peek → orec
+//! re-snapshot`, with no shared-state write anywhere on the path. A
+//! `Peek` is used only after the re-snapshot confirmed it, so a reader
+//! never runs code on a value its snapshot does not vouch for.
 
 use std::fmt;
 use std::marker::PhantomData;
@@ -37,7 +40,7 @@ use std::mem::{self, ManuallyDrop};
 use std::ptr;
 use std::sync::atomic::{fence, AtomicU64, Ordering};
 
-use crossbeam::epoch::{self, Atomic, Owned};
+use crossbeam::epoch::{self, Atomic, Guard, Owned};
 
 /// Inline storage budget: up to this many 8-byte words.
 const INLINE_WORDS: usize = 4;
@@ -84,19 +87,34 @@ impl<T: Clone + Send + Sync + 'static> ValueCell<T> {
         matches!(self.repr, Repr::Inline(_))
     }
 
-    /// Clones the current value out.
+    /// Clones the current value out, pinning for the load if the value is
+    /// boxed (the non-transactional [`TVar::snapshot`](crate::TVar::snapshot)).
     #[inline]
     pub(crate) fn load(&self) -> T {
         match &self.repr {
-            Repr::Inline(cell) => cell.load(),
-            Repr::Boxed(ptr) => {
-                let guard = epoch::pin();
-                let shared = ptr.load(Ordering::Acquire, &guard);
-                // SAFETY: the pointer is never null after construction and
-                // the pinned epoch keeps the pointee alive for the clone.
-                unsafe { shared.deref().clone() }
-            }
+            // SAFETY: an inline cell holds a `T` satisfying `use_inline`,
+            // and `load_words` returns the bytes of a complete one.
+            Repr::Inline(cell) => unsafe { with_frozen(&cell.load_words(), T::clone) },
+            Repr::Boxed(_) => self.peek(&epoch::pin()).with(T::clone),
         }
+    }
+
+    /// Loads the current value without using it: inline bytes are copied
+    /// out, a boxed value is borrowed for as long as `guard` pins the
+    /// thread. The caller confirms the value (orec re-snapshot) before it
+    /// hands the [`Peek`] to anyone.
+    #[inline]
+    pub(crate) fn peek<'g>(&'g self, guard: &'g Guard) -> Peek<'g, T> {
+        Peek(match &self.repr {
+            Repr::Inline(cell) => PeekRepr::Inline(cell.load_words(), PhantomData),
+            Repr::Boxed(ptr) => {
+                let shared = ptr.load(Ordering::Acquire, guard);
+                // SAFETY: the pointer is never null after construction, and
+                // a boxed value is never mutated once installed (commit
+                // swaps in a new box); `guard` keeps this one allocated.
+                PeekRepr::Boxed(unsafe { shared.deref() })
+            }
+        })
     }
 
     /// Publishes a staged value, consuming it: inline bytes are copied in,
@@ -122,6 +140,30 @@ impl<T: Clone + Send + Sync + 'static> ValueCell<T> {
                 let boxed = unsafe { Box::from_raw(staged.boxed.cast::<T>()) };
                 swap_in(ptr, Owned::from(boxed));
             }
+        }
+    }
+}
+
+/// One load of a [`ValueCell`], not yet used: see [`ValueCell::peek`].
+pub(crate) struct Peek<'g, T>(PeekRepr<'g, T>);
+
+enum PeekRepr<'g, T> {
+    /// The validated seqlock bytes of an inline value.
+    Inline([u64; INLINE_WORDS], PhantomData<T>),
+    /// A boxed value, kept allocated by the guard it was loaded under.
+    Boxed(&'g T),
+}
+
+impl<T> Peek<'_, T> {
+    /// Runs `f` on the loaded value.
+    #[inline]
+    pub(crate) fn with<R>(self, f: impl FnOnce(&T) -> R) -> R {
+        match self.0 {
+            // SAFETY: only `ValueCell::peek` builds this variant, for an
+            // inline cell (so `T` satisfies `use_inline`), from
+            // `load_words`, which returns the bytes of a complete `T`.
+            PeekRepr::Inline(words, _) => unsafe { with_frozen(&words, f) },
+            PeekRepr::Boxed(value) => f(value),
         }
     }
 }
@@ -172,20 +214,20 @@ impl Staged {
         }
     }
 
-    /// Clones the staged value out.
+    /// Runs `f` on the staged value.
     ///
     /// # Safety
     ///
     /// `self` holds a live value staged as `T`.
     #[inline]
-    pub(crate) unsafe fn get<T: Clone>(&self) -> T {
+    pub(crate) unsafe fn with<T, R>(&self, f: impl FnOnce(&T) -> R) -> R {
         // SAFETY: per the contract, the field matching `use_inline::<T>()`
         // holds a valid `T`.
         unsafe {
             if use_inline::<T>() {
-                assemble(&self.words)
+                with_frozen(&self.words, f)
             } else {
-                (*self.boxed.cast::<T>()).clone()
+                f(&*self.boxed.cast::<T>())
             }
         }
     }
@@ -245,7 +287,7 @@ struct InlineCell<T> {
     _marker: PhantomData<T>,
 }
 
-impl<T: Clone> InlineCell<T> {
+impl<T> InlineCell<T> {
     fn new(value: T) -> Self {
         let cell = InlineCell {
             seq: AtomicU64::new(0),
@@ -256,8 +298,10 @@ impl<T: Clone> InlineCell<T> {
         cell
     }
 
+    /// The bytes of the current value, copied out between two equal even
+    /// sequence counts.
     #[inline]
-    fn load(&self) -> T {
+    fn load_words(&self) -> [u64; INLINE_WORDS] {
         loop {
             let s1 = self.seq.load(Ordering::Acquire);
             if s1 & 1 == 1 {
@@ -270,10 +314,10 @@ impl<T: Clone> InlineCell<T> {
             }
             fence(Ordering::Acquire);
             if self.seq.load(Ordering::Relaxed) == s1 {
-                // SAFETY: the sequence count was even and unchanged across
-                // the word copy, so `buf` holds the exact bytes of a value
-                // that was fully written by `store` — a valid `T`.
-                return unsafe { assemble(&buf) };
+                // The sequence count was even and unchanged across the word
+                // copy, so `buf` holds the exact bytes of a value that was
+                // fully written by `store_words` — a valid `T`.
+                return buf;
             }
         }
     }
@@ -320,23 +364,23 @@ fn freeze<T>(value: T) -> [u64; INLINE_WORDS] {
     buf
 }
 
-/// Materializes a `T` from validated seqlock bytes, preserving `Clone`
-/// semantics: the bitwise temporary is cloned, then forgotten (legal
-/// because the inline representation is only chosen for dropless types).
+/// Runs `f` on a bitwise temporary materialized from inline bytes, then
+/// forgets it (legal because the inline representation is only chosen for
+/// dropless types). A reader that wants its own value passes `T::clone`,
+/// so `Clone` semantics are preserved.
 ///
 /// # Safety
 ///
 /// `buf` must hold the bytes of a valid, fully written `T` (guaranteed by
-/// the seqlock validation in `InlineCell::load`, or by [`freeze`] for a
-/// staged value), and `T` must satisfy
-/// [`use_inline`].
+/// the seqlock validation in `InlineCell::load_words`, or by [`freeze`]
+/// for a staged value), and `T` must satisfy [`use_inline`].
 #[inline]
-unsafe fn assemble<T: Clone>(buf: &[u64; INLINE_WORDS]) -> T {
+unsafe fn with_frozen<T, R>(buf: &[u64; INLINE_WORDS], f: impl FnOnce(&T) -> R) -> R {
     // SAFETY: size checked by `use_inline`; the bytes are a valid `T` per
     // the caller's contract. `ManuallyDrop` suppresses drop of the bitwise
     // temporary (which has no drop glue anyway).
     let tmp = unsafe { mem::transmute_copy::<[u64; INLINE_WORDS], ManuallyDrop<T>>(buf) };
-    (*tmp).clone()
+    f(&*tmp)
 }
 
 #[cfg(test)]
@@ -563,7 +607,7 @@ mod tests {
     #[test]
     fn clone_semantics_preserved_on_inline_path() {
         // A dropless type whose Clone is observable: the inline path must
-        // call it (via `assemble`) rather than bit-copying past it.
+        // call it (via `with_frozen`) rather than bit-copying past it.
         static CLONES: AtomicUsize = AtomicUsize::new(0);
         #[derive(Debug)]
         struct CountsClones(u64);

@@ -86,9 +86,10 @@ pub enum FaultSite {
     EpochAdvance = 12,
     /// Thread exit retiring its epoch slot (runs in a TLS destructor).
     EpochRetire = 13,
-    /// `Tx::read` between confirming a stripe newer than the snapshot and
-    /// the timestamp extension's clock sample — the window in which a
-    /// commit to that stripe makes the loaded value stale.
+    /// `Tx::read_with` or `ReadTx::read_with` between confirming a stripe
+    /// newer than the snapshot and the timestamp extension's clock sample —
+    /// the window in which a commit to that stripe makes the loaded value
+    /// stale.
     ReadExtend = 14,
 }
 

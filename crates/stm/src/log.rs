@@ -107,12 +107,16 @@ impl WriteEntry {
         );
     }
 
-    /// Clones the buffered value for `target` out (read-own-write).
+    /// Runs `f` on the buffered value for `target` (read-own-write).
     #[inline]
-    pub(crate) fn value<T: TxValue>(&self, target: &Arc<TVarInner<T>>) -> T {
+    pub(crate) fn with<T: TxValue, R>(
+        &self,
+        target: &Arc<TVarInner<T>>,
+        f: impl FnOnce(&T) -> R,
+    ) -> R {
         self.check(target);
         // SAFETY: `check` proved the value was staged as `T`.
-        unsafe { self.value.get::<T>() }
+        unsafe { self.value.with::<T, R>(f) }
     }
 
     /// Replaces the buffered value for `target` in place (overwrite).

@@ -186,9 +186,11 @@ impl RuntimeInner {
         body: impl FnOnce(&mut Tx<'_>) -> TxResult<T>,
     ) -> Attempt<T> {
         // The thread's logs first, guard second, `tx` third: on an unwind
-        // the transaction rolls back (stripes released) before the guard
-        // closes the scheduler bracket and advances the attempt epoch, and
-        // the logs are handed back last.
+        // the transaction rolls back (stripes released) and unpins before
+        // the guard closes the scheduler bracket and advances the attempt
+        // epoch, and the logs are handed back last. On every other path
+        // `tx` — and with it the attempt's epoch pin — is dropped before
+        // the bracket closes, so no hook, park or `relieve` runs pinned.
         let attempt = with_logs(|logs| {
             let mut guard = AttemptGuard::new(self, ctx);
             guard.begin();
@@ -252,13 +254,17 @@ fn read_only_loop<T>(
         let mut tx = ReadTx::begin(inner, ctx.id(), read_log);
         let outcome = body(&mut tx);
         let (reads, revalidations) = tx.counters();
+        let refusal = tx.refusal.take();
+        // The attempt's epoch pin ends here: neither the restart pause
+        // below nor the caller runs pinned.
+        drop(tx);
         bump(&ctx.ro_reads, reads);
         bump(&ctx.ro_revalidations, revalidations);
         if let Ok(value) = outcome {
             bump(&ctx.ro_commits, 1);
             return Ok(value);
         }
-        if let Some(refusal) = tx.refusal {
+        if let Some(refusal) = refusal {
             // Not retryable: a fresh snapshot cannot change which
             // runtime owns the variable.
             return Err(refusal);
@@ -583,7 +589,7 @@ impl TmRuntime {
     ///
     /// The body receives a [`ReadTx`]: a reader that snapshots the global
     /// clock once, reads versioned cells through the lock-free
-    /// `ValueCell::load` path and revalidates per read. Compared to
+    /// `ValueCell::peek` path and revalidates per read. Compared to
     /// [`run`](TmRuntime::run) with a non-writing body, `read_only` skips
     /// everything writer-facing:
     ///
@@ -739,10 +745,10 @@ pub fn atomically<T>(rt: &TmRuntime, body: impl FnMut(&mut Tx<'_>) -> TxResult<T
 /// destruction is deferred until every reader pinned at the time of
 /// replacement has moved on, and then falls to the thread that replaced
 /// them (see DESIGN.md §7). Reclamation normally runs piggybacked on the
-/// read and commit paths; call this from a thread that holds no transaction
-/// when you need the backlog drained *now* — after joining worker threads,
-/// between benchmark phases, or in tests asserting exact drop counts. The
-/// epoch collector is process-global, not per-runtime.
+/// attempt and commit paths; call this from a thread that holds no
+/// transaction when you need the backlog drained *now* — after joining
+/// worker threads, between benchmark phases, or in tests asserting exact
+/// drop counts. The epoch collector is process-global, not per-runtime.
 ///
 /// Each call seals the calling thread's deferral bag and attempts a bounded
 /// number of epoch advances; when no thread is pinned, everything retired

@@ -10,7 +10,7 @@ use crate::varid::VarId;
 /// Marker trait for types that can live in a [`TVar`].
 ///
 /// Blanket-implemented; listed explicitly so the requirements show up in
-/// one place: values are cloned out on read, sent across threads by the
+/// one place: values are cloned out by `read`, sent across threads by the
 /// commit protocol, and (on the boxed storage path) destroyed by deferred
 /// epoch reclamation, possibly on another thread.
 pub trait TxValue: Clone + Send + Sync + 'static {}
@@ -64,8 +64,10 @@ impl<T> TVarInner<T> {
 /// transactions.
 ///
 /// `TVar<T>` is a cheap handle (an `Arc` internally); clone it freely to
-/// share between threads. For large payloads store an `Arc<Payload>` inside
-/// the `TVar` so that reads clone a pointer, not the payload.
+/// share between threads. A read that needs only part of a large payload —
+/// a length, a field, a membership test — should use
+/// [`read_with`](crate::Tx::read_with), which runs a closure on the value
+/// in place instead of cloning it out as [`read`](crate::Tx::read) does.
 ///
 /// Three read paths, in increasing consistency: [`TVar::snapshot`] (latest
 /// committed value, no cross-variable consistency),

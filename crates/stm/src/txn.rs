@@ -21,10 +21,15 @@
 //! written. Which stripes the attempt owns is read from the orec word
 //! itself (`locked_by(me)`); `owned_order` is only the release list.
 //!
-//! Value snapshots (`ValueCell::load`) are lock-free on both storage paths
-//! (inline seqlock or epoch-pinned pointer load; see DESIGN.md §7), so the
-//! per-read cost on top of them is exactly the orec snapshot/validate pair
-//! below — the overhead budget the paper's ~13 % Shrink figure rides on.
+//! Value loads (`ValueCell::peek`) are lock-free on both storage paths
+//! (inline seqlock or pointer load; see DESIGN.md §7). A boxed load needs
+//! the thread pinned, and an attempt pins once, at `begin`, for all of its
+//! reads: the guard is a field of the attempt and drops with it. So the
+//! per-read cost on top of the load is exactly the orec snapshot/validate
+//! pair below — the overhead budget the paper's ~13 % Shrink figure rides
+//! on. Every read is a [`read_with`](Tx::read_with): the caller's closure
+//! runs once, on the value the read validated, and [`Tx::read`] is the
+//! closure `T::clone`.
 //!
 //! Backend differences (see [`BackendKind`]):
 //!
@@ -39,6 +44,8 @@
 
 use std::fmt;
 use std::mem;
+
+use crossbeam::epoch::{self, Guard};
 
 use crate::backoff::pause;
 use crate::config::BackendKind;
@@ -101,6 +108,9 @@ pub struct Tx<'rt> {
     /// runtime (the abort was [`AbortReason::ForeignTVar`]).
     pub(crate) refusal: Option<TmError>,
     finished: bool,
+    /// The attempt's epoch pin: every boxed value its reads load stays
+    /// allocated until the attempt is dropped.
+    pin: Guard,
 }
 
 impl<'rt> Tx<'rt> {
@@ -115,6 +125,7 @@ impl<'rt> Tx<'rt> {
             rt,
             ctx,
             me: ctx.id(),
+            pin: epoch::pin(),
             start_ts: rt.clock.now(),
             logs,
             refusal: None,
@@ -334,13 +345,43 @@ impl<'rt> Tx<'rt> {
         }
     }
 
-    /// Transactionally reads `tvar`.
+    /// Transactionally reads `tvar`: a clone of the value.
     ///
     /// # Errors
     ///
     /// Aborts (for the retry loop to handle) on validation failure, lock
     /// wait timeout, or a contention-manager kill.
     pub fn read<T: TxValue>(&mut self, tvar: &TVar<T>) -> TxResult<T> {
+        self.read_with(tvar, T::clone)
+    }
+
+    /// Transactionally reads `tvar` and runs `f` on the value in place,
+    /// without cloning it.
+    ///
+    /// `f` runs exactly once, on the value the read validated: after the
+    /// orec confirm and after any timestamp extension and re-load — or on
+    /// the buffered value, when this attempt wrote `tvar` before. A read
+    /// that aborts runs it not at all.
+    ///
+    /// # Errors
+    ///
+    /// As [`read`](Tx::read).
+    ///
+    /// # Examples
+    ///
+    /// ```
+    /// use shrink_stm::{TmRuntime, TVar};
+    ///
+    /// let rt = TmRuntime::new();
+    /// let log = TVar::new(vec![3u64, 4, 5]);
+    /// // Sums the vector where it lies: no clone of the `Vec`.
+    /// assert_eq!(rt.run(|tx| tx.read_with(&log, |v| v.iter().sum::<u64>())), 12);
+    /// ```
+    pub fn read_with<T: TxValue, R>(
+        &mut self,
+        tvar: &TVar<T>,
+        f: impl FnOnce(&T) -> R,
+    ) -> TxResult<R> {
         self.check_kill()?;
         check_owner(self.rt, &tvar.inner, &mut self.refusal)?;
         self.ctx.bump_accesses();
@@ -348,9 +389,8 @@ impl<'rt> Tx<'rt> {
 
         // Read-own-write.
         if let Some(i) = self.logs.write_index.get(var) {
-            let value = self.logs.write_log[i].value(&tvar.inner);
             self.logs.read_vars.push(var);
-            return Ok(value);
+            return Ok(self.logs.write_log[i].with(&tvar.inner, f));
         }
 
         let idx = self.rt.orecs.index_of(var);
@@ -386,7 +426,7 @@ impl<'rt> Tx<'rt> {
             // install only at commit): the cell holds the committed value,
             // guarded by the (pre-lock) version. Load, then confirm the
             // orec did not move under us.
-            let value = tvar.inner.cell.load();
+            let value = tvar.inner.cell.peek(&self.pin);
             if orec.snapshot() != s1 {
                 spins += 1;
                 continue;
@@ -399,7 +439,7 @@ impl<'rt> Tx<'rt> {
                 // The extension only vouches for the read log; `value`/`s1`
                 // predate its clock sample. Re-snapshot and re-load under
                 // the advanced timestamp (see the same step in
-                // `ReadTx::read`).
+                // `ReadTx::read_with`).
                 if spins >= READ_SPIN_BUDGET {
                     return Err(Abort::new(AbortReason::ReadValidation));
                 }
@@ -409,7 +449,7 @@ impl<'rt> Tx<'rt> {
             let version = s1.version();
             self.logs.read_log.push(ReadEntry { orec: idx, version });
             self.logs.read_vars.push(var);
-            return Ok(value);
+            return Ok(value.with(f));
         }
     }
 
@@ -708,13 +748,23 @@ impl fmt::Debug for Tx<'_> {
 /// assert_eq!(rt.read_only(|tx| sum(tx, &vars)), 6); // lock-free path
 /// ```
 pub trait TxRead {
-    /// Transactionally reads `tvar`.
+    /// Transactionally reads `tvar` and runs `f` once on the value the
+    /// read validated, in place (see [`Tx::read_with`]).
     ///
     /// # Errors
     ///
     /// Aborts (for the owning retry loop to handle) when the read cannot be
     /// added to a consistent snapshot.
-    fn read<T: TxValue>(&mut self, tvar: &TVar<T>) -> TxResult<T>;
+    fn read_with<T: TxValue, R>(&mut self, tvar: &TVar<T>, f: impl FnOnce(&T) -> R) -> TxResult<R>;
+
+    /// Transactionally reads `tvar`: `read_with(tvar, T::clone)`.
+    ///
+    /// # Errors
+    ///
+    /// As [`read_with`](TxRead::read_with).
+    fn read<T: TxValue>(&mut self, tvar: &TVar<T>) -> TxResult<T> {
+        self.read_with(tvar, T::clone)
+    }
 
     /// Requests an abort-and-restart of this attempt.
     ///
@@ -727,8 +777,8 @@ pub trait TxRead {
 }
 
 impl TxRead for Tx<'_> {
-    fn read<T: TxValue>(&mut self, tvar: &TVar<T>) -> TxResult<T> {
-        Tx::read(self, tvar)
+    fn read_with<T: TxValue, R>(&mut self, tvar: &TVar<T>, f: impl FnOnce(&T) -> R) -> TxResult<R> {
+        Tx::read_with(self, tvar, f)
     }
 }
 
@@ -740,8 +790,8 @@ impl TxRead for Tx<'_> {
 ///
 /// * the global clock is sampled **once** at begin (`start_ts`);
 /// * every read snapshots the guarding orec, loads the value through the
-///   lock-free `ValueCell::load` path, and
-///   re-snapshots to confirm the stripe did not move;
+///   lock-free `ValueCell::peek` path under the attempt's one epoch pin,
+///   and re-snapshots to confirm the stripe did not move;
 /// * a version newer than `start_ts` triggers a timestamp extension
 ///   (revalidate the whole read log against the current clock); a
 ///   successful extension **re-reads the stripe** under the advanced
@@ -782,6 +832,8 @@ pub struct ReadTx<'rt> {
     /// The refused access, once the body touched a `TVar` bound to another
     /// runtime (the abort was [`AbortReason::ForeignTVar`]).
     pub(crate) refusal: Option<TmError>,
+    /// The attempt's epoch pin, as in [`Tx`].
+    pin: Guard,
 }
 
 impl<'rt> ReadTx<'rt> {
@@ -794,6 +846,7 @@ impl<'rt> ReadTx<'rt> {
         ReadTx {
             rt,
             me,
+            pin: epoch::pin(),
             start_ts: rt.clock.now(),
             read_log,
             reads: 0,
@@ -826,7 +879,8 @@ impl<'rt> ReadTx<'rt> {
         Err(Abort::new(AbortReason::UserRestart))
     }
 
-    /// Reads `tvar` as part of the lock-free snapshot.
+    /// Reads `tvar` as part of the lock-free snapshot: a clone of the
+    /// value.
     ///
     /// # Errors
     ///
@@ -836,6 +890,21 @@ impl<'rt> ReadTx<'rt> {
     /// [`TmRuntime::read_only`](crate::TmRuntime::read_only) catches this
     /// and restarts the body; it never surfaces to user code.
     pub fn read<T: TxValue>(&mut self, tvar: &TVar<T>) -> TxResult<T> {
+        self.read_with(tvar, T::clone)
+    }
+
+    /// Reads `tvar` as part of the lock-free snapshot and runs `f` on the
+    /// value in place, exactly once, after the read validated it (see
+    /// [`Tx::read_with`]).
+    ///
+    /// # Errors
+    ///
+    /// As [`read`](ReadTx::read).
+    pub fn read_with<T: TxValue, R>(
+        &mut self,
+        tvar: &TVar<T>,
+        f: impl FnOnce(&T) -> R,
+    ) -> TxResult<R> {
         // A foreign read would validate against the wrong runtime's orec
         // table — a torn multi-variable snapshot, not just a lost wakeup —
         // so the owner stamp is enforced on this path too.
@@ -859,7 +928,7 @@ impl<'rt> ReadTx<'rt> {
             }
             // Unlocked, or locked but not yet committing: the committed
             // value is still in the cell, guarded by the pre-lock version.
-            let value = tvar.inner.cell.load();
+            let value = tvar.inner.cell.peek(&self.pin);
             let s2 = orec.snapshot();
             if s2 != s1 {
                 if spins >= READ_SPIN_BUDGET {
@@ -869,6 +938,8 @@ impl<'rt> ReadTx<'rt> {
                 continue;
             }
             if s1.version() > self.start_ts {
+                // Delay-only site, as in `Tx::read_with`.
+                let _ = crate::failpoint!(FaultSite::ReadExtend);
                 self.extend()?;
                 // The extension proved the read log consistent at the new
                 // timestamp, but `value`/`s1` were sampled *before* extend
@@ -887,7 +958,7 @@ impl<'rt> ReadTx<'rt> {
                 orec: idx,
                 version: s1.version(),
             });
-            return Ok(value);
+            return Ok(value.with(f));
         }
     }
 
@@ -916,8 +987,8 @@ impl<'rt> ReadTx<'rt> {
 }
 
 impl TxRead for ReadTx<'_> {
-    fn read<T: TxValue>(&mut self, tvar: &TVar<T>) -> TxResult<T> {
-        ReadTx::read(self, tvar)
+    fn read_with<T: TxValue, R>(&mut self, tvar: &TVar<T>, f: impl FnOnce(&T) -> R) -> TxResult<R> {
+        ReadTx::read_with(self, tvar, f)
     }
 }
 

@@ -7,6 +7,13 @@
 //! path, updates additionally write the O(1)-amortized set of nodes touched
 //! by the CLRS rebalancing, so the conflict footprint matches the classic
 //! STM red-black-tree benchmarks.
+//!
+//! Walks read nodes in place with [`TxRead::read_with`]: a search step
+//! clones only the child link it follows, and a color or link probe clones
+//! nothing. A whole node is cloned only where an update is about to write
+//! a modified copy of it.
+
+use std::ops::ControlFlow;
 
 use rand::rngs::StdRng;
 use rand::Rng;
@@ -23,6 +30,13 @@ struct Node {
     red: bool,
     left: Option<NodeVar>,
     right: Option<NodeVar>,
+}
+
+impl Node {
+    /// Clones of both child links (a full traversal follows both).
+    fn children(&self) -> (Option<NodeVar>, Option<NodeVar>) {
+        (self.left.clone(), self.right.clone())
+    }
 }
 
 /// A shared handle to a tree node.
@@ -81,6 +95,37 @@ impl TxRbTree {
         tx.write(&nv.0, node)
     }
 
+    fn is_red(tx: &mut impl TxRead, nv: &NodeVar) -> TxResult<bool> {
+        tx.read_with(&nv.0, |n| n.red)
+    }
+
+    /// True if `child` is `parent`'s left child.
+    fn is_left_child(tx: &mut impl TxRead, parent: &NodeVar, child: &NodeVar) -> TxResult<bool> {
+        tx.read_with(&parent.0, |n| {
+            n.left.as_ref().is_some_and(|l| l.same(child))
+        })
+    }
+
+    /// One step of a search for `key` at `nv`: `found` applied to the node
+    /// if it holds `key`, else the child link toward `key` — the only part
+    /// of the node the step clones.
+    fn search_step<R>(
+        tx: &mut impl TxRead,
+        nv: &NodeVar,
+        key: u64,
+        found: impl FnOnce(&Node) -> R,
+    ) -> TxResult<ControlFlow<R, Option<NodeVar>>> {
+        tx.read_with(&nv.0, |node| {
+            if key == node.key {
+                ControlFlow::Break(found(node))
+            } else if key < node.key {
+                ControlFlow::Continue(node.left.clone())
+            } else {
+                ControlFlow::Continue(node.right.clone())
+            }
+        })
+    }
+
     /// Looks up `key`.
     ///
     /// Generic over [`TxRead`]: the search path is pure reads, so lookups
@@ -94,15 +139,10 @@ impl TxRbTree {
     pub fn get(&self, tx: &mut impl TxRead, key: u64) -> TxResult<Option<u64>> {
         let mut cur = tx.read(&self.root)?;
         while let Some(nv) = cur {
-            let node = Self::read_node(tx, &nv)?;
-            if key == node.key {
-                return Ok(Some(node.value));
+            match Self::search_step(tx, &nv, key, |node| node.value)? {
+                ControlFlow::Break(value) => return Ok(Some(value)),
+                ControlFlow::Continue(next) => cur = next,
             }
-            cur = if key < node.key {
-                node.left
-            } else {
-                node.right
-            };
         }
         Ok(None)
     }
@@ -180,24 +220,14 @@ impl TxRbTree {
         let mut path: Vec<NodeVar> = Vec::new();
         let mut cur = tx.read(&self.root)?;
         while let Some(nv) = cur {
-            let node = Self::read_node(tx, &nv)?;
-            if key == node.key {
-                let old = node.value;
-                Self::write_node(
-                    tx,
-                    &nv,
-                    Node {
-                        value,
-                        ..node.clone()
-                    },
-                )?;
-                return Ok(Some(old));
+            match Self::search_step(tx, &nv, key, Node::clone)? {
+                ControlFlow::Break(node) => {
+                    let old = node.value;
+                    Self::write_node(tx, &nv, Node { value, ..node })?;
+                    return Ok(Some(old));
+                }
+                ControlFlow::Continue(next) => cur = next,
             }
-            cur = if key < node.key {
-                node.left.clone()
-            } else {
-                node.right.clone()
-            };
             path.push(nv);
         }
 
@@ -230,19 +260,21 @@ impl TxRbTree {
             let z = path[path.len() - 1].clone();
             let p = path[path.len() - 2].clone();
             let g = path[path.len() - 3].clone();
-            let pn = Self::read_node(tx, &p)?;
-            if !pn.red {
+            let (p_red, z_is_left) = tx.read_with(&p.0, |pn| {
+                (pn.red, pn.left.as_ref().is_some_and(|l| l.same(&z)))
+            })?;
+            if !p_red {
                 break;
             }
-            let gn = Self::read_node(tx, &g)?;
-            let p_is_left = gn.left.as_ref().is_some_and(|l| l.same(&p));
-            let uncle = if p_is_left {
-                gn.right.clone()
-            } else {
-                gn.left.clone()
-            };
+            let (p_is_left, uncle) = tx.read_with(&g.0, |gn| {
+                if gn.left.as_ref().is_some_and(|l| l.same(&p)) {
+                    (true, gn.right.clone())
+                } else {
+                    (false, gn.left.clone())
+                }
+            })?;
             let uncle_red = match &uncle {
-                Some(u) => Self::read_node(tx, u)?.red,
+                Some(u) => Self::is_red(tx, u)?,
                 None => false,
             };
             if uncle_red {
@@ -262,7 +294,6 @@ impl TxRbTree {
                 continue;
             }
             // Cases 2/3: black uncle — one or two rotations.
-            let z_is_left = pn.left.as_ref().is_some_and(|l| l.same(&z));
             let (top, _mid) = if p_is_left == z_is_left {
                 (p.clone(), z.clone())
             } else {
@@ -287,8 +318,8 @@ impl TxRbTree {
         }
         // Root is always black.
         if let Some(rv) = tx.read(&self.root)? {
-            let rn = Self::read_node(tx, &rv)?;
-            if rn.red {
+            if Self::is_red(tx, &rv)? {
+                let rn = Self::read_node(tx, &rv)?;
                 Self::write_node(tx, &rv, Node { red: false, ..rn })?;
             }
         }
@@ -305,51 +336,44 @@ impl TxRbTree {
         let mut path: Vec<NodeVar> = Vec::new();
         let mut cur = tx.read(&self.root)?;
         let (z, zn) = loop {
-            match cur {
-                None => return Ok(None),
-                Some(nv) => {
-                    let node = Self::read_node(tx, &nv)?;
-                    if key == node.key {
-                        break (nv, node);
-                    }
-                    cur = if key < node.key {
-                        node.left.clone()
-                    } else {
-                        node.right.clone()
-                    };
-                    path.push(nv);
-                }
+            let Some(nv) = cur else {
+                return Ok(None);
+            };
+            match Self::search_step(tx, &nv, key, Node::clone)? {
+                ControlFlow::Break(node) => break (nv, node),
+                ControlFlow::Continue(next) => cur = next,
             }
+            path.push(nv);
         };
         let removed_value = zn.value;
 
         // If z has two children, splice its successor instead.
         let (target, target_node) = if zn.left.is_some() && zn.right.is_some() {
             path.push(z.clone());
+            // The successor is the leftmost node of z's right subtree.
             let mut s = zn.right.clone().expect("two children");
-            loop {
-                let sn = Self::read_node(tx, &s)?;
-                match sn.left.clone() {
-                    Some(l) => {
-                        path.push(s.clone());
-                        s = l;
-                    }
-                    None => {
-                        // Move successor's payload into z, then delete s.
-                        let zn_now = Self::read_node(tx, &z)?;
-                        Self::write_node(
-                            tx,
-                            &z,
-                            Node {
-                                key: sn.key,
-                                value: sn.value,
-                                ..zn_now
-                            },
-                        )?;
-                        break (s.clone(), sn);
-                    }
+            let sn = loop {
+                let step = tx.read_with(&s.0, |sn| match &sn.left {
+                    Some(l) => ControlFlow::Continue(l.clone()),
+                    None => ControlFlow::Break(sn.clone()),
+                })?;
+                match step {
+                    ControlFlow::Continue(l) => path.push(std::mem::replace(&mut s, l)),
+                    ControlFlow::Break(sn) => break sn,
                 }
-            }
+            };
+            // Move successor's payload into z, then delete s.
+            let zn_now = Self::read_node(tx, &z)?;
+            Self::write_node(
+                tx,
+                &z,
+                Node {
+                    key: sn.key,
+                    value: sn.value,
+                    ..zn_now
+                },
+            )?;
+            (s, sn)
         } else {
             (z, zn)
         };
@@ -358,10 +382,7 @@ impl TxRbTree {
         let child = target_node.left.clone().or(target_node.right.clone());
         let parent = path.last().cloned();
         let target_is_left = match &parent {
-            Some(p) => Self::read_node(tx, p)?
-                .left
-                .as_ref()
-                .is_some_and(|l| l.same(&target)),
+            Some(p) => Self::is_left_child(tx, p, &target)?,
             None => false,
         };
         self.replace_link(tx, parent.as_ref(), &target, child.clone())?;
@@ -430,11 +451,11 @@ impl TxRbTree {
                 wn.left.clone()
             };
             let near_red = match &near {
-                Some(nv) => Self::read_node(tx, nv)?.red,
+                Some(nv) => Self::is_red(tx, nv)?,
                 None => false,
             };
             let far_red = match &far {
-                Some(fv) => Self::read_node(tx, fv)?.red,
+                Some(fv) => Self::is_red(tx, fv)?,
                 None => false,
             };
 
@@ -445,10 +466,7 @@ impl TxRbTree {
                 x = Some(p.clone());
                 path.pop();
                 if let Some(gp) = path.last() {
-                    x_is_left = Self::read_node(tx, gp)?
-                        .left
-                        .as_ref()
-                        .is_some_and(|l| l.same(&p));
+                    x_is_left = Self::is_left_child(tx, gp, &p)?;
                 }
                 continue;
             }
@@ -502,8 +520,8 @@ impl TxRbTree {
             match cur {
                 None => Ok(0),
                 Some(nv) => {
-                    let node = tx.read(&nv.0)?;
-                    Ok(1 + count(tx, node.left)? + count(tx, node.right)?)
+                    let (left, right) = tx.read_with(&nv.0, Node::children)?;
+                    Ok(1 + count(tx, left)? + count(tx, right)?)
                 }
             }
         }
@@ -528,10 +546,10 @@ impl TxRbTree {
     pub fn keys(&self, tx: &mut impl TxRead) -> TxResult<Vec<u64>> {
         fn walk(tx: &mut impl TxRead, cur: Option<NodeVar>, out: &mut Vec<u64>) -> TxResult<()> {
             if let Some(nv) = cur {
-                let node = tx.read(&nv.0)?;
-                walk(tx, node.left, out)?;
-                out.push(node.key);
-                walk(tx, node.right, out)?;
+                let (key, (left, right)) = tx.read_with(&nv.0, |n| (n.key, n.children()))?;
+                walk(tx, left, out)?;
+                out.push(key);
+                walk(tx, right, out)?;
             }
             Ok(())
         }
@@ -561,31 +579,22 @@ impl TxRbTree {
             let Some(nv) = cur else {
                 return Ok(Ok((1, 0))); // nil leaves are black
             };
-            let node = tx.read(&nv.0)?;
-            if let Some(lo) = low {
-                if node.key <= lo {
-                    return Ok(Err(format!("BST order violated at key {}", node.key)));
-                }
+            let (key, red, (left, right)) =
+                tx.read_with(&nv.0, |n| (n.key, n.red, n.children()))?;
+            if low.is_some_and(|lo| key <= lo) || high.is_some_and(|hi| key >= hi) {
+                return Ok(Err(format!("BST order violated at key {key}")));
             }
-            if let Some(hi) = high {
-                if node.key >= hi {
-                    return Ok(Err(format!("BST order violated at key {}", node.key)));
-                }
+            if parent_red && red {
+                return Ok(Err(format!("red-red violation at key {key}")));
             }
-            if parent_red && node.red {
-                return Ok(Err(format!("red-red violation at key {}", node.key)));
-            }
-            let left = audit(tx, node.left.clone(), low, Some(node.key), node.red)?;
-            let right = audit(tx, node.right.clone(), Some(node.key), high, node.red)?;
+            let left = audit(tx, left, low, Some(key), red)?;
+            let right = audit(tx, right, Some(key), high, red)?;
             Ok(match (left, right) {
                 (Ok((lb, lc)), Ok((rb, rc))) => {
                     if lb != rb {
-                        Err(format!(
-                            "black-height mismatch at key {}: {lb} vs {rb}",
-                            node.key
-                        ))
+                        Err(format!("black-height mismatch at key {key}: {lb} vs {rb}"))
                     } else {
-                        Ok((lb + usize::from(!node.red), lc + rc + 1))
+                        Ok((lb + usize::from(!red), lc + rc + 1))
                     }
                 }
                 (Err(e), _) | (_, Err(e)) => Err(e),
@@ -593,7 +602,7 @@ impl TxRbTree {
         }
         let root = tx.read(&self.root)?;
         if let Some(rv) = &root {
-            if tx.read(&rv.0)?.red {
+            if Self::is_red(tx, rv)? {
                 return Ok(Err("root is red".to_string()));
             }
         }

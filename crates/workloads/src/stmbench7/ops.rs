@@ -58,7 +58,7 @@ fn st_query_part(bench: &Arc<Sb7>, rt: &TmRuntime, rng: &mut StdRng) {
                 let _ = tx.read(&part.x)?;
                 let _ = tx.read(&part.y)?;
                 let _ = tx.read(&part.build_date)?;
-                let _ = tx.read(&part.to)?;
+                let _ = tx.read_with(&part.to, Vec::len)?;
             }
         }
         Ok(())
@@ -80,11 +80,9 @@ fn st_traverse_composite(bench: &Arc<Sb7>, rt: &TmRuntime, rng: &mut StdRng) {
             }
             if let Some(part) = bench.registry.get(id) {
                 checksum = checksum.wrapping_add(tx.read(&part.x)?);
-                for next in tx.read(&part.to)? {
-                    if !visited.contains(&next) {
-                        frontier.push(next);
-                    }
-                }
+                tx.read_with(&part.to, |to| {
+                    frontier.extend(to.iter().filter(|next| !visited.contains(next)));
+                })?;
             }
         }
         Ok(checksum)
@@ -232,9 +230,11 @@ pub(super) fn sm2_remove_part(bench: &Arc<Sb7>, rt: &TmRuntime, rng: &mut StdRng
         // Unlink every reference to the victim within the composite.
         for &id in &parts {
             if let Some(part) = bench.registry.get(id) {
-                let to = tx.read(&part.to)?;
-                if to.contains(&victim) {
-                    let pruned: Vec<u64> = to.into_iter().filter(|&t| t != victim).collect();
+                let pruned = tx.read_with(&part.to, |to| {
+                    to.contains(&victim)
+                        .then(|| to.iter().copied().filter(|&t| t != victim).collect())
+                })?;
+                if let Some(pruned) = pruned {
                     tx.write(&part.to, pruned)?;
                 }
             }
@@ -305,7 +305,7 @@ fn t1_long_traversal(bench: &Arc<Sb7>, rt: &TmRuntime) {
                     for base in bases {
                         for cid in tx.read(&base.components)? {
                             let composite = &bench.composites[cid as usize];
-                            parts += tx.read(&composite.parts)?.len();
+                            parts += tx.read_with(&composite.parts, Vec::len)?;
                         }
                     }
                 }

@@ -2,13 +2,16 @@
 //! snapshots (`vendor/crossbeam`, wired through `ValueCell` — see
 //! DESIGN.md §7).
 //!
-//! Three layers:
+//! Four layers:
 //!
 //! 1. **Vendor-level churn** drives `epoch::Atomic` directly: writer threads
 //!    swap-and-retire while reader threads dereference under held guards.
 //! 2. **TVar-level churn** exercises the same machinery through the public
 //!    STM API with a drop-counting canary payload.
-//! 3. **Exhaustive interleaving model** enumerates every schedule of a
+//! 3. **The attempt's pin**: a transaction attempt pins once, at begin, and
+//!    every way it can end unpins the thread — so a thread parked in
+//!    `retry` never holds reclamation back.
+//! 4. **Exhaustive interleaving model** enumerates every schedule of a
 //!    pin/load/unpin vs. swap/retire/advance/collect program on the
 //!    algorithm's state machine — two writers with a sealed-bag queue each,
 //!    one of which exits and hands its queue over — and proves the
@@ -34,13 +37,18 @@
 mod common;
 
 use std::collections::HashSet;
+use std::future::Future;
+use std::panic::{catch_unwind, AssertUnwindSafe};
+use std::pin::Pin;
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
+use std::task::{Context, Poll, Waker};
+use std::time::{Duration, Instant};
 
 use common::stress_factor;
 use crossbeam::epoch::{self, Atomic, Owned};
 use shrink::prelude::*;
-use shrink::stm::quiesce;
+use shrink::stm::{quiesce, TmError};
 
 fn stress_threads(base: usize) -> usize {
     if stress_factor() > 1 {
@@ -339,6 +347,153 @@ fn tvar_churn_tiny_4w_4r_10k() {
         stress_threads(4),
         10_000 * stress_factor(),
     );
+}
+
+// ------------------------------------------------------ the attempt's pin
+
+/// Every way an attempt can end — commit, abort, panic, refusal of a
+/// foreign `TVar`, a `retry` that parks, a future that suspends — leaves
+/// the thread unpinned, on both transaction kinds where the ending exists.
+#[test]
+fn every_way_an_attempt_ends_leaves_the_thread_unpinned() {
+    let _alone = no_other_test_pins();
+    let rt = TmRuntime::builder()
+        .retry_wait(Duration::from_millis(1))
+        .build();
+    let boxed = TVar::new(vec![1u64, 2, 3]);
+    assert!(!epoch::is_pinned());
+
+    let len = rt.run(|tx| {
+        assert!(epoch::is_pinned(), "an attempt runs pinned");
+        tx.read_with(&boxed, Vec::len)
+    });
+    assert_eq!(len, 3);
+    assert!(!epoch::is_pinned(), "after a commit");
+    let len = rt.read_only(|tx| {
+        assert!(epoch::is_pinned(), "a read-only attempt runs pinned");
+        tx.read_with(&boxed, Vec::len)
+    });
+    assert_eq!(len, 3);
+    assert!(!epoch::is_pinned(), "after a read-only commit");
+
+    let aborted: Result<(), _> = rt.run_budgeted(3, |tx| {
+        tx.read(&boxed)?;
+        tx.restart()
+    });
+    assert!(matches!(aborted, Err(TmError::RetryLimitExceeded { .. })));
+    assert!(!epoch::is_pinned(), "after aborts");
+    let restarted: Result<(), _> = rt.read_only_budgeted(3, |tx| {
+        tx.read(&boxed)?;
+        tx.restart()
+    });
+    assert!(matches!(restarted, Err(TmError::RetryLimitExceeded { .. })));
+    assert!(!epoch::is_pinned(), "after read-only restarts");
+
+    let panicked = catch_unwind(AssertUnwindSafe(|| {
+        rt.run(|tx| -> TxResult<()> {
+            tx.read(&boxed)?;
+            panic!("body panics while pinned")
+        })
+    }));
+    assert!(panicked.is_err());
+    assert!(!epoch::is_pinned(), "after a panic");
+    let panicked = catch_unwind(AssertUnwindSafe(|| {
+        rt.read_only(|tx| -> TxResult<()> {
+            tx.read(&boxed)?;
+            panic!("read-only body panics while pinned")
+        })
+    }));
+    assert!(panicked.is_err());
+    assert!(!epoch::is_pinned(), "after a read-only panic");
+
+    let foreign = TmRuntime::new();
+    let refused = foreign.run_budgeted(8, |tx| tx.read(&boxed));
+    assert!(matches!(refused, Err(TmError::ForeignTVar { .. })));
+    assert!(!epoch::is_pinned(), "after a refused foreign read");
+    let refused = foreign.read_only_budgeted(8, |tx| tx.read(&boxed));
+    assert!(matches!(refused, Err(TmError::ForeignTVar { .. })));
+    assert!(
+        !epoch::is_pinned(),
+        "after a refused foreign read-only read"
+    );
+
+    let blocked: Result<(), _> =
+        rt.run_with_deadline(Instant::now() + Duration::from_millis(5), |tx| {
+            tx.read(&boxed)?;
+            tx.retry()
+        });
+    assert!(matches!(blocked, Err(TmError::RetryTimeout { .. })));
+    assert!(!epoch::is_pinned(), "after parking in retry");
+
+    let gate = TVar::new(0u64);
+    let mut suspended = atomically_async(&rt, |tx| {
+        tx.read(&boxed)?;
+        if tx.read(&gate)? == 0 {
+            return tx.retry();
+        }
+        Ok(())
+    });
+    let mut cx = Context::from_waker(Waker::noop());
+    assert!(Pin::new(&mut suspended).poll(&mut cx).is_pending());
+    assert!(!epoch::is_pinned(), "after a future suspended");
+    rt.run(|tx| tx.write(&gate, 1));
+    assert!(matches!(
+        Pin::new(&mut suspended).poll(&mut cx),
+        Poll::Ready(())
+    ));
+    assert!(!epoch::is_pinned(), "after a resumed future committed");
+}
+
+/// A thread parked in `Tx::retry` holds no pin, so it cannot hold the
+/// epoch back: while it sleeps, `quiesce()` frees every box another thread
+/// retired.
+#[test]
+fn quiesce_frees_retired_boxes_while_a_thread_is_parked_in_retry() {
+    let _alone = no_other_test_pins();
+    let rt = TmRuntime::builder()
+        .retry_wait(Duration::from_secs(60))
+        .build();
+    let ledger = Arc::new(CanaryLedger::default());
+    let watched = TVar::new(Canary::new(0, &ledger));
+    let churned = TVar::new(Canary::new(0, &ledger));
+
+    let waiter = {
+        let (rt, watched) = (rt.clone(), watched.clone());
+        std::thread::spawn(move || {
+            rt.run(|tx| {
+                if tx.read_with(&watched, Canary::check)? == 0 {
+                    return tx.retry();
+                }
+                Ok(())
+            });
+        })
+    };
+    // Registered on the waitlist (one variable, one bucket): its attempt,
+    // and with it its pin, is over.
+    while rt.retry_waiters() == 0 {
+        std::thread::yield_now();
+    }
+    // The churn commits on a runtime of its own, so it cannot wake the
+    // waiter through a shared waitlist bucket; the epoch collector is
+    // process-global either way.
+    let churner = {
+        let (rt, churned, ledger) = (TmRuntime::new(), churned.clone(), Arc::clone(&ledger));
+        std::thread::spawn(move || {
+            for i in 1..=4 * 64 {
+                rt.run(|tx| tx.write(&churned, Canary::new(i, &ledger)));
+            }
+        })
+    };
+    churner.join().unwrap();
+    assert_eq!(rt.retry_waiters(), 1, "the waiter is still parked");
+    // Live: the two installed canaries, nothing the churner retired.
+    quiesce_leaves_live(&ledger, 2);
+    assert_eq!(rt.retry_waiters(), 1, "the waiter slept through quiesce");
+
+    rt.run(|tx| tx.write(&watched, Canary::new(1, &ledger)));
+    waiter.join().unwrap();
+    drop((watched, churned));
+    quiesce_leaves_live(&ledger, 0);
 }
 
 // ------------------------------------------- exhaustive interleaving model

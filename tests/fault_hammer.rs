@@ -412,15 +412,23 @@ fn async_futures_survive_spurious_wakes() {
 /// skipped, a committed stale read. Delays at exactly that window
 /// (`ReadExtend`) make the race routine: a 64-key tree under 100 % updates
 /// must finish with no body panic and equal to the sequential model.
+///
+/// `ReadTx` extends the same way and fires the same site, so lock-free
+/// readers run beside the updaters under the same delays: lookups, and
+/// now and then a full red-black audit, through `read_only`. None may
+/// panic, and no audit may see a broken tree.
 #[test]
 fn delayed_read_extension_never_admits_a_stale_read() {
     use std::collections::BTreeMap;
+    use std::sync::atomic::AtomicBool;
 
     let _serial = serialize();
     let _quiet = quiet();
     const KEYS: u64 = 64;
     let threads = if stress_factor() > 1 { 4 } else { 3 };
+    let read_only_threads = if stress_factor() > 1 { 2 } else { 1 };
     let ops = 4000 * stress_factor();
+    let (readers_started, updaters_done) = (AtomicU64::new(0), AtomicBool::new(false));
     let rt = TmRuntime::new();
     let tree = TxRbTree::new();
     let _guard = ScheduleBuilder::new(16)
@@ -433,7 +441,46 @@ fn delayed_read_extension_never_admits_a_stale_read() {
     // Each thread owns the keys congruent to its index, so the final
     // content is the union of per-thread sequential models — while the
     // threads still collide on the tree's shared interior all the time.
-    let models: Vec<(BTreeMap<u64, u64>, u64)> = std::thread::scope(|scope| {
+    let (models, readers) = std::thread::scope(|scope| {
+        let readers: Vec<_> = (0..read_only_threads)
+            .map(|r| {
+                let (rt, tree) = (&rt, &tree);
+                let (started, done) = (&readers_started, &updaters_done);
+                scope.spawn(move || {
+                    let (mut reads, mut panics) = (0u64, 0u64);
+                    let mut broken = Vec::new();
+                    let mut state = 0x5851_F42Du64 + r;
+                    while reads == 0 || !done.load(Ordering::Relaxed) {
+                        state = state.wrapping_mul(6364136223846793005).wrapping_add(1);
+                        let key = (state >> 33) % KEYS;
+                        let audit = (state >> 20) % 16 == 0;
+                        let ran = catch_unwind(AssertUnwindSafe(|| {
+                            if audit {
+                                rt.read_only(|tx| tree.check_invariants(tx)).map(drop)
+                            } else {
+                                rt.read_only(|tx| tree.get(tx, key));
+                                Ok(())
+                            }
+                        }));
+                        match ran {
+                            Ok(Ok(())) => {}
+                            Ok(Err(violation)) => broken.push(violation),
+                            Err(_) => panics += 1,
+                        }
+                        reads += 1;
+                        if reads == 1 {
+                            started.fetch_add(1, Ordering::Relaxed);
+                        }
+                    }
+                    (reads, panics, broken)
+                })
+            })
+            .collect::<Vec<_>>();
+        // On a small host the updaters could finish before a reader first
+        // runs: they start only once every reader has read once.
+        while readers_started.load(Ordering::Relaxed) < read_only_threads {
+            std::thread::yield_now();
+        }
         let handles: Vec<_> = (0..threads)
             .map(|t| {
                 let (rt, tree) = (&rt, &tree);
@@ -464,7 +511,11 @@ fn delayed_read_extension_never_admits_a_stale_read() {
                 })
             })
             .collect();
-        handles.into_iter().map(|h| h.join().unwrap()).collect()
+        let models: Vec<(BTreeMap<u64, u64>, u64)> =
+            handles.into_iter().map(|h| h.join().unwrap()).collect();
+        updaters_done.store(true, Ordering::Relaxed);
+        let readers: Vec<_> = readers.into_iter().map(|h| h.join().unwrap()).collect();
+        (models, readers)
     });
 
     let injected = faults::stats();
@@ -474,6 +525,13 @@ fn delayed_read_extension_never_admits_a_stale_read() {
         panics, 0,
         "zombie attempts panicked in the body ({injected})"
     );
+    for (_, panics, broken) in readers {
+        assert_eq!(panics, 0, "zombie read-only attempts panicked ({injected})");
+        assert!(
+            broken.is_empty(),
+            "read-only audits saw a broken tree: {broken:?}"
+        );
+    }
     let expected: BTreeMap<u64, u64> = models.into_iter().flat_map(|(m, _)| m).collect();
     let (content, shape) = rt.run(|tx| {
         let mut content = BTreeMap::new();

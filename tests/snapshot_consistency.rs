@@ -16,7 +16,10 @@
 //! * `read_only_snapshot_stress` — the same multi-writer hammer with the
 //!   readers on the lock-free [`TmRuntime::read_only`] path, which must
 //!   deliver the identical opacity guarantees while leaving zero marks on
-//!   shared state (asserted per reader thread from the stats ledger).
+//!   shared state (asserted per reader thread from the stats ledger);
+//! * `borrowed_read_stress` — readers on both paths that check the
+//!   invariant *inside* a `read_with` closure, on values borrowed in place:
+//!   the closure must only ever run on a value its read validated.
 //!
 //! Set `SHRINK_STRESS=1` to raise thread counts and rounds.
 
@@ -284,6 +287,110 @@ fn read_only_snapshot_stress(backend: BackendKind, wait: WaitPolicy, kind: Sched
         assert_eq!(t.orec_acquires, 0, "pure reader wrote an orec: {t:?}");
         assert_eq!(t.aborts, 0, "pure reader aborted: {t:?}");
     }
+}
+
+/// Zombie check for [`TxRead::read_with`]: writers move units between two
+/// boxed vectors, keeping the grand total constant, while readers on `run`
+/// and on `read_only` sum the first vector in one `read_with` and assert
+/// the total inside the second one's closure. Borrowed values are never
+/// cloned, so the assertion sees exactly what the closure was handed; a
+/// closure that ran on a value the read had not yet validated — loaded
+/// before the orec confirm, or before an extension's re-load — could pair
+/// two generations and would panic the reader thread.
+fn borrowed_read_stress(backend: BackendKind) {
+    const UNITS: u64 = 32;
+    const TOTAL: u64 = UNITS * (UNITS + 1) / 2;
+    let writers = 2 * stress_factor().min(2);
+    let readers_per_path = 2 * stress_factor().min(2);
+    let writer_rounds = 300 * stress_factor();
+
+    let rt = TmRuntime::builder().backend(backend).build();
+    let left = TVar::new((1..=UNITS).collect::<Vec<u64>>());
+    let right = TVar::new(Vec::<u64>::new());
+    assert!(!left.uses_inline_storage());
+    let stop = Arc::new(AtomicBool::new(false));
+    let started = Arc::new(AtomicU64::new(0));
+
+    // The two halves of one transactional check, run on either path.
+    fn check(tx: &mut impl TxRead, left: &TVar<Vec<u64>>, right: &TVar<Vec<u64>>) -> TxResult<()> {
+        let in_left = tx.read_with(left, |v| v.iter().sum::<u64>())?;
+        tx.read_with(right, |v| {
+            let total = in_left + v.iter().sum::<u64>();
+            assert_eq!(total, TOTAL, "a read_with closure saw an unvalidated value");
+        })
+    }
+
+    let reader_handles: Vec<_> = (0..2 * readers_per_path)
+        .map(|r| {
+            let (rt, left, right) = (rt.clone(), left.clone(), right.clone());
+            let (stop, started) = (Arc::clone(&stop), Arc::clone(&started));
+            std::thread::spawn(move || {
+                let mut observations = 0u64;
+                while !stop.load(Ordering::Relaxed) {
+                    if r % 2 == 0 {
+                        rt.run(|tx| check(tx, &left, &right));
+                    } else {
+                        rt.read_only(|tx| check(tx, &left, &right));
+                    }
+                    observations += 1;
+                    if observations == 1 {
+                        started.fetch_add(1, Ordering::Relaxed);
+                    }
+                }
+                observations
+            })
+        })
+        .collect();
+    while started.load(Ordering::Relaxed) < 2 * readers_per_path as u64 {
+        std::thread::yield_now();
+    }
+
+    let writer_handles: Vec<_> = (0..writers)
+        .map(|w| {
+            let (rt, left, right) = (rt.clone(), left.clone(), right.clone());
+            std::thread::spawn(move || {
+                for round in 0..writer_rounds {
+                    // Alternate directions so both vectors keep changing
+                    // length as well as content.
+                    let (from, to) = if (round + w) % 2 == 0 {
+                        (&left, &right)
+                    } else {
+                        (&right, &left)
+                    };
+                    rt.run(|tx| {
+                        let mut source = tx.read(from)?;
+                        let Some(unit) = source.pop() else {
+                            return Ok(());
+                        };
+                        let mut sink = tx.read(to)?;
+                        sink.push(unit);
+                        tx.write(from, source)?;
+                        tx.write(to, sink)
+                    });
+                }
+            })
+        })
+        .collect();
+
+    for h in writer_handles {
+        h.join().unwrap();
+    }
+    stop.store(true, Ordering::Relaxed);
+    let total: u64 = reader_handles.into_iter().map(|r| r.join().unwrap()).sum();
+    assert!(total > 0, "readers must have observed snapshots");
+    let (l, r) = (left.snapshot(), right.snapshot());
+    assert_eq!(l.iter().chain(&r).sum::<u64>(), TOTAL);
+    assert_eq!(l.len() + r.len(), UNITS as usize, "units are conserved");
+}
+
+#[test]
+fn swiss_read_with_closures_only_see_validated_values() {
+    borrowed_read_stress(BackendKind::Swiss);
+}
+
+#[test]
+fn tiny_read_with_closures_only_see_validated_values() {
+    borrowed_read_stress(BackendKind::Tiny);
 }
 
 /// Deterministic writer/reader interleaving, single-threaded: a writer

@@ -8,6 +8,10 @@
 //! the cell — plus, amortised, the epoch collector sealing a garbage bag
 //! every 64 retired values.
 //!
+//! A read through `read_with` borrows the value where it lies — a boxed
+//! value included — so it allocates nothing either; `read` allocates
+//! whatever cloning the value allocates.
+//!
 //! The counter is a const-initialised thread-local, so it counts only the
 //! calling thread: tests running in parallel cannot disturb each other.
 //! Run it in release too (`cargo test --release --test tx_alloc`): the
@@ -133,4 +137,51 @@ fn boxed_write_allocates_only_its_box() {
         "{beyond_value} allocations over {ROUNDS} boxed writes"
     );
     assert_eq!(v.snapshot(), vec![ROUNDS - 1; 4]);
+}
+
+/// Two boxed vectors, read in place or cloned out.
+fn vectors() -> (TVar<Vec<u64>>, TVar<Vec<u64>>) {
+    (TVar::new(vec![1u64; 8]), TVar::new(vec![2u64; 8]))
+}
+
+fn first_sum_in_place(
+    tx: &mut impl TxRead,
+    a: &TVar<Vec<u64>>,
+    b: &TVar<Vec<u64>>,
+) -> TxResult<u64> {
+    Ok(tx.read_with(a, |v| v[0])? + tx.read_with(b, |v| v[0])?)
+}
+
+fn first_sum_of_clones(
+    tx: &mut impl TxRead,
+    a: &TVar<Vec<u64>>,
+    b: &TVar<Vec<u64>>,
+) -> TxResult<u64> {
+    Ok(tx.read(a)?[0] + tx.read(b)?[0])
+}
+
+#[test]
+fn two_boxed_read_with_run_allocates_nothing() {
+    let rt = TmRuntime::new();
+    let (a, b) = vectors();
+    let n = allocations(|_| assert_eq!(rt.run(|tx| first_sum_in_place(tx, &a, &b)), 3));
+    assert_eq!(n, 0);
+}
+
+#[test]
+fn two_boxed_read_with_read_only_allocates_nothing() {
+    let rt = TmRuntime::new();
+    let (a, b) = vectors();
+    let n = allocations(|_| assert_eq!(rt.read_only(|tx| first_sum_in_place(tx, &a, &b)), 3));
+    assert_eq!(n, 0);
+}
+
+#[test]
+fn two_boxed_reads_allocate_their_two_clones() {
+    let rt = TmRuntime::new();
+    let (a, b) = vectors();
+    let n = allocations(|_| assert_eq!(rt.run(|tx| first_sum_of_clones(tx, &a, &b)), 3));
+    assert_eq!(n, 2 * ROUNDS, "run");
+    let n = allocations(|_| assert_eq!(rt.read_only(|tx| first_sum_of_clones(tx, &a, &b)), 3));
+    assert_eq!(n, 2 * ROUNDS, "read_only");
 }
