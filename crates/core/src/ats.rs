@@ -15,10 +15,9 @@
 use std::fmt;
 
 use parking_lot::Mutex;
-use shrink_stm::{AttemptEnd, SchedCtx, ThreadId, TxScheduler, VarId};
+use shrink_stm::{AttemptEnd, SchedCtx, ThreadId, ThreadTable, TxScheduler, VarId};
 
 use crate::serial_lock::SerialLock;
-use crate::slots::ThreadSlots;
 
 /// Smoothing factor of the contention-intensity moving average: 0.75
 /// weights recent outcomes heavily, matching Yoo & Lee's reference
@@ -27,11 +26,6 @@ const ALPHA: f64 = 0.75;
 /// Intensity above which a thread serializes (Yoo & Lee report 0.3–0.5 as
 /// robust thresholds).
 const THRESHOLD: f64 = 0.5;
-
-#[derive(Debug)]
-struct ThreadState {
-    contention_intensity: f64,
-}
 
 /// The ATS scheduler.
 ///
@@ -46,7 +40,8 @@ struct ThreadState {
 /// ```
 pub struct Ats {
     lock: SerialLock,
-    threads: ThreadSlots<Mutex<ThreadState>>,
+    /// Each thread's contention intensity.
+    intensity: ThreadTable<Mutex<f64>>,
 }
 
 impl Ats {
@@ -54,19 +49,17 @@ impl Ats {
     pub fn new() -> Self {
         Ats {
             lock: SerialLock::new(),
-            threads: ThreadSlots::new(|| {
-                Mutex::new(ThreadState {
-                    contention_intensity: 0.0,
-                })
-            }),
+            intensity: ThreadTable::new(),
         }
     }
 
     /// The current contention intensity of `thread`, if it has state.
     pub fn contention_intensity(&self, thread: ThreadId) -> Option<f64> {
-        self.threads
-            .try_get(thread)
-            .map(|s| s.lock().contention_intensity)
+        self.intensity.get(thread).map(|ci| *ci.lock())
+    }
+
+    fn intensity_of(&self, thread: ThreadId) -> &Mutex<f64> {
+        self.intensity.get_or_init(thread, Mutex::default)
     }
 
     /// Number of threads currently serialized.
@@ -91,9 +84,8 @@ impl fmt::Debug for Ats {
 
 impl TxScheduler for Ats {
     fn before_start(&self, ctx: &SchedCtx<'_>) {
-        let slot = self.threads.get(ctx.thread);
-        let serialized = slot.lock().contention_intensity > THRESHOLD;
-        if serialized {
+        let ci = self.intensity.get(ctx.thread);
+        if ci.is_some_and(|ci| *ci.lock() > THRESHOLD) {
             self.lock.acquire(ctx.thread);
         }
     }
@@ -106,13 +98,10 @@ impl TxScheduler for Ats {
         _writes: &[VarId],
     ) {
         match end {
-            AttemptEnd::Committed => {
-                self.threads.get(ctx.thread).lock().contention_intensity *= ALPHA;
-            }
+            AttemptEnd::Committed => *self.intensity_of(ctx.thread).lock() *= ALPHA,
             AttemptEnd::Aborted(_) => {
-                let slot = self.threads.get(ctx.thread);
-                let mut s = slot.lock();
-                s.contention_intensity = ALPHA * s.contention_intensity + (1.0 - ALPHA);
+                let mut ci = self.intensity_of(ctx.thread).lock();
+                *ci = ALPHA * *ci + (1.0 - ALPHA);
             }
             // Deliberate blocking is not contention, and an unwinding panic
             // is neither a commit nor a conflict: the intensity average is

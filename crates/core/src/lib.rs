@@ -15,7 +15,9 @@
 //!
 //! All schedulers plug into any [`TmRuntime`](shrink_stm::TmRuntime) via
 //! [`TmBuilder::scheduler`](shrink_stm::runtime::TmBuilder::scheduler); pick
-//! one dynamically with [`SchedulerKind`].
+//! one dynamically with [`SchedulerKind`]. Each keeps its per-thread state
+//! in a [`ThreadTable`](shrink_stm::ThreadTable) indexed by the hook's
+//! [`ThreadId`](shrink_stm::ThreadId), so finding it takes no lock.
 //!
 //! ```
 //! use shrink_core::{Shrink, ShrinkConfig};
@@ -41,7 +43,8 @@ pub mod pool;
 pub mod serial_lock;
 pub mod serializer;
 pub mod shrink;
-pub mod slots;
+#[cfg(test)]
+mod slots;
 #[cfg(test)]
 mod testkit;
 
@@ -52,4 +55,3 @@ pub use pool::Pool;
 pub use serial_lock::SerialLock;
 pub use serializer::{Serializer, SerializerConfig, SerializerWaitStats};
 pub use shrink::{PredictionStats, Shrink, ShrinkConfig};
-pub use slots::ThreadSlots;

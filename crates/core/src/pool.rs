@@ -11,10 +11,9 @@
 use std::fmt;
 use std::sync::atomic::{AtomicBool, Ordering};
 
-use shrink_stm::{AttemptEnd, SchedCtx, TxScheduler, VarId};
+use shrink_stm::{AttemptEnd, SchedCtx, ThreadTable, TxScheduler, VarId};
 
 use crate::serial_lock::SerialLock;
-use crate::slots::ThreadSlots;
 
 /// The Pool scheduler.
 ///
@@ -29,7 +28,9 @@ use crate::slots::ThreadSlots;
 /// ```
 pub struct Pool {
     lock: SerialLock,
-    contended: ThreadSlots<AtomicBool>,
+    /// Whether each thread's last real outcome was an abort; a thread
+    /// without a slot has not aborted yet.
+    contended: ThreadTable<AtomicBool>,
 }
 
 impl Pool {
@@ -37,7 +38,7 @@ impl Pool {
     pub fn new() -> Self {
         Pool {
             lock: SerialLock::new(),
-            contended: ThreadSlots::new(|| AtomicBool::new(false)),
+            contended: ThreadTable::new(),
         }
     }
 
@@ -63,7 +64,8 @@ impl fmt::Debug for Pool {
 
 impl TxScheduler for Pool {
     fn before_start(&self, ctx: &SchedCtx<'_>) {
-        if self.contended.get(ctx.thread).load(Ordering::Relaxed) {
+        let contended = self.contended.get(ctx.thread);
+        if contended.is_some_and(|flag| flag.load(Ordering::Relaxed)) {
             self.lock.acquire(ctx.thread);
         }
     }
@@ -84,7 +86,7 @@ impl TxScheduler for Pool {
         };
         if let Some(contended) = contended {
             self.contended
-                .get(ctx.thread)
+                .get_or_init(ctx.thread, AtomicBool::default)
                 .store(contended, Ordering::Relaxed);
         }
         self.lock.release_if_held(ctx.thread);

@@ -41,9 +41,9 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::{Duration, Instant};
 
 use parking_lot::Mutex;
-use shrink_stm::{AttemptEnd, EpochWaitOutcome, SchedCtx, ThreadId, TxScheduler, VarId};
-
-use crate::slots::ThreadSlots;
+use shrink_stm::{
+    AttemptEnd, EpochWaitOutcome, SchedCtx, ThreadId, ThreadTable, TxScheduler, VarId,
+};
 
 /// Tuning parameters of [`Serializer`].
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -87,13 +87,6 @@ struct WaitCounters {
     absent_skips: AtomicU64,
 }
 
-#[derive(Debug)]
-struct ThreadState {
-    /// Set when an attempt aborts: who to wait for, and the enemy's attempt epoch
-    /// observed *at conflict time* (carried by the [`Abort`](shrink_stm::Abort)).
-    pending: Mutex<Option<(ThreadId, u32)>>,
-}
-
 /// The CAR-STM-style Serializer scheduler.
 ///
 /// # Examples
@@ -109,7 +102,10 @@ struct ThreadState {
 /// ```
 pub struct Serializer {
     config: SerializerConfig,
-    threads: ThreadSlots<ThreadState>,
+    /// Per thread, set when an attempt aborts: who to wait for, and the
+    /// enemy's attempt epoch observed *at conflict time* (carried by the
+    /// [`Abort`](shrink_stm::Abort)).
+    pending: ThreadTable<Mutex<Option<(ThreadId, u32)>>>,
     counters: WaitCounters,
 }
 
@@ -118,9 +114,7 @@ impl Serializer {
     pub fn new(config: SerializerConfig) -> Self {
         Serializer {
             config,
-            threads: ThreadSlots::new(|| ThreadState {
-                pending: Mutex::new(None),
-            }),
+            pending: ThreadTable::new(),
             counters: WaitCounters::default(),
         }
     }
@@ -170,8 +164,7 @@ impl fmt::Debug for Serializer {
 
 impl TxScheduler for Serializer {
     fn before_start(&self, ctx: &SchedCtx<'_>) {
-        let slot = self.threads.get(ctx.thread);
-        let pending = slot.pending.lock().take();
+        let pending = self.pending.get(ctx.thread).and_then(|p| p.lock().take());
         if let Some((enemy, observed)) = pending {
             self.wait_parked(ctx, enemy, observed);
         }
@@ -197,7 +190,8 @@ impl TxScheduler for Serializer {
             AttemptEnd::Aborted(abort) => {
                 if let (Some(enemy), Some(observed)) = (abort.enemy(), abort.enemy_epoch()) {
                     if enemy != ctx.thread && enemy != ThreadId::NONE {
-                        *self.threads.get(ctx.thread).pending.lock() = Some((enemy, observed));
+                        let pending = self.pending.get_or_init(ctx.thread, Mutex::default);
+                        *pending.lock() = Some((enemy, observed));
                     }
                 }
             }
@@ -205,7 +199,9 @@ impl TxScheduler for Serializer {
             // serializing the thread's *next* transaction behind it would
             // be a spurious stall.
             AttemptEnd::Abandoned => {
-                *self.threads.get(ctx.thread).pending.lock() = None;
+                if let Some(pending) = self.pending.get(ctx.thread) {
+                    *pending.lock() = None;
+                }
             }
             // A commit consumed nothing, and a deliberate retry has no
             // enemy to schedule after (the runtime parks the thread on its

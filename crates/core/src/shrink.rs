@@ -38,11 +38,10 @@ use std::collections::HashSet;
 use std::fmt;
 
 use parking_lot::Mutex;
-use shrink_stm::{AttemptEnd, SchedCtx, ThreadId, TxScheduler, VarId};
+use shrink_stm::{AttemptEnd, SchedCtx, ThreadId, ThreadTable, TxScheduler, VarId};
 
 use crate::bloom::BloomRing;
 use crate::serial_lock::SerialLock;
-use crate::slots::ThreadSlots;
 
 /// Value mixed into the success-rate average on commit (the paper's
 /// `success`).
@@ -140,7 +139,7 @@ struct ThreadState {
 }
 
 impl ThreadState {
-    fn new(config: &ShrinkConfig, seed: u64) -> Self {
+    fn new(config: &ShrinkConfig, thread: ThreadId) -> Self {
         ThreadState {
             succ_rate: 1.0,
             ring: BloomRing::new(
@@ -154,7 +153,8 @@ impl ThreadState {
             active_pred_writes: Vec::new(),
             scratch: Vec::new(),
             last_committed: true,
-            rng: seed | 1,
+            // Distinct per thread, and the same from run to run.
+            rng: (0x5EED + thread.index() as u64 * 0x9E37_79B9) | 1,
             stats: PredictionStats::default(),
         }
     }
@@ -190,22 +190,23 @@ impl ThreadState {
 pub struct Shrink {
     config: ShrinkConfig,
     lock: SerialLock,
-    threads: ThreadSlots<Mutex<ThreadState>>,
+    threads: ThreadTable<Mutex<ThreadState>>,
 }
 
 impl Shrink {
     /// Creates a Shrink scheduler with the given configuration.
     pub fn new(config: ShrinkConfig) -> Self {
-        let factory_config = config.clone();
-        let counter = std::sync::atomic::AtomicU64::new(0x5EED);
         Shrink {
             config,
             lock: SerialLock::new(),
-            threads: ThreadSlots::new(move || {
-                let seed = counter.fetch_add(0x9E37_79B9, std::sync::atomic::Ordering::Relaxed);
-                Mutex::new(ThreadState::new(&factory_config, seed))
-            }),
+            threads: ThreadTable::new(),
         }
+    }
+
+    fn state(&self, thread: ThreadId) -> &Mutex<ThreadState> {
+        self.threads.get_or_init(thread, || {
+            Mutex::new(ThreadState::new(&self.config, thread))
+        })
     }
 
     /// The configuration in force.
@@ -221,7 +222,7 @@ impl Shrink {
     /// Aggregated prediction statistics across all threads.
     pub fn prediction_stats(&self) -> PredictionStats {
         let mut total = PredictionStats::default();
-        for slot in self.threads.snapshot() {
+        for slot in self.threads.iter() {
             let s = slot.lock();
             total.read_predicted += s.stats.read_predicted;
             total.read_correct += s.stats.read_correct;
@@ -235,7 +236,7 @@ impl Shrink {
 
     /// The success rate of `thread`, if it has state.
     pub fn success_rate(&self, thread: ThreadId) -> Option<f64> {
-        self.threads.try_get(thread).map(|s| s.lock().succ_rate)
+        self.threads.get(thread).map(|s| s.lock().succ_rate)
     }
 }
 
@@ -250,8 +251,7 @@ impl fmt::Debug for Shrink {
 
 impl TxScheduler for Shrink {
     fn before_start(&self, ctx: &SchedCtx<'_>) {
-        let slot = self.threads.get(ctx.thread);
-        let mut s = slot.lock();
+        let mut s = self.state(ctx.thread).lock();
 
         if s.succ_rate < self.config.succ_threshold {
             // Serialization affinity: consult the prediction with probability
@@ -292,8 +292,7 @@ impl TxScheduler for Shrink {
         reads: &[VarId],
         writes: &[VarId],
     ) {
-        let slot = self.threads.get(ctx.thread);
-        let mut s = slot.lock();
+        let mut s = self.state(ctx.thread).lock();
         // "On transactional read of addr", replayed in program order (an
         // abandoned attempt reports none): the prediction is only consulted
         // at the next `before_start`, so building it here is
@@ -412,15 +411,14 @@ mod tests {
     }
 
     fn pred_reads(s: &Shrink, thread: u16) -> Vec<u64> {
-        let slot = s.threads.get(ThreadId::from_u16(thread));
+        let slot = s.state(ThreadId::from_u16(thread));
         let mut ids: Vec<u64> = slot.lock().pred_reads.iter().map(|v| v.as_u64()).collect();
         ids.sort_unstable();
         ids
     }
 
     fn pred_writes(s: &Shrink, thread: u16) -> Vec<VarId> {
-        s.threads
-            .get(ThreadId::from_u16(thread))
+        s.state(ThreadId::from_u16(thread))
             .lock()
             .pred_writes
             .clone()

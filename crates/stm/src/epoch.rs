@@ -13,14 +13,12 @@
 //! schedulers can be unit-tested against a scripted [`EpochTable`] without
 //! a runtime.
 
-use std::fmt;
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::Arc;
 use std::time::Instant;
 
-use parking_lot::{EventCount, RwLock, WaitOutcome};
+use parking_lot::{EventCount, WaitOutcome};
 
-use crate::thread::ThreadId;
+use crate::thread::{ThreadId, ThreadTable};
 
 /// How an [`AttemptEpochs::wait_epoch_change`] call ended.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -154,9 +152,9 @@ impl EpochCell {
 /// table.retire(enemy);
 /// assert_eq!(table.epoch_of(enemy), None);
 /// ```
-#[derive(Default)]
+#[derive(Debug, Default)]
 pub struct EpochTable {
-    slots: RwLock<Vec<Arc<EpochCell>>>,
+    slots: ThreadTable<EpochCell>,
 }
 
 impl EpochTable {
@@ -169,48 +167,33 @@ impl EpochTable {
     ///
     /// # Panics
     ///
-    /// Panics on [`ThreadId::NONE`].
+    /// Panics on [`ThreadId::NONE`] and on ids at or past
+    /// [`MAX_THREADS`](crate::thread::MAX_THREADS).
     pub fn ensure(&self, thread: ThreadId) {
-        let index = thread.index();
-        let mut slots = self.slots.write();
-        while slots.len() <= index {
-            slots.push(Arc::new(EpochCell::default()));
-        }
+        self.cell(thread);
     }
 
-    fn slot(&self, thread: ThreadId) -> Option<Arc<EpochCell>> {
-        if thread == ThreadId::NONE {
-            return None;
-        }
-        self.slots.read().get(thread.index()).cloned()
+    fn cell(&self, thread: ThreadId) -> &EpochCell {
+        self.slots.get_or_init(thread, EpochCell::default)
     }
 
     /// Advances `thread`'s epoch (registering it if needed), waking its
     /// waiters. Returns the new epoch.
     pub fn bump(&self, thread: ThreadId) -> u32 {
-        self.ensure(thread);
-        self.slot(thread).expect("ensured above").advance()
+        self.cell(thread).advance()
     }
 
     /// Marks `thread` as departed and wakes anything waiting on its epoch.
     pub fn retire(&self, thread: ThreadId) {
-        if let Some(slot) = self.slot(thread) {
+        if let Some(slot) = self.slots.get(thread) {
             slot.retire();
         }
     }
 }
 
-impl fmt::Debug for EpochTable {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.debug_struct("EpochTable")
-            .field("len", &self.slots.read().len())
-            .finish()
-    }
-}
-
 impl AttemptEpochs for EpochTable {
     fn epoch_of(&self, thread: ThreadId) -> Option<u32> {
-        self.slot(thread).and_then(|s| s.version_if_live())
+        self.slots.get(thread).and_then(EpochCell::version_if_live)
     }
 
     fn wait_epoch_change(
@@ -219,13 +202,15 @@ impl AttemptEpochs for EpochTable {
         observed: u32,
         deadline: Instant,
     ) -> EpochWaitOutcome {
-        self.slot(thread).map_or(EpochWaitOutcome::Absent, |s| {
-            s.wait_change(observed, deadline)
-        })
+        self.slots
+            .get(thread)
+            .map_or(EpochWaitOutcome::Absent, |s| {
+                s.wait_change(observed, deadline)
+            })
     }
 
     fn waiters_on(&self, thread: ThreadId) -> u32 {
-        self.slot(thread).map_or(0, |s| s.waiters())
+        self.slots.get(thread).map_or(0, EpochCell::waiters)
     }
 }
 
@@ -257,6 +242,7 @@ impl AttemptEpochs for NoEpochs {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::sync::Arc;
     use std::time::Duration;
 
     fn tid(raw: u16) -> ThreadId {

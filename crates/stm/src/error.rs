@@ -261,7 +261,7 @@ mod tests {
         let a = Abort::on_conflict(
             AbortReason::WriteConflict,
             VarId::from_u64(9),
-            ThreadId::from_raw(3),
+            ThreadId::from_u16(3),
         );
         let s = a.to_string();
         assert!(s.contains("write/write conflict"), "{s}");
@@ -274,7 +274,7 @@ mod tests {
         let base = Abort::on_conflict(
             AbortReason::WriteConflict,
             VarId::from_u64(1),
-            ThreadId::from_raw(2),
+            ThreadId::from_u16(2),
         );
         assert_eq!(base.enemy_epoch(), None, "unstamped by default");
         let stamped = base.with_enemy_epoch(41);
@@ -352,7 +352,7 @@ mod tests {
         let a = Abort::on_conflict(
             AbortReason::WriteConflict,
             VarId::from_u64(1),
-            ThreadId::from_raw(2),
+            ThreadId::from_u16(2),
         )
         .with_enemy_epoch(17);
         assert!(a.to_string().contains("enemy epoch 17"), "{a}");

@@ -64,7 +64,7 @@
 //! ```text
 //! TmRuntime ── GlobalClock          (TL2-style timestamps)
 //!      │   ├── OrecTable            (striped versioned write locks, visible writes)
-//!      │   ├── ThreadRegistry       (ThreadCtx: kill flags, counters)
+//!      │   ├── ThreadRegistry       (ThreadTable of ThreadCtx: kill flags, counters)
 //!      │   └── Arc<dyn TxScheduler> (policy hooks; NoopScheduler by default)
 //!      ├── run(body) ──────────────► Tx (read/write/commit protocol)
 //!      └── read_only(body) ────────► ReadTx (lock-free snapshot reads)
@@ -108,7 +108,7 @@ pub use sched::{AttemptEnd, NoopScheduler, SchedCtx, TxScheduler};
 pub use select::{retry_select, retry_select_deadline, select_stats, SelectArm, SelectStats};
 pub use stats::{ThreadStats, TmStats};
 pub use tarray::TArray;
-pub use thread::ThreadId;
+pub use thread::{ThreadId, ThreadTable};
 pub use tvar::{TVar, TxValue};
 pub use txn::{ReadTx, Tx, TxRead};
 pub use varid::VarId;

@@ -64,7 +64,7 @@ impl OrecSnapshot {
 
     /// The thread holding the lock ([`ThreadId::NONE`] when unlocked).
     pub fn owner(self) -> ThreadId {
-        ThreadId::from_raw(((self.raw >> OWNER_SHIFT) & OWNER_FIELD_MASK) as u16)
+        ThreadId::from_u16(((self.raw >> OWNER_SHIFT) & OWNER_FIELD_MASK) as u16)
     }
 
     /// The version stamped by the last committed writer (pre-lock version
@@ -248,7 +248,7 @@ mod tests {
     use super::*;
 
     fn t(id: u16) -> ThreadId {
-        ThreadId::from_raw(id)
+        ThreadId::from_u16(id)
     }
 
     #[test]

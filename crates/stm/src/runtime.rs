@@ -18,7 +18,7 @@ use crate::log::{with_logs, ReadEntry};
 use crate::orec::OrecTable;
 use crate::sched::{AttemptEnd, NoopScheduler, SchedCtx, TxScheduler};
 use crate::select::wait_rounds;
-use crate::stats::{ThreadStats, TmStats};
+use crate::stats::TmStats;
 use crate::thread::{bump, ThreadCtx, ThreadId, ThreadRegistry};
 use crate::txn::{ReadTx, Tx};
 use crate::varid::VarId;
@@ -676,23 +676,7 @@ impl TmRuntime {
 
     /// Takes a statistics snapshot over all registered threads.
     pub fn stats(&self) -> TmStats {
-        let per_thread = self
-            .inner
-            .registry
-            .snapshot()
-            .iter()
-            .map(|ctx| ThreadStats {
-                thread: ctx.id(),
-                commits: ctx.commit_count(),
-                aborts: ctx.abort_count(),
-                retry_waits: ctx.retry_wait_count(),
-                ro_commits: ctx.ro_commit_count(),
-                ro_reads: ctx.ro_read_count(),
-                ro_revalidations: ctx.ro_revalidation_count(),
-                orec_acquires: ctx.orec_acquire_count(),
-            })
-            .collect();
-        TmStats::from_threads(per_thread)
+        TmStats::from_threads(self.inner.registry.iter().map(ThreadCtx::stats).collect())
     }
 
     /// Wait-op counters of the [`Tx::retry`] wake path: how blocked

@@ -175,7 +175,7 @@ mod tests {
         let s = NoopScheduler;
         let oracle = StaticWrites::new();
         let ctx = SchedCtx {
-            thread: ThreadId::from_raw(1),
+            thread: ThreadId::from_u16(1),
             visible: &oracle,
             epochs: &crate::epoch::NoEpochs,
         };

@@ -172,7 +172,7 @@ mod tests {
 
     fn ts(thread: u16, commits: u64, aborts: u64) -> ThreadStats {
         ThreadStats {
-            thread: ThreadId::from_raw(thread),
+            thread: ThreadId::from_u16(thread),
             commits,
             aborts,
             retry_waits: 0,

@@ -1,4 +1,5 @@
-//! Per-thread transaction contexts and the runtime's thread registry.
+//! Per-thread transaction contexts, the [`ThreadTable`] that holds every
+//! kind of per-thread state, and the runtime's thread registry.
 //!
 //! Every OS thread that executes transactions against a
 //! [`TmRuntime`](crate::TmRuntime) is registered once and receives a dense
@@ -8,17 +9,17 @@
 //! owner's context to request a remote abort.
 
 use std::fmt;
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
+use std::sync::{Arc, OnceLock};
 use std::time::Instant;
 
-use parking_lot::RwLock;
-
 use crate::epoch::{AttemptEpochs, EpochCell, EpochWaitOutcome};
+use crate::stats::ThreadStats;
 
 /// Maximum number of threads a single runtime can register.
 ///
 /// Thread identifiers are packed into a 15-bit orec field; we reserve id 0 as
-/// "nobody", leaving 32766 usable slots — far more than any benchmark spawns.
+/// "nobody", leaving ids 1 to 32767 — far more than any benchmark spawns.
 pub const MAX_THREADS: usize = 1 << 15;
 
 /// Dense identifier of a registered transactional thread.
@@ -36,7 +37,8 @@ impl ThreadId {
         self.0
     }
 
-    /// Returns the zero-based index of this thread in registry vectors.
+    /// Returns the zero-based index of this thread's slot in a
+    /// [`ThreadTable`].
     ///
     /// # Panics
     ///
@@ -46,16 +48,11 @@ impl ThreadId {
         (self.0 - 1) as usize
     }
 
-    /// Rebuilds a `ThreadId` from its raw representation.
-    pub(crate) fn from_raw(raw: u16) -> Self {
-        ThreadId(raw)
-    }
-
     /// Builds a `ThreadId` from a raw value.
     ///
     /// Ids are normally allocated by the runtime's registry; this
-    /// constructor exists for scheduler unit tests and tooling that need to
-    /// fabricate ids.
+    /// constructor decodes the owner field of an orec, and lets scheduler
+    /// unit tests and tooling fabricate ids.
     pub fn from_u16(raw: u16) -> Self {
         ThreadId(raw)
     }
@@ -194,39 +191,19 @@ impl ThreadCtx {
         self.accesses.load(Ordering::Relaxed)
     }
 
-    /// Total commits by this thread.
-    pub fn commit_count(&self) -> u64 {
-        self.commits.load(Ordering::Relaxed)
-    }
-
-    /// Total aborts by this thread.
-    pub fn abort_count(&self) -> u64 {
-        self.aborts.load(Ordering::Relaxed)
-    }
-
-    /// Total attempts by this thread that ended in `Tx::retry`.
-    pub fn retry_wait_count(&self) -> u64 {
-        self.retry_waits.load(Ordering::Relaxed)
-    }
-
-    /// Total read-only transactions completed by this thread.
-    pub fn ro_commit_count(&self) -> u64 {
-        self.ro_commits.load(Ordering::Relaxed)
-    }
-
-    /// Total reads performed inside read-only transactions.
-    pub fn ro_read_count(&self) -> u64 {
-        self.ro_reads.load(Ordering::Relaxed)
-    }
-
-    /// Total read-only snapshot revalidations (extensions + restarts).
-    pub fn ro_revalidation_count(&self) -> u64 {
-        self.ro_revalidations.load(Ordering::Relaxed)
-    }
-
-    /// Total orec stripes this thread has write-locked.
-    pub fn orec_acquire_count(&self) -> u64 {
-        self.orec_acquires.load(Ordering::Relaxed)
+    /// A snapshot of this thread's counters.
+    pub fn stats(&self) -> ThreadStats {
+        let load = |counter: &AtomicU64| counter.load(Ordering::Relaxed);
+        ThreadStats {
+            thread: self.id,
+            commits: load(&self.commits),
+            aborts: load(&self.aborts),
+            retry_waits: load(&self.retry_waits),
+            ro_commits: load(&self.ro_commits),
+            ro_reads: load(&self.ro_reads),
+            ro_revalidations: load(&self.ro_revalidations),
+            orec_acquires: load(&self.orec_acquires),
+        }
     }
 
     /// The current attempt epoch. Conflict paths sample this *at detection
@@ -278,19 +255,112 @@ impl ThreadCtx {
     }
 }
 
-/// Registry of all thread contexts of one runtime.
+/// Slots per chunk of a [`ThreadTable`]; chunks are allocated on first use.
+const CHUNK: usize = 64;
+
+/// `CHUNK` consecutive slots of a [`ThreadTable`].
+type Chunk<T> = Box<[OnceLock<T>]>;
+
+/// Per-thread state indexed by [`ThreadId`], with room for every id a
+/// runtime can hand out (1 up to `MAX_THREADS - 1`).
 ///
-/// Registration is rare (once per thread), lookup is hot (contention
-/// manager); contexts are stored behind an `RwLock<Vec<Arc<..>>>` where the
-/// read path is a shared lock plus an index.
+/// Each slot is published once ([`OnceLock`]) and lives as long as the
+/// table, so a lookup is two acquire loads and an index: no lock, no
+/// reference count. Slots come in chunks of 64 that are allocated when one
+/// of their ids is first initialized; an idle table costs one empty cell
+/// per chunk, about 12 KB. Mutation after the first publication is
+/// `T`'s business (atomics, a `Mutex`).
+///
+/// # Examples
+///
+/// ```
+/// use shrink_stm::{ThreadId, ThreadTable};
+/// use std::sync::atomic::{AtomicU64, Ordering};
+///
+/// let table = ThreadTable::new();
+/// let t = ThreadId::from_u16(3);
+/// assert!(table.get(t).is_none());
+/// table.get_or_init(t, AtomicU64::default).fetch_add(1, Ordering::Relaxed);
+/// assert_eq!(table.get(t).map(|n| n.load(Ordering::Relaxed)), Some(1));
+/// assert_eq!(table.iter().count(), 1, "only initialized slots are visited");
+/// ```
+pub struct ThreadTable<T> {
+    chunks: Box<[OnceLock<Chunk<T>>]>,
+}
+
+impl<T> ThreadTable<T> {
+    /// Creates a table with no slot initialized.
+    pub fn new() -> Self {
+        ThreadTable {
+            chunks: (0..MAX_THREADS / CHUNK).map(|_| OnceLock::new()).collect(),
+        }
+    }
+
+    /// The chunk and offset of `id`'s slot; `None` for [`ThreadId::NONE`]
+    /// and for ids at or past [`MAX_THREADS`].
+    fn position(id: ThreadId) -> Option<(usize, usize)> {
+        let index = usize::from(id.0).checked_sub(1)?;
+        (index < MAX_THREADS - 1).then_some((index / CHUNK, index % CHUNK))
+    }
+
+    /// The state of `id`, if its slot was initialized. Never creates one.
+    pub fn get(&self, id: ThreadId) -> Option<&T> {
+        let (chunk, offset) = Self::position(id)?;
+        self.chunks[chunk].get()?[offset].get()
+    }
+
+    /// The state of `id`, initializing its slot with `init` on first use.
+    /// Concurrent first calls for one id run `init` exactly once.
+    ///
+    /// # Panics
+    ///
+    /// Panics on [`ThreadId::NONE`] and on ids at or past [`MAX_THREADS`],
+    /// before allocating anything.
+    pub fn get_or_init(&self, id: ThreadId, init: impl FnOnce() -> T) -> &T {
+        let Some((chunk, offset)) = Self::position(id) else {
+            panic!("ThreadTable: {id:?} is not a valid thread id (1..{MAX_THREADS})");
+        };
+        let chunk =
+            self.chunks[chunk].get_or_init(|| (0..CHUNK).map(|_| OnceLock::new()).collect());
+        chunk[offset].get_or_init(init)
+    }
+
+    /// Every initialized slot, in thread-id order.
+    pub fn iter(&self) -> impl Iterator<Item = &T> {
+        self.chunks
+            .iter()
+            .filter_map(OnceLock::get)
+            .flat_map(|chunk| chunk.iter().filter_map(OnceLock::get))
+    }
+}
+
+impl<T> Default for ThreadTable<T> {
+    fn default() -> Self {
+        Self::new()
+    }
+}
+
+impl<T> fmt::Debug for ThreadTable<T> {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_struct("ThreadTable")
+            .field("len", &self.iter().count())
+            .finish()
+    }
+}
+
+/// Registry of all thread contexts of one runtime: a [`ThreadTable`] of
+/// contexts plus the counter that hands out dense ids.
+#[derive(Debug)]
 pub(crate) struct ThreadRegistry {
-    threads: RwLock<Vec<std::sync::Arc<ThreadCtx>>>,
+    threads: ThreadTable<Arc<ThreadCtx>>,
+    registered: AtomicUsize,
 }
 
 impl ThreadRegistry {
     pub(crate) fn new() -> Self {
         ThreadRegistry {
-            threads: RwLock::new(Vec::new()),
+            threads: ThreadTable::new(),
+            registered: AtomicUsize::new(0),
         }
     }
 
@@ -299,38 +369,31 @@ impl ThreadRegistry {
     /// # Panics
     ///
     /// Panics if more than [`MAX_THREADS`] threads register.
-    pub(crate) fn register(&self) -> std::sync::Arc<ThreadCtx> {
-        let mut guard = self.threads.write();
-        let id = guard.len() + 1;
+    pub(crate) fn register(&self) -> Arc<ThreadCtx> {
+        let id = self.registered.fetch_add(1, Ordering::Relaxed) + 1;
         assert!(id < MAX_THREADS, "too many registered threads");
-        let ctx = std::sync::Arc::new(ThreadCtx::new(ThreadId(id as u16)));
-        guard.push(std::sync::Arc::clone(&ctx));
-        ctx
+        let id = ThreadId(id as u16);
+        Arc::clone(
+            self.threads
+                .get_or_init(id, || Arc::new(ThreadCtx::new(id))),
+        )
     }
 
     /// Looks up a context by id. Returns `None` for [`ThreadId::NONE`] or
     /// unknown ids.
-    pub(crate) fn get(&self, id: ThreadId) -> Option<std::sync::Arc<ThreadCtx>> {
-        if id.0 == 0 {
-            return None;
-        }
-        self.threads.read().get(id.index()).cloned()
+    pub(crate) fn get(&self, id: ThreadId) -> Option<&ThreadCtx> {
+        self.threads.get(id).map(|ctx| &**ctx)
     }
 
-    /// Number of registered threads.
-    pub(crate) fn len(&self) -> usize {
-        self.threads.read().len()
-    }
-
-    /// Snapshot of all registered contexts, for statistics aggregation.
-    pub(crate) fn snapshot(&self) -> Vec<std::sync::Arc<ThreadCtx>> {
-        self.threads.read().clone()
+    /// All registered contexts, for statistics aggregation.
+    pub(crate) fn iter(&self) -> impl Iterator<Item = &ThreadCtx> {
+        self.threads.iter().map(|ctx| &**ctx)
     }
 }
 
 impl AttemptEpochs for ThreadRegistry {
     fn epoch_of(&self, thread: ThreadId) -> Option<u32> {
-        self.get(thread).and_then(|ctx| ctx.attempt_epoch_if_live())
+        self.get(thread).and_then(ThreadCtx::attempt_epoch_if_live)
     }
 
     fn wait_epoch_change(
@@ -345,21 +408,107 @@ impl AttemptEpochs for ThreadRegistry {
     }
 
     fn waiters_on(&self, thread: ThreadId) -> u32 {
-        self.get(thread).map_or(0, |ctx| ctx.epoch_waiters())
-    }
-}
-
-impl fmt::Debug for ThreadRegistry {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.debug_struct("ThreadRegistry")
-            .field("len", &self.len())
-            .finish()
+        self.get(thread).map_or(0, ThreadCtx::epoch_waiters)
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    fn tid(raw: usize) -> ThreadId {
+        ThreadId::from_u16(u16::try_from(raw).expect("test ids fit in u16"))
+    }
+
+    #[test]
+    fn table_slots_are_created_once_reused_and_never_by_lookup() {
+        let table = ThreadTable::new();
+        assert!(table.get(tid(1)).is_none(), "get does not create");
+        assert_eq!(table.iter().count(), 0);
+        table.get_or_init(tid(1), || AtomicU64::new(7));
+        let again = table.get_or_init(tid(1), || unreachable!("slot 1 exists"));
+        assert_eq!(again.load(Ordering::Relaxed), 7);
+        // Sparse ids stay sparse: no slot below 5 is filled in.
+        table.get_or_init(tid(5), || AtomicU64::new(9));
+        assert!(table.get(tid(2)).is_none());
+        let values: Vec<u64> = table.iter().map(|v| v.load(Ordering::Relaxed)).collect();
+        assert_eq!(values, [7, 9], "iter lists every initialized slot");
+    }
+
+    #[test]
+    fn table_ids_on_chunk_edges_and_the_last_id_work() {
+        let table = ThreadTable::new();
+        let ids = [1, CHUNK - 1, CHUNK, CHUNK + 1, 2 * CHUNK, MAX_THREADS - 1];
+        for &id in &ids {
+            assert_eq!(*table.get_or_init(tid(id), || id), id);
+        }
+        for &id in &ids {
+            assert_eq!(table.get(tid(id)), Some(&id));
+        }
+        assert!(table.get(tid(CHUNK + 2)).is_none());
+        assert!(table.get(tid(MAX_THREADS - 2)).is_none());
+        assert_eq!(table.iter().copied().collect::<Vec<_>>(), ids);
+    }
+
+    #[test]
+    fn table_rejects_none_and_out_of_range_ids_without_allocating() {
+        let table = ThreadTable::new();
+        for raw in [0, MAX_THREADS, 40_000, usize::from(u16::MAX)] {
+            let id = tid(raw);
+            assert!(table.get(id).is_none(), "{id:?}");
+            let init = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+                table.get_or_init(id, || unreachable!("init must not run for {id:?}"));
+            }));
+            let message = init.expect_err("get_or_init must panic");
+            let message = message.downcast_ref::<String>().expect("formatted panic");
+            assert!(message.contains("not a valid thread id"), "{message}");
+        }
+        assert!(
+            table.chunks.iter().all(|chunk| chunk.get().is_none()),
+            "no chunk allocated"
+        );
+    }
+
+    #[test]
+    fn table_races_initialize_each_slot_exactly_once() {
+        const WRITERS: usize = 8;
+        // Spans three chunks, so writers also race on chunk allocation.
+        const IDS: usize = 2 * CHUNK + 8;
+        let stress = std::env::var("SHRINK_STRESS").is_ok_and(|v| !v.is_empty() && v != "0");
+        for _ in 0..if stress { 100 } else { 25 } {
+            let table = ThreadTable::new();
+            let inits: Vec<AtomicU64> = (0..=IDS).map(|_| AtomicU64::new(0)).collect();
+            let running = AtomicUsize::new(WRITERS);
+            std::thread::scope(|s| {
+                s.spawn(|| {
+                    while running.load(Ordering::Acquire) > 0 {
+                        let seen: Vec<usize> = table.iter().copied().collect();
+                        assert!(seen.windows(2).all(|w| w[0] < w[1]), "{seen:?}");
+                    }
+                });
+                for w in 0..WRITERS {
+                    let (table, inits, running) = (&table, &inits, &running);
+                    s.spawn(move || {
+                        // Each writer starts elsewhere, so every id is
+                        // contended by several writers.
+                        for k in 0..IDS {
+                            let id = (w * IDS / WRITERS + k) % IDS + 1;
+                            table.get_or_init(tid(id), || {
+                                inits[id].fetch_add(1, Ordering::Relaxed);
+                                id
+                            });
+                        }
+                        running.fetch_sub(1, Ordering::Release);
+                    });
+                }
+            });
+            assert!(inits[1..].iter().all(|n| n.load(Ordering::Relaxed) == 1));
+            assert!(
+                table.iter().copied().eq(1..=IDS),
+                "every id, holding itself"
+            );
+        }
+    }
 
     #[test]
     fn registration_assigns_dense_ids_from_one() {
@@ -369,7 +518,7 @@ mod tests {
         assert_eq!(a.id().as_u16(), 1);
         assert_eq!(b.id().as_u16(), 2);
         assert_eq!(a.id().index(), 0);
-        assert_eq!(reg.len(), 2);
+        assert_eq!(reg.iter().count(), 2);
     }
 
     #[test]
@@ -438,11 +587,11 @@ mod tests {
 
     #[test]
     fn retire_wakes_a_parked_epoch_waiter() {
-        let reg = std::sync::Arc::new(ThreadRegistry::new());
+        let reg = Arc::new(ThreadRegistry::new());
         let a = reg.register();
         let id = a.id();
         let waiter = {
-            let reg = std::sync::Arc::clone(&reg);
+            let reg = Arc::clone(&reg);
             std::thread::spawn(move || {
                 reg.wait_epoch_change(id, 0, Instant::now() + std::time::Duration::from_secs(30))
             })

@@ -62,14 +62,14 @@ mod tests {
     fn static_oracle_reports_scripted_writers() {
         let v1 = VarId::from_u64(1);
         let v2 = VarId::from_u64(2);
-        let w = ThreadId::from_raw(4);
+        let w = ThreadId::from_u16(4);
         let oracle = StaticWrites::new().with_writer(v1, w);
-        assert!(oracle.is_written_by_other(v1, ThreadId::from_raw(1)));
+        assert!(oracle.is_written_by_other(v1, ThreadId::from_u16(1)));
         assert!(
             !oracle.is_written_by_other(v1, w),
             "own write is not a conflict"
         );
-        assert!(!oracle.is_written_by_other(v2, ThreadId::from_raw(1)));
+        assert!(!oracle.is_written_by_other(v2, ThreadId::from_u16(1)));
         assert_eq!(oracle.writer_of(v1), Some(w));
         assert_eq!(oracle.writer_of(v2), None);
     }

@@ -12,6 +12,10 @@
 //! value included — so it allocates nothing either; `read` allocates
 //! whatever cloning the value allocates.
 //!
+//! The two-read and two-write runs are measured under every scheduler: a
+//! scheduler finds its per-thread state in a `ThreadTable`, and once the
+//! thread's slot exists that lookup allocates nothing either.
+//!
 //! The counter is a const-initialised thread-local, so it counts only the
 //! calling thread: tests running in parallel cannot disturb each other.
 //! Run it in release too (`cargo test --release --test tx_alloc`): the
@@ -21,6 +25,8 @@ use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 
 use shrink::prelude::*;
+
+mod common;
 
 struct Counting;
 
@@ -87,15 +93,22 @@ fn empty_run_allocates_nothing() {
     assert_eq!(allocations(|_| rt.run(|_| Ok(()))), 0);
 }
 
+/// A runtime driven by `kind`.
+fn runtime(kind: &SchedulerKind) -> TmRuntime {
+    TmRuntime::builder().scheduler_arc(kind.build()).build()
+}
+
 #[test]
 fn two_read_run_allocates_nothing() {
-    let rt = TmRuntime::new();
-    let (a, b) = (TVar::new(1u64), TVar::new(2u64));
-    let n = allocations(|_| {
-        let sum = rt.run(|tx| Ok(tx.read(&a)? + tx.read(&b)?));
-        assert_eq!(sum, 3);
-    });
-    assert_eq!(n, 0);
+    for kind in common::all_schedulers() {
+        let rt = runtime(&kind);
+        let (a, b) = (TVar::new(1u64), TVar::new(2u64));
+        let n = allocations(|_| {
+            let sum = rt.run(|tx| Ok(tx.read(&a)? + tx.read(&b)?));
+            assert_eq!(sum, 3);
+        });
+        assert_eq!(n, 0, "{}", kind.label());
+    }
 }
 
 #[test]
@@ -111,16 +124,18 @@ fn two_read_read_only_allocates_nothing() {
 
 #[test]
 fn two_write_run_allocates_nothing() {
-    let rt = TmRuntime::new();
-    let (a, b) = (TVar::new(0u64), TVar::new(0u64));
-    let n = allocations(|i| {
-        rt.run(|tx| {
-            tx.write(&a, i)?;
-            tx.write(&b, i + 1)
+    for kind in common::all_schedulers() {
+        let rt = runtime(&kind);
+        let (a, b) = (TVar::new(0u64), TVar::new(0u64));
+        let n = allocations(|i| {
+            rt.run(|tx| {
+                tx.write(&a, i)?;
+                tx.write(&b, i + 1)
+            });
         });
-    });
-    assert_eq!(n, 0);
-    assert_eq!((a.snapshot(), b.snapshot()), (ROUNDS - 1, ROUNDS));
+        assert_eq!(n, 0, "{}", kind.label());
+        assert_eq!((a.snapshot(), b.snapshot()), (ROUNDS - 1, ROUNDS));
+    }
 }
 
 #[test]
@@ -184,4 +199,26 @@ fn two_boxed_reads_allocate_their_two_clones() {
     assert_eq!(n, 2 * ROUNDS, "run");
     let n = allocations(|_| assert_eq!(rt.read_only(|tx| first_sum_of_clones(tx, &a, &b)), 3));
     assert_eq!(n, 2 * ROUNDS, "read_only");
+}
+
+/// A thread that exits hands the garbage it could not free yet to a shared
+/// orphan queue, which every pinning thread then collects. Collecting it
+/// must not allocate on the pinning thread either.
+#[test]
+fn read_only_collecting_orphaned_garbage_allocates_nothing() {
+    let rt = TmRuntime::new();
+    let (a, b) = vectors();
+    let read = || assert_eq!(rt.read_only(|tx| first_sum_in_place(tx, &a, &b)), 3);
+    for _ in 0..ROUNDS {
+        read();
+    }
+    let replaced = TVar::new(vec![0u64]);
+    std::thread::scope(|s| {
+        s.spawn(|| (0..8).for_each(|i| rt.run(|tx| tx.write(&replaced, vec![i]))));
+    });
+    let before = ALLOCS.with(Cell::get);
+    for _ in 0..ROUNDS {
+        read();
+    }
+    assert_eq!(ALLOCS.with(Cell::get) - before, 0);
 }
