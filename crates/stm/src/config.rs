@@ -97,7 +97,7 @@ pub struct TmConfig {
     ///   sleep-revalidate loop. Under `run_with_deadline` every round's
     ///   bound is *clamped per round* to `min(now + retry_wait, deadline)`,
     ///   so a 30 s `retry_wait` never overshoots a 50 ms deadline; once the
-    ///   deadline passes, a round that timed out with nothing new returns
+    ///   deadline passes, the next round that blocks returns
     ///   [`TmError::RetryTimeout`](crate::TmError::RetryTimeout).
     /// * **Async round**
     ///   ([`atomically_async`](crate::future::atomically_async)): a

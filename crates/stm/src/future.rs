@@ -13,17 +13,21 @@
 //!
 //! # Poll / retry state machine
 //!
+//! `poll` drives the one wait loop's round (in [`select`](crate::select)),
+//! at most 16 attempts per poll.
+//!
 //! ```text
-//!            ┌────────────────────────────────────────────────┐
-//!            ▼                                                │
-//! poll ─► attempt loop ─ commit ──► Poll::Ready(value)        │ epoch moved
-//!            │                                                │ (deregister,
-//!            │ Tx::retry                                      │  revalidate)
-//!            ▼                                                │
-//!    register AsyncParker ─ read set changed ─► loop          │
-//!            │ registered                                     │
-//!            ▼                                                │
-//!     Poll::Pending ──► re-poll: waker stored, epoch equal ───┘
+//!            ┌──────────────────────────────────────────────┐
+//!            ▼                                              │ epoch moved
+//! poll ─► round ─ commit ──► Poll::Ready(value)             │ (deregister)
+//!          │  └─ attempts spent ──► yield: wake_by_ref,     │
+//!          │                        Poll::Pending           │
+//!          │ Tx::retry                                      │
+//!          ▼                                                │
+//!    register AsyncParker ─ read set changed ─► round       │
+//!          │ registered                                     │
+//!          ▼                                                │
+//!     Poll::Pending ──► re-poll: waker stored, epoch read ──┘
 //!                              │ epoch equal
 //!                              ▼
 //!                        Poll::Pending (spurious poll)
@@ -44,10 +48,10 @@
 //!
 //! # What never happens here
 //!
-//! * **Blocking in `poll`.** Conflict aborts re-run the body a bounded
-//!   number of times per poll, then yield cooperatively
-//!   (`wake_by_ref` + `Pending`) instead of backoff-sleeping on an
-//!   executor thread.
+//! * **Blocking in `poll`.** Conflict aborts, and re-runs after a
+//!   registration that caught a change, spend the poll's few attempts;
+//!   then the task yields (`wake_by_ref` + `Pending`) instead of
+//!   backoff-sleeping on an executor thread.
 //! * **Timed rounds.** [`TmConfig::retry_wait`](crate::TmConfig::retry_wait)
 //!   bounds thread-parked rounds only; a suspended future is purely
 //!   wake-driven. A retry with an empty read set therefore pends forever —
@@ -62,16 +66,17 @@ use std::sync::atomic::Ordering;
 use std::sync::Arc;
 use std::task::{Context, Poll};
 
-use crate::error::TxResult;
-use crate::runtime::{Attempt, TmRuntime};
+use crate::error::{TmError, TxResult};
+use crate::runtime::TmRuntime;
+use crate::select::Round;
 use crate::txn::Tx;
 use crate::waitlist::{register, AsyncParker, Parker};
 
-/// Consecutive conflict aborts one `poll` absorbs before yielding back to
-/// the executor. Replaces the thread path's backoff sleep: an executor
-/// thread must never block, so heavy contention is spread across polls by
-/// re-enqueueing the task instead of spinning it hot.
-const ABORTS_PER_POLL: u32 = 16;
+/// Attempts one `poll` may run before yielding back to the executor.
+/// Replaces the thread path's backoff sleep: an executor thread must never
+/// block, so heavy contention is spread across polls by re-enqueueing the
+/// task instead of spinning it hot.
+const ABORTS_PER_POLL: u64 = 16;
 
 /// Where a suspended future is registered, and what must be undone when it
 /// resumes or is dropped.
@@ -182,21 +187,17 @@ where
             waitlist.async_woken.fetch_add(1, Ordering::Relaxed);
         }
 
-        let ctx = this.rt.current_ctx();
-        let inner = &*this.rt.inner;
-        let mut consecutive_aborts: u32 = 0;
+        // The task side of the one wait loop: no deadline, no backoff,
+        // and a budget of `ABORTS_PER_POLL` attempts per poll.
+        let mut round = Round::new(ABORTS_PER_POLL, None);
         loop {
-            // The same attempt step as the thread path; a body panic
-            // unwinding out of `poll` closes the bracket inside it.
-            match inner.attempt(&ctx, &mut this.body) {
-                Attempt::Committed(value) => {
+            let arm = &mut [(&this.rt, &mut this.body)];
+            match round.run(arm, |_, _, _| {}) {
+                Ok(Some((_, value))) => {
                     this.done = true;
                     return Poll::Ready(value);
                 }
-                // `run` panics on this too: it is a program bug, not a
-                // schedulable condition, and `poll` has no error lane.
-                Attempt::Fatal(err) => panic!("{err}"),
-                Attempt::Blocked(wait_plan) => {
+                Ok(None) => {
                     // Deliberate blocking: suspend the task instead of
                     // parking the thread. The scheduler bracket is already
                     // closed — none stays open across Pending.
@@ -210,33 +211,30 @@ where
                     task.set_waker(cx.waker());
                     let observed = task.epoch();
                     let parker = Parker::Task(Arc::clone(task));
-                    let waitlist = &inner.retry_waits;
-                    match register(&[inner.wait_arm(&wait_plan)], &parker) {
-                        None => {
-                            // The read set already moved: re-run now.
-                            let changed = &waitlist.waits.changed_before_park;
-                            changed.fetch_add(1, Ordering::Relaxed);
-                            consecutive_aborts = 0;
-                        }
-                        Some(mut buckets) => {
-                            waitlist.async_parks.fetch_add(1, Ordering::Relaxed);
-                            this.suspended = Some(Suspension {
-                                buckets: buckets.pop().expect("one arm"),
-                                observed,
-                            });
-                            return Poll::Pending;
-                        }
-                    }
-                }
-                Attempt::Aborted => {
-                    consecutive_aborts += 1;
-                    if consecutive_aborts >= ABORTS_PER_POLL {
-                        // Cooperative backoff: re-enqueue instead of
-                        // sleeping on the executor thread.
-                        cx.waker().wake_by_ref();
+                    let waitlist = &this.rt.inner.retry_waits;
+                    if let Some(mut buckets) = register(&round.wait_arms(arm), &parker) {
+                        waitlist.async_parks.fetch_add(1, Ordering::Relaxed);
+                        this.suspended = Some(Suspension {
+                            buckets: buckets.pop().expect("one arm"),
+                            observed,
+                        });
                         return Poll::Pending;
                     }
+                    // The read set already moved: re-run now, within the
+                    // same budget.
+                    let changed = &waitlist.waits.changed_before_park;
+                    changed.fetch_add(1, Ordering::Relaxed);
                 }
+                Err(TmError::RetryLimitExceeded { .. }) => {
+                    // Cooperative backoff: re-enqueue instead of sleeping
+                    // on the executor thread.
+                    cx.waker().wake_by_ref();
+                    return Poll::Pending;
+                }
+                // `run` panics on a foreign `TVar` too: it is a program
+                // bug, not a schedulable condition, and `poll` has no
+                // error lane.
+                Err(err) => panic!("{err}"),
             }
         }
     }

@@ -1,6 +1,6 @@
 //! The transactional-memory runtime: configuration, thread registration and
-//! the attempt step every transaction driver runs (the thread-side wait
-//! loop around it lives in [`select`](crate::select)).
+//! the attempt step every read-write transaction runs (the wait loop
+//! around it lives in [`select`](crate::select)).
 
 use std::cell::RefCell;
 use std::collections::HashMap;
@@ -22,7 +22,7 @@ use crate::stats::TmStats;
 use crate::thread::{bump, ThreadCtx, ThreadId, ThreadRegistry};
 use crate::txn::{ReadTx, Tx};
 use crate::varid::VarId;
-use crate::waitlist::{RetryStats, StripeWaitlist, WaitArm};
+use crate::waitlist::{RetryStats, StripeWaitlist};
 
 static NEXT_RUNTIME_ID: AtomicU64 = AtomicU64::new(1);
 
@@ -58,8 +58,8 @@ pub(crate) struct RuntimeInner {
 }
 
 /// How one read-write attempt left the transaction — what
-/// [`RuntimeInner::attempt`] hands its drivers. The drivers differ only in
-/// how they wait on `Blocked` and `Aborted` (DESIGN.md §12.2).
+/// [`RuntimeInner::attempt`] hands the one wait loop,
+/// [`Round`](crate::select::Round) (DESIGN.md §12.2).
 pub(crate) enum Attempt<T> {
     /// The attempt committed.
     Committed(T),
@@ -162,16 +162,6 @@ impl RuntimeInner {
             thread,
             visible: &self.orecs,
             epochs: &self.registry,
-        }
-    }
-
-    /// The retry-wait arm over this runtime's waitlist for a blocked
-    /// attempt's wait `plan`.
-    pub(crate) fn wait_arm<'a>(&'a self, plan: &'a [(usize, u64)]) -> WaitArm<'a> {
-        WaitArm {
-            waitlist: &self.retry_waits,
-            orecs: &self.orecs,
-            plan,
         }
     }
 
@@ -513,16 +503,15 @@ impl TmRuntime {
     /// true.
     ///
     /// The deadline bounds **blocking**, not total execution: an attempt
-    /// that is actively running is never interrupted, and a wake that
-    /// arrives just before the deadline still gets its re-run. Once the
-    /// deadline has passed, a blocked transaction stops parking and the
-    /// call returns.
+    /// that is actively running is never interrupted. Once the deadline has
+    /// passed, a blocked transaction stops parking and the call returns.
     ///
     /// # Errors
     ///
-    /// Returns [`TmError::RetryTimeout`] when the deadline passed with the
-    /// transaction still blocked, or [`TmError::ForeignTVar`] for
-    /// cross-runtime access.
+    /// Returns [`TmError::RetryTimeout`] when the transaction blocked with
+    /// the deadline passed: the deadline is checked before each park, so a
+    /// wake that arrives before the deadline earns one more round, and only
+    /// one. Returns [`TmError::ForeignTVar`] for cross-runtime access.
     ///
     /// # Examples
     ///

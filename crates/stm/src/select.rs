@@ -1,5 +1,5 @@
-//! The thread-side wait loop and the cross-runtime blocking select built
-//! on it.
+//! The one wait loop of every blocking entry point, and the cross-runtime
+//! blocking select built on it.
 //!
 //! Touching a `TVar` from another runtime is a typed refusal
 //! ([`TmError::ForeignTVar`]): a sharded deployment that accidentally
@@ -17,7 +17,8 @@
 //! union of every arm's read-set stripes *across all the involved runtimes'
 //! waitlists*, so a commit on any shard wakes the thread.
 //!
-//! [`TmRuntime::run`] and its siblings are the same loop with one arm.
+//! [`TmRuntime::run`] and its siblings are the same loop with one arm, and
+//! a [`TxFuture`](crate::future::TxFuture) drives its round as a task.
 //!
 //! # Lost-wakeup protocol
 //!
@@ -46,123 +47,137 @@ use crate::error::{TmError, TxResult};
 use crate::runtime::{Attempt, TmRuntime};
 use crate::thread::ThreadCtx;
 use crate::txn::Tx;
-use crate::waitlist::{park_thread, RetryWaitOutcome, WaitArm, WaitCounters};
+use crate::waitlist::{park_thread, WaitArm, WaitCounters};
 
 static SELECT_ROUNDS: AtomicU64 = AtomicU64::new(0);
 static SELECT_WAITS: WaitCounters = WaitCounters::new();
 
-/// One arm of [`wait_rounds`]: a transaction body bound to the runtime it
-/// runs on.
-pub(crate) trait Arm<T> {
-    /// The runtime the body runs on.
-    fn runtime(&self) -> &TmRuntime;
-    /// Runs the body once as a read-write attempt on that runtime.
-    fn attempt(&mut self, ctx: &ThreadCtx) -> Attempt<T>;
+/// The one wait loop over arms, each a body bound to its runtime: the
+/// attempt count, budget and deadline its caller keeps across waits.
+/// [`run`](Round::run) is the only match on an [`Attempt`]. A thread,
+/// through [`wait_rounds`], backs off and parks; a task,
+/// [`TxFuture`](crate::future::TxFuture)'s `poll`, yields once its budget
+/// of a few attempts per poll is spent, and suspends.
+pub(crate) struct Round {
+    attempts: u64,
+    max_attempts: u64,
+    /// The deadline, and when the wait started, to report `waited`.
+    deadline: Option<(Instant, Instant)>,
+    /// One wait plan per arm, after a pass in which every arm blocked.
+    plans: Vec<Vec<(usize, u64)>>,
 }
 
-/// The one-arm form `run` uses: no boxing, the body stays generic.
-impl<T, B: FnMut(&mut Tx<'_>) -> TxResult<T>> Arm<T> for (&TmRuntime, B) {
-    #[inline]
-    fn runtime(&self) -> &TmRuntime {
-        self.0
+impl Round {
+    pub(crate) fn new(max_attempts: u64, deadline: Option<Instant>) -> Self {
+        Round {
+            attempts: 0,
+            max_attempts,
+            deadline: deadline.map(|deadline| (deadline, Instant::now())),
+            plans: Vec::new(),
+        }
     }
 
-    #[inline]
-    fn attempt(&mut self, ctx: &ThreadCtx) -> Attempt<T> {
-        self.0.inner.attempt(ctx, &mut self.1)
+    /// Runs the arms in order through the attempt step until one commits
+    /// (its index and value are returned) or every arm blocks in
+    /// [`Tx::retry`] (`None`: wait on [`wait_arms`](Round::wait_arms), then
+    /// run again). After each conflict abort it calls `on_abort` with the
+    /// arm's runtime, the thread's context and the arm's consecutive aborts.
+    ///
+    /// # Errors
+    ///
+    /// [`TmError::RetryLimitExceeded`] once `max_attempts` attempts (over
+    /// all arms and rounds) are used; [`TmError::RetryTimeout`] when every
+    /// arm blocked past the deadline — checked only here, before each wait,
+    /// so a wake before the deadline earns one more round, and only one;
+    /// and an arm's [`TmError::ForeignTVar`].
+    pub(crate) fn run<T, B: FnMut(&mut Tx<'_>) -> TxResult<T>>(
+        &mut self,
+        arms: &mut [(&TmRuntime, B)],
+        mut on_abort: impl FnMut(&TmRuntime, &ThreadCtx, u32),
+    ) -> Result<Option<(usize, T)>, TmError> {
+        self.plans.clear();
+        'arms: for (i, (rt, body)) in arms.iter_mut().enumerate() {
+            let ctx = rt.current_ctx();
+            // Waking from a wait is progress, not an abort storm: each
+            // round counts the aborts afresh.
+            let mut consecutive_aborts: u32 = 0;
+            loop {
+                self.attempts += 1;
+                match rt.inner.attempt(&ctx, &mut *body) {
+                    Attempt::Committed(value) => return Ok(Some((i, value))),
+                    Attempt::Blocked(plan) => break self.plans.push(plan),
+                    Attempt::Fatal(err) => return Err(err),
+                    Attempt::Aborted if self.attempts >= self.max_attempts => break 'arms,
+                    Attempt::Aborted => {
+                        consecutive_aborts += 1;
+                        on_abort(rt, &ctx, consecutive_aborts);
+                    }
+                }
+            }
+        }
+        if self.attempts >= self.max_attempts {
+            return Err(TmError::RetryLimitExceeded {
+                attempts: self.attempts,
+            });
+        }
+        match self.deadline {
+            Some((deadline, started)) if Instant::now() >= deadline => {
+                let waited = started.elapsed();
+                Err(TmError::RetryTimeout { waited })
+            }
+            _ => Ok(None),
+        }
+    }
+
+    /// One wait arm per arm: its runtime's waitlist and orec table, and the
+    /// plan of the round that blocked.
+    pub(crate) fn wait_arms<'a, B>(&'a self, arms: &'a [(&TmRuntime, B)]) -> Vec<WaitArm<'a>> {
+        let arms = arms.iter().map(|(rt, _)| &rt.inner);
+        arms.zip(&self.plans)
+            .map(|(inner, plan)| WaitArm {
+                waitlist: &inner.retry_waits,
+                orecs: &inner.orecs,
+                plan,
+            })
+            .collect()
     }
 }
 
-/// The thread-side wait loop every blocking thread entry point drives.
-///
-/// Each round runs every arm in order through the attempt step — conflict
-/// aborts re-run the arm with the usual backoff, afresh each round — until
-/// one arm commits (its index and value are returned) or blocks in
-/// [`Tx::retry`]. When every arm has blocked, the thread parks once across
-/// all their wait plans, bounded by the smallest `retry_wait` and clamped
-/// to `deadline`.
+/// The thread side of the one wait loop, behind every blocking thread
+/// entry point, failing as [`Round::run`] does: conflict aborts back off,
+/// and when every arm has blocked the thread parks once across all their
+/// wait plans, bounded by the smallest `retry_wait` and clamped to
+/// `deadline`.
 ///
 /// Each round bumps `rounds`, if given, and each park is booked into
 /// `waits`: `run` books into its runtime's `RetryStats` and counts no
 /// rounds, a select books both into the process-global [`select_stats`].
-///
-/// # Errors
-///
-/// [`TmError::RetryLimitExceeded`] once `max_attempts` attempts (over all
-/// arms and rounds) are used; [`TmError::RetryTimeout`] when a park expires
-/// past `deadline` with nothing changed — a wake, or a plan that changed
-/// before the park, earns one more round even at the deadline; and an
-/// arm's [`TmError::ForeignTVar`].
-pub(crate) fn wait_rounds<T>(
-    arms: &mut [impl Arm<T>],
+pub(crate) fn wait_rounds<T, B: FnMut(&mut Tx<'_>) -> TxResult<T>>(
+    arms: &mut [(&TmRuntime, B)],
     max_attempts: u64,
     deadline: Option<Instant>,
     rounds: Option<&AtomicU64>,
     waits: &WaitCounters,
 ) -> Result<(usize, T), TmError> {
-    // Sampled only for deadline-bounded waits, to report `waited`.
-    let started = deadline.map(|_| Instant::now());
-    let mut attempts: u64 = 0;
-    let mut plans: Vec<Vec<(usize, u64)>> = Vec::new();
+    let mut round = Round::new(max_attempts, deadline);
     loop {
         if let Some(rounds) = rounds {
             rounds.fetch_add(1, Ordering::Relaxed);
         }
-        plans.clear();
-        for (i, arm) in arms.iter_mut().enumerate() {
-            let ctx = arm.runtime().current_ctx();
-            // Waking from a park is progress, not an abort storm: each
-            // round starts the backoff afresh.
-            let mut consecutive_aborts: u32 = 0;
-            loop {
-                attempts += 1;
-                match arm.attempt(&ctx) {
-                    Attempt::Committed(value) => return Ok((i, value)),
-                    Attempt::Blocked(plan) => {
-                        plans.push(plan);
-                        break;
-                    }
-                    Attempt::Fatal(err) => return Err(err),
-                    Attempt::Aborted if attempts >= max_attempts => {
-                        return Err(TmError::RetryLimitExceeded { attempts });
-                    }
-                    Attempt::Aborted => {
-                        consecutive_aborts += 1;
-                        retry_backoff(
-                            arm.runtime().config().wait_policy,
-                            consecutive_aborts,
-                            ctx.id().as_u16() as u64,
-                        );
-                    }
-                }
-            }
+        let backoff = |rt: &TmRuntime, ctx: &ThreadCtx, aborts| {
+            retry_backoff(rt.config().wait_policy, aborts, ctx.id().as_u16() as u64);
+        };
+        if let Some(won) = round.run(arms, backoff)? {
+            return Ok(won);
         }
-        if attempts >= max_attempts {
-            return Err(TmError::RetryLimitExceeded { attempts });
-        }
-        // Every arm blocked: park one parker across all their waitlists.
-        // Once the deadline passed the park degenerates to one
-        // registration-and-revalidate pass.
-        let round = arms
+        let retry_wait = arms
             .iter()
-            .map(|arm| arm.runtime().config().retry_wait)
+            .map(|(rt, _)| rt.config().retry_wait)
             .min()
             .expect("arms is non-empty");
-        let bound = Instant::now() + round;
+        let bound = Instant::now() + retry_wait;
         let bound = deadline.map_or(bound, |d| bound.min(d));
-        let wait_arms: Vec<WaitArm<'_>> = arms
-            .iter()
-            .zip(&plans)
-            .map(|(arm, plan)| arm.runtime().inner.wait_arm(plan))
-            .collect();
-        let outcome = park_thread(&wait_arms, bound, waits);
-        if let Some(d) = deadline {
-            if outcome == RetryWaitOutcome::TimedOut && Instant::now() >= d {
-                return Err(TmError::RetryTimeout {
-                    waited: started.expect("deadline implies start").elapsed(),
-                });
-            }
-        }
+        park_thread(&round.wait_arms(arms), bound, waits);
     }
 }
 
@@ -215,16 +230,6 @@ impl<'a, T> SelectArm<'a, T> {
             rt: rt.clone(),
             body: Box::new(body),
         }
-    }
-}
-
-impl<T> Arm<T> for SelectArm<'_, T> {
-    fn runtime(&self) -> &TmRuntime {
-        &self.rt
-    }
-
-    fn attempt(&mut self, ctx: &ThreadCtx) -> Attempt<T> {
-        self.rt.inner.attempt(ctx, &mut *self.body)
     }
 }
 
@@ -284,14 +289,15 @@ pub fn retry_select<T>(arms: &mut [SelectArm<'_, T>]) -> (usize, T) {
 /// every arm is blocked, gives up instead of parking again.
 ///
 /// Like [`TmRuntime::run_with_deadline`], the deadline bounds *blocking*,
-/// not execution — a wake that arrives just before the deadline still gets
-/// its re-run, and a running arm is never interrupted.
+/// not execution: a running arm is never interrupted.
 ///
 /// # Errors
 ///
-/// Returns [`TmError::RetryTimeout`] when the deadline passed with every
-/// arm still blocked, or [`TmError::ForeignTVar`] when an arm's body
-/// touched a `TVar` bound to a different runtime than the arm's own.
+/// Returns [`TmError::RetryTimeout`] when every arm blocked with the
+/// deadline passed: the deadline is checked before each park, so a wake
+/// that arrives before the deadline earns one more round, and only one.
+/// Returns [`TmError::ForeignTVar`] when an arm's body touched a `TVar`
+/// bound to a different runtime than the arm's own.
 pub fn retry_select_deadline<T>(
     arms: &mut [SelectArm<'_, T>],
     deadline: Instant,
@@ -304,8 +310,12 @@ fn retry_select_until<T>(
     deadline: Option<Instant>,
 ) -> Result<(usize, T), TmError> {
     assert!(!arms.is_empty(), "retry_select needs at least one arm");
+    let mut arms: Vec<_> = arms
+        .iter_mut()
+        .map(|arm| (&arm.rt, &mut arm.body))
+        .collect();
     wait_rounds(
-        arms,
+        &mut arms,
         u64::MAX,
         deadline,
         Some(&SELECT_ROUNDS),

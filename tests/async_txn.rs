@@ -15,7 +15,11 @@
 //! * **selective cancellation** — cancelled and surviving futures on the
 //!   same bucket don't disturb each other;
 //! * **task churn** — more producer and consumer tasks than executor
-//!   workers move every item through one small queue.
+//!   workers move every item through one small queue;
+//! * **yield** — one poll runs at most 16 conflicting attempts, then
+//!   re-enqueues the task once;
+//! * **foreign `TVar`** — panics out of `poll` and leaves the runtime
+//!   usable.
 
 use std::future::Future;
 use std::pin::Pin;
@@ -318,4 +322,50 @@ fn block_on_completes_an_unblocked_future_without_suspending() {
     assert_eq!(got, 20);
     assert_eq!(v.snapshot(), 20);
     assert_eq!(rt.retry_stats().async_parks, 0);
+}
+
+#[test]
+fn conflict_aborts_yield_after_sixteen_attempts_per_poll() {
+    let rt = TmRuntime::new();
+    let counter = Arc::new(CountingWaker::default());
+    let waker = Waker::from(Arc::clone(&counter));
+    let mut cx = Context::from_waker(&waker);
+    let mut attempts = 0u64;
+    let mut fut = atomically_async(&rt, |tx| {
+        attempts += 1;
+        tx.restart::<()>()
+    });
+    assert!(std::mem::size_of_val(&fut) <= 64, "a future stays small");
+    assert!(Pin::new(&mut fut).poll(&mut cx).is_pending());
+    drop(fut);
+    assert_eq!(attempts, 16, "one poll absorbs exactly 16 conflict aborts");
+    assert_eq!(counter.count(), 1, "then re-enqueues itself once");
+    assert_eq!(rt.stats().aborts, 16);
+    assert_eq!(rt.retry_waiters(), 0, "a yield is not a suspension");
+}
+
+#[test]
+fn a_polled_foreign_tvar_panics_and_leaves_the_runtime_usable() {
+    let owner = TmRuntime::new();
+    let rt = TmRuntime::new();
+    let foreign = TVar::new(0u64);
+    owner.run(|tx| tx.write(&foreign, 1));
+    let waker = Waker::from(Arc::new(CountingWaker::default()));
+    let mut cx = Context::from_waker(&waker);
+    let mut fut = atomically_async(&rt, |tx| tx.read(&foreign));
+    let panic = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+        let _ = Pin::new(&mut fut).poll(&mut cx);
+    }))
+    .expect_err("a foreign TVar access must panic out of poll");
+    let message = panic
+        .downcast_ref::<String>()
+        .expect("the panic carries the formatted TmError");
+    assert!(message.starts_with("foreign TVar"), "{message}");
+    drop(fut);
+    let own = TVar::new(5u64);
+    assert_eq!(
+        rt.run(|tx| tx.modify(&own, |x| x + 1).and_then(|()| tx.read(&own))),
+        6
+    );
+    assert_eq!(rt.retry_waiters(), 0);
 }

@@ -26,7 +26,7 @@ use std::time::{Duration, Instant};
 use common::{all_schedulers, stress_factor};
 use shrink::prelude::*;
 use shrink::stm::faults::{self, FaultGuard, ScheduleBuilder};
-use shrink::stm::{FaultKind, FaultSite, TmError};
+use shrink::stm::{retry_select_deadline, FaultKind, FaultSite, SelectArm, TmError};
 
 /// Fault schedules are process-global state: tests must not overlap.
 static FAULT_LOCK: Mutex<()> = Mutex::new(());
@@ -542,4 +542,123 @@ fn delayed_read_extension_never_admits_a_stale_read() {
     });
     assert_eq!(content, expected, "tree diverged from the sequential model");
     shape.expect("red-black invariants");
+}
+
+/// Every wait validation claims a change and every park returns at once:
+/// the wait loop never sleeps, and a bounded call must still end.
+fn endless_wake_storm() -> FaultGuard {
+    ScheduleBuilder::new(42)
+        .rate_per_mille(1000)
+        .sites(&[FaultSite::WaitValidate, FaultSite::EventPark])
+        .kinds(&[FaultKind::SpuriousWake])
+        .install()
+}
+
+/// Runs `f` on a thread of its own and returns its result, failing the
+/// test if it has not returned within one second.
+fn within_a_second<T: Send + 'static>(f: impl FnOnce() -> T + Send + 'static) -> T {
+    let (done, result) = std::sync::mpsc::channel();
+    let worker = std::thread::spawn(move || done.send(f()).expect("the test is waiting"));
+    let value = result
+        .recv_timeout(Duration::from_secs(1))
+        .expect("the call did not return within 1 s");
+    worker.join().expect("the worker finished after sending");
+    value
+}
+
+/// A wake before the deadline earns one more round, and only one: under a
+/// storm that ends every wait early, a 50 ms deadline still reports
+/// `RetryTimeout` — for `run_with_deadline` and for a two-arm select.
+#[test]
+fn deadline_bounds_waits_that_every_round_wakes() {
+    let _serial = serialize();
+    let _quiet = quiet();
+    let a = TmRuntime::new();
+    let b = TmRuntime::new();
+    let va: TVar<Option<u32>> = TVar::new(None);
+    let vb: TVar<Option<u32>> = TVar::new(None);
+    a.run(|tx| tx.write(&va, None));
+    b.run(|tx| tx.write(&vb, None));
+    let take = |v: &TVar<Option<u32>>, tx: &mut Tx<'_>| match tx.read(v)? {
+        Some(x) => Ok(x),
+        None => tx.retry(),
+    };
+    let _storm = endless_wake_storm();
+
+    let got = within_a_second({
+        let (a, va) = (a.clone(), va.clone());
+        move || {
+            a.run_with_deadline(Instant::now() + Duration::from_millis(50), |tx| {
+                take(&va, tx)
+            })
+        }
+    });
+    assert!(
+        matches!(got, Err(TmError::RetryTimeout { .. })),
+        "expected RetryTimeout, got {got:?}"
+    );
+
+    let got = within_a_second({
+        let (a, b, va, vb) = (a.clone(), b.clone(), va.clone(), vb.clone());
+        move || {
+            retry_select_deadline(
+                &mut [
+                    SelectArm::new(&a, |tx| take(&va, tx)),
+                    SelectArm::new(&b, |tx| take(&vb, tx)),
+                ],
+                Instant::now() + Duration::from_millis(50),
+            )
+        }
+    });
+    assert!(
+        matches!(got, Err(TmError::RetryTimeout { .. })),
+        "expected RetryTimeout, got {got:?}"
+    );
+    assert_eq!(a.retry_waiters() + b.retry_waiters(), 0);
+}
+
+/// A waker that only counts its wakes.
+#[derive(Default)]
+struct CountingWaker(AtomicU64);
+
+impl std::task::Wake for CountingWaker {
+    fn wake(self: Arc<Self>) {
+        self.0.fetch_add(1, Ordering::SeqCst);
+    }
+}
+
+/// A registration that keeps catching a change counts toward the poll's
+/// attempt allowance: one `poll` yields (`wake_by_ref`, then `Pending`)
+/// instead of re-running the body forever.
+#[test]
+fn one_poll_yields_when_every_registration_sees_a_change() {
+    use std::future::Future;
+    use std::task::{Context, Waker};
+
+    let _serial = serialize();
+    let _quiet = quiet();
+    let rt = TmRuntime::new();
+    let v: TVar<Option<u32>> = TVar::new(None);
+    rt.run(|tx| tx.write(&v, None));
+    let _storm = endless_wake_storm();
+
+    let (pending, wakes) = within_a_second({
+        let rt = rt.clone();
+        move || {
+            let counter = Arc::new(CountingWaker::default());
+            let waker = Waker::from(Arc::clone(&counter));
+            let mut fut = atomically_async(&rt, move |tx| match tx.read(&v)? {
+                Some(x) => Ok(x),
+                None => tx.retry(),
+            });
+            let pending = std::pin::Pin::new(&mut fut)
+                .poll(&mut Context::from_waker(&waker))
+                .is_pending();
+            (pending, counter.0.load(Ordering::SeqCst))
+        }
+    });
+    assert!(pending);
+    assert_eq!(wakes, 1, "the task re-enqueued itself");
+    assert_eq!(rt.retry_waiters(), 0);
+    assert_eq!(rt.retry_stats().async_parks, 0, "it never suspended");
 }
