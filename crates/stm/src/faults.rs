@@ -261,10 +261,8 @@ mod active {
     use std::cell::Cell;
     use std::fmt;
     use std::sync::atomic::{AtomicU64, Ordering};
-    use std::sync::{Arc, Once};
+    use std::sync::{Arc, Once, PoisonError, RwLock};
     use std::time::Duration;
-
-    use parking_lot::RwLock;
 
     #[derive(Debug)]
     struct Schedule {
@@ -274,6 +272,8 @@ mod active {
         kinds_mask: u8,
     }
 
+    /// Every update is one assignment, so a lock poisoned by a panicking
+    /// holder still guards a valid schedule.
     static ACTIVE: RwLock<Option<Arc<Schedule>>> = RwLock::new(None);
     static ENV_ONCE: Once = Once::new();
     static NEXT_LANE: AtomicU64 = AtomicU64::new(0);
@@ -398,7 +398,7 @@ mod active {
         /// the lazy env initialization.
         pub fn install(self) -> FaultGuard {
             prime_env();
-            let mut active = ACTIVE.write();
+            let mut active = ACTIVE.write().unwrap_or_else(PoisonError::into_inner);
             let prev = active.replace(self.schedule());
             FaultGuard { prev }
         }
@@ -414,7 +414,7 @@ mod active {
 
     impl Drop for FaultGuard {
         fn drop(&mut self) {
-            *ACTIVE.write() = self.prev.take();
+            *ACTIVE.write().unwrap_or_else(PoisonError::into_inner) = self.prev.take();
         }
     }
 
@@ -472,7 +472,7 @@ mod active {
     fn prime_env() {
         ENV_ONCE.call_once(|| {
             if let Some(builder) = from_env() {
-                *ACTIVE.write() = Some(builder.schedule());
+                *ACTIVE.write().unwrap_or_else(PoisonError::into_inner) = Some(builder.schedule());
             }
         });
     }
@@ -496,7 +496,11 @@ mod active {
             return false;
         }
         prime_env();
-        let Some(sched) = ACTIVE.read().clone() else {
+        let Some(sched) = ACTIVE
+            .read()
+            .unwrap_or_else(PoisonError::into_inner)
+            .clone()
+        else {
             return false;
         };
         if sched.sites_mask & site.bit() == 0 {

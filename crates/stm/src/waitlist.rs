@@ -186,18 +186,6 @@ thread_local! {
     static THREAD_PARKER: Arc<EventCount> = Arc::new(EventCount::new());
 }
 
-/// How one bounded retry-wait round ended.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub(crate) enum RetryWaitOutcome {
-    /// The read snapshot was already stale when (re)checked — no sleep, the
-    /// transaction should re-run immediately.
-    Changed,
-    /// A committer writing a watched stripe woke the parker.
-    Woken,
-    /// The deadline expired with the snapshot unchanged.
-    TimedOut,
-}
-
 /// The waiter-side counters of thread wait rounds, booked by
 /// [`park_thread`]. Each runtime's waitlist owns one set (reported in its
 /// [`RetryStats`]); the cross-runtime select books into a process-global
@@ -282,41 +270,30 @@ pub(crate) fn register(arms: &[WaitArm<'_>], parker: &Parker) -> Option<Vec<Vec<
 
 /// One bounded retry-wait round of the calling thread over `arms`:
 /// [`register`] its parker, sleep until a commit on any arm advances it or
-/// `deadline` passes, deregister. The round is booked into `counters`.
-pub(crate) fn park_thread(
-    arms: &[WaitArm<'_>],
-    deadline: Instant,
-    counters: &WaitCounters,
-) -> RetryWaitOutcome {
+/// `deadline` passes, deregister. How the round ended (a change caught
+/// before parking, a wake, or the deadline) is booked into `counters`.
+pub(crate) fn park_thread(arms: &[WaitArm<'_>], deadline: Instant, counters: &WaitCounters) {
     let event = THREAD_PARKER.with(Arc::clone);
     let observed = event.version();
     let parker = Parker::Thread(Arc::clone(&event));
     let Some(buckets) = register(arms, &parker) else {
         counters.changed_before_park.fetch_add(1, Ordering::Relaxed);
-        return RetryWaitOutcome::Changed;
+        return;
     };
     // `EventPark` skips the park as if notified, exercising the caller's
     // revalidate-and-re-run loop.
-    let outcome = if crate::failpoint!(FaultSite::EventPark) {
+    if crate::failpoint!(FaultSite::EventPark) {
         counters.woken.fetch_add(1, Ordering::Relaxed);
-        RetryWaitOutcome::Woken
     } else {
         counters.parked.fetch_add(1, Ordering::Relaxed);
         match event.wait_while_eq(observed, Some(deadline)) {
-            WaitOutcome::Advanced => {
-                counters.woken.fetch_add(1, Ordering::Relaxed);
-                RetryWaitOutcome::Woken
-            }
-            WaitOutcome::TimedOut => {
-                counters.timed_out.fetch_add(1, Ordering::Relaxed);
-                RetryWaitOutcome::TimedOut
-            }
-        }
-    };
+            WaitOutcome::Advanced => counters.woken.fetch_add(1, Ordering::Relaxed),
+            WaitOutcome::TimedOut => counters.timed_out.fetch_add(1, Ordering::Relaxed),
+        };
+    }
     for (arm, held) in arms.iter().zip(&buckets) {
         arm.waitlist.deregister(held, &parker);
     }
-    outcome
 }
 
 /// Wait-op counters of the [`Tx::retry`](crate::Tx::retry) wake path,
@@ -585,18 +562,13 @@ mod tests {
     }
 
     /// One thread round on a single-arm wait, booked into `wl`'s counters.
-    fn wait(
-        wl: &StripeWaitlist,
-        orecs: &OrecTable,
-        plan: &[(usize, u64)],
-        deadline: Instant,
-    ) -> RetryWaitOutcome {
+    fn wait(wl: &StripeWaitlist, orecs: &OrecTable, plan: &[(usize, u64)], deadline: Instant) {
         let arm = WaitArm {
             waitlist: wl,
             orecs,
             plan,
         };
-        park_thread(&[arm], deadline, &wl.waits)
+        park_thread(&[arm], deadline, &wl.waits);
     }
 
     fn assert_no_residue(wl: &StripeWaitlist) {
@@ -612,10 +584,12 @@ mod tests {
         let orecs = table_with_version(3, 7);
         // Observed version 6, stripe already at 7: no sleep.
         let far = Instant::now() + Duration::from_secs(30);
-        let outcome = wait(&wl, &orecs, &[(3, 6)], far);
-        assert_eq!(outcome, RetryWaitOutcome::Changed);
-        assert_eq!(wl.stats().changed_before_park, 1);
-        assert_eq!(wl.stats().parked_waits, 0);
+        wait(&wl, &orecs, &[(3, 6)], far);
+        let stats = wl.stats();
+        assert_eq!(stats.changed_before_park, 1);
+        assert_eq!(stats.parked_waits, 0);
+        assert_eq!(stats.woken, 0);
+        assert_eq!(stats.timed_out, 0);
         assert_no_residue(&wl);
     }
 
@@ -647,12 +621,13 @@ mod tests {
         let wl = StripeWaitlist::new(64);
         let orecs = table_with_version(3, 7);
         let deadline = Instant::now() + Duration::from_millis(20);
-        let outcome = wait(&wl, &orecs, &[(3, 7)], deadline);
-        assert_eq!(outcome, RetryWaitOutcome::TimedOut);
+        wait(&wl, &orecs, &[(3, 7)], deadline);
         assert!(Instant::now() >= deadline, "must not report expiry early");
         let stats = wl.stats();
         assert_eq!(stats.parked_waits, 1);
         assert_eq!(stats.timed_out, 1);
+        assert_eq!(stats.woken, 0);
+        assert_eq!(stats.changed_before_park, 0);
     }
 
     #[test]
@@ -684,9 +659,10 @@ mod tests {
         assert!(o.try_lock(o.snapshot(), ThreadId::from_u16(2)));
         o.unlock_commit(ThreadId::from_u16(2), 8);
         wl.notify_commit(&[3]);
-        assert_eq!(waiter.join().unwrap(), RetryWaitOutcome::Woken);
+        waiter.join().unwrap();
         let stats = wl.stats();
         assert_eq!(stats.woken, 1);
+        assert_eq!(stats.timed_out, 0);
         assert_eq!(stats.wakes_issued, 1);
         assert_eq!(stats.threads_woken, 1);
     }
@@ -719,8 +695,11 @@ mod tests {
         let wl = StripeWaitlist::new(64);
         let orecs = OrecTable::new(64);
         let deadline = Instant::now() + Duration::from_millis(10);
-        let outcome = wait(&wl, &orecs, &[], deadline);
-        assert_eq!(outcome, RetryWaitOutcome::TimedOut);
+        wait(&wl, &orecs, &[], deadline);
+        let stats = wl.stats();
+        assert_eq!(stats.parked_waits, 1);
+        assert_eq!(stats.timed_out, 1);
+        assert_eq!(stats.woken, 0);
     }
 
     #[test]
@@ -728,7 +707,7 @@ mod tests {
         let wl = StripeWaitlist::new(64);
         let orecs = OrecTable::new(64);
         let soon = Instant::now() + Duration::from_millis(5);
-        let _ = wait(&wl, &orecs, &[(1, 0), (2, 0)], soon);
+        wait(&wl, &orecs, &[(1, 0), (2, 0)], soon);
         assert_no_residue(&wl);
         // A later commit wakes nobody and wastes nothing.
         wl.notify_commit(&[1, 2]);

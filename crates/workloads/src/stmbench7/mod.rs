@@ -16,12 +16,10 @@
 
 mod ops;
 
-use std::collections::HashMap;
 use std::fmt;
 use std::sync::atomic::AtomicU64;
 use std::sync::Arc;
 
-use parking_lot::RwLock;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use shrink_stm::{TVar, TmRuntime};
@@ -156,7 +154,10 @@ pub(crate) struct CompositePart {
     pub(crate) doc_title: String,
     pub(crate) doc_text: TVar<Arc<String>>,
     pub(crate) root_part: TVar<u64>,
-    pub(crate) parts: TVar<Vec<u64>>,
+    /// The composite's atomic parts, and the only handles that keep them
+    /// alive: a commit that drops a part from the list retires the old
+    /// list, and the part dies with it once the epoch's grace period ends.
+    pub(crate) parts: TVar<Vec<Arc<AtomicPart>>>,
 }
 
 /// A leaf assembly referencing composite parts from the shared pool.
@@ -178,55 +179,18 @@ pub(crate) struct ComplexAssembly {
 
 #[derive(Debug)]
 pub(crate) enum AssemblyChildren {
-    Complex(Vec<Arc<ComplexAssembly>>),
-    Base(Vec<Arc<BaseAssembly>>),
-}
-
-/// Registry resolving atomic-part ids to handles.
-///
-/// Physical allocation is non-transactional; *logical* membership is
-/// governed by the transactional part index, so consistency is unaffected.
-/// A part is published before the transaction that links it runs and
-/// withdrawn after the transaction that unlinked it has committed, so the
-/// registry holds the indexed parts plus those of operations in flight (and
-/// of an SM2 that panicked between its commit and the withdrawal). Ids
-/// are never reused: a transaction still working from a part list that
-/// names a withdrawn id finds `None` here, and fails validation on the list
-/// it read.
-#[derive(Debug, Default)]
-pub(crate) struct PartRegistry {
-    parts: RwLock<HashMap<u64, Arc<AtomicPart>>>,
-}
-
-impl PartRegistry {
-    pub(crate) fn get(&self, id: u64) -> Option<Arc<AtomicPart>> {
-        self.parts.read().get(&id).cloned()
-    }
-
-    pub(crate) fn publish(&self, part: Arc<AtomicPart>) {
-        self.parts.write().insert(part.id, part);
-    }
-
-    /// Drops the part `id` resolves to. Call only once no committed state
-    /// names `id`: after the transaction that unlinked it has committed, or
-    /// when the one that would have linked it never will.
-    pub(crate) fn withdraw(&self, id: u64) {
-        self.parts.write().remove(&id);
-    }
-
-    pub(crate) fn physical_len(&self) -> usize {
-        self.parts.read().len()
-    }
+    Complex(Vec<ComplexAssembly>),
+    /// Indices into [`Sb7::base_assemblies`].
+    Base(Vec<usize>),
 }
 
 /// The benchmark: object graph, indexes and operation mix.
 pub struct Sb7 {
     pub(crate) config: Sb7Config,
     pub(crate) mix: Sb7Mix,
-    pub(crate) registry: PartRegistry,
-    pub(crate) composites: Vec<Arc<CompositePart>>,
-    pub(crate) design_root: Arc<ComplexAssembly>,
-    pub(crate) base_assemblies: Vec<Arc<BaseAssembly>>,
+    pub(crate) composites: Vec<CompositePart>,
+    pub(crate) design_root: ComplexAssembly,
+    pub(crate) base_assemblies: Vec<BaseAssembly>,
     /// Atomic part id → owning composite id.
     pub(crate) part_index: TxRbTree,
     pub(crate) next_part_id: AtomicU64,
@@ -246,40 +210,37 @@ impl Sb7 {
     /// Builds the object graph with transactions on `rt`.
     pub fn build(rt: &TmRuntime, config: Sb7Config, mix: Sb7Mix) -> Arc<Self> {
         let mut rng = StdRng::seed_from_u64(0x5B7);
-        let registry = PartRegistry::default();
         let part_index = TxRbTree::new();
 
         // Composite pool with per-composite atomic-part graphs.
         let mut next_part_id: u64 = 1;
-        let composites: Vec<Arc<CompositePart>> = (0..config.composite_pool as u64)
+        let composites: Vec<CompositePart> = (0..config.composite_pool as u64)
             .map(|cid| {
-                let part_ids: Vec<u64> = (0..config.parts_per_composite as u64)
+                let parts: Vec<Arc<AtomicPart>> = (0..config.parts_per_composite)
                     .map(|_| {
                         let id = next_part_id;
                         next_part_id += 1;
-                        registry.publish(AtomicPart::new(id, rng.random()));
-                        id
+                        AtomicPart::new(id, rng.random())
                     })
                     .collect();
                 // Ring + random chords: connected, bounded degree.
-                for (i, &id) in part_ids.iter().enumerate() {
-                    let part = registry.get(id).expect("just published");
-                    let mut to = vec![part_ids[(i + 1) % part_ids.len()]];
+                for (i, part) in parts.iter().enumerate() {
+                    let mut to = vec![parts[(i + 1) % parts.len()].id];
                     for _ in 1..config.connections_per_part {
-                        to.push(part_ids[rng.random_range(0..part_ids.len())]);
+                        to.push(parts[rng.random_range(0..parts.len())].id);
                     }
                     rt.run(|tx| tx.write(&part.to, to.clone()));
                 }
-                for &id in &part_ids {
-                    rt.run(|tx| part_index.insert(tx, id, cid));
+                for part in &parts {
+                    rt.run(|tx| part_index.insert(tx, part.id, cid));
                 }
-                Arc::new(CompositePart {
+                CompositePart {
                     id: cid,
                     doc_title: format!("composite-{cid}"),
                     doc_text: TVar::new(Arc::new(format!("specification of composite part {cid}"))),
-                    root_part: TVar::new(part_ids[0]),
-                    parts: TVar::new(part_ids),
-                })
+                    root_part: TVar::new(parts[0].id),
+                    parts: TVar::new(parts),
+                }
             })
             .collect();
 
@@ -288,7 +249,6 @@ impl Sb7 {
         let mut base_assemblies = Vec::new();
         let design_root = Self::build_assembly(
             &config,
-            &composites,
             &mut rng,
             &mut next_assembly_id,
             &mut base_assemblies,
@@ -298,7 +258,6 @@ impl Sb7 {
         Arc::new(Sb7 {
             config,
             mix,
-            registry,
             composites,
             design_root,
             base_assemblies,
@@ -309,45 +268,41 @@ impl Sb7 {
 
     fn build_assembly(
         config: &Sb7Config,
-        composites: &[Arc<CompositePart>],
         rng: &mut StdRng,
         next_id: &mut u64,
-        bases: &mut Vec<Arc<BaseAssembly>>,
+        bases: &mut Vec<BaseAssembly>,
         level: u32,
-    ) -> Arc<ComplexAssembly> {
+    ) -> ComplexAssembly {
         let id = *next_id;
         *next_id += 1;
         let children = if level <= 1 {
-            let leaves: Vec<Arc<BaseAssembly>> = (0..config.assembly_fanout)
+            let leaves: Vec<usize> = (0..config.assembly_fanout)
                 .map(|_| {
                     let bid = *next_id;
                     *next_id += 1;
                     let components: Vec<u64> = (0..config.composites_per_base)
-                        .map(|_| composites[rng.random_range(0..composites.len())].id)
+                        .map(|_| rng.random_range(0..config.composite_pool as usize) as u64)
                         .collect();
-                    let base = Arc::new(BaseAssembly {
+                    bases.push(BaseAssembly {
                         id: bid,
                         components: TVar::new(components),
                     });
-                    bases.push(Arc::clone(&base));
-                    base
+                    bases.len() - 1
                 })
                 .collect();
             AssemblyChildren::Base(leaves)
         } else {
             AssemblyChildren::Complex(
                 (0..config.assembly_fanout)
-                    .map(|_| {
-                        Self::build_assembly(config, composites, rng, next_id, bases, level - 1)
-                    })
+                    .map(|_| Self::build_assembly(config, rng, next_id, bases, level - 1))
                     .collect(),
             )
         };
-        Arc::new(ComplexAssembly {
+        ComplexAssembly {
             id,
             date: TVar::new(0),
             children,
-        })
+        }
     }
 
     /// The operation mix of this instance.
@@ -360,8 +315,8 @@ impl Sb7 {
         &self.config
     }
 
-    /// Runs the workload's consistency audit. Call it with no operation in
-    /// flight: the part registry is read outside the audit's snapshot.
+    /// Runs the workload's consistency audit: one read-only transaction
+    /// over the whole graph, so it may run while operations are in flight.
     ///
     /// # Errors
     ///
@@ -415,9 +370,11 @@ impl TxWorkload for Sb7Workload {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::collections::HashSet;
+    use std::collections::{HashMap, HashSet};
     use std::panic::{catch_unwind, AssertUnwindSafe};
     use std::sync::atomic::{AtomicBool, Ordering};
+    use std::sync::Weak;
+    use std::time::{Duration, Instant};
 
     use shrink_stm::sched::{AttemptEnd, SchedCtx, TxScheduler};
     use shrink_stm::VarId;
@@ -434,15 +391,59 @@ mod tests {
         rt.read_only(|tx| bench.part_index.len(tx))
     }
 
-    fn registry_ids(bench: &Sb7) -> HashSet<u64> {
-        bench.registry.parts.read().keys().copied().collect()
+    /// Adds a weak handle, keyed by id, of every part the composites list
+    /// now.
+    fn watch_listed_parts(
+        bench: &Sb7,
+        rt: &TmRuntime,
+        watched: &mut HashMap<u64, Weak<AtomicPart>>,
+    ) {
+        let listed = rt.read_only(|tx| {
+            let mut listed = Vec::new();
+            for composite in &bench.composites {
+                tx.read_with(&composite.parts, |parts| {
+                    listed.extend(parts.iter().map(|part| (part.id, Arc::downgrade(part))));
+                })?;
+            }
+            Ok(listed)
+        });
+        watched.extend(listed);
     }
 
-    /// With no operation in flight the registry holds exactly the indexed
-    /// parts, and the graph audits clean.
-    fn assert_registry_is_the_live_population(bench: &Sb7, rt: &TmRuntime) {
+    /// Parts alive == parts indexed: once a grace period has passed with no
+    /// operation in flight, a watched part is alive exactly when the index
+    /// names it, so every removed part has died with the list that held it.
+    /// `quiesce` frees only while no thread is pinned, and the other tests
+    /// of this binary pin, so it is retried for a bounded time.
+    fn assert_alive_is_indexed(
+        bench: &Sb7,
+        rt: &TmRuntime,
+        watched: &HashMap<u64, Weak<AtomicPart>>,
+    ) {
         bench.audit(rt).expect("graph must stay consistent");
-        assert_eq!(bench.registry.physical_len(), indexed_parts(bench, rt));
+        let indexed: HashSet<u64> = rt
+            .read_only(|tx| bench.part_index.keys(tx))
+            .into_iter()
+            .collect();
+        let deadline = Instant::now() + Duration::from_secs(10);
+        loop {
+            shrink_stm::quiesce();
+            let mismatched: Vec<u64> = watched
+                .iter()
+                .filter(|(id, part)| (part.strong_count() > 0) != indexed.contains(id))
+                .map(|(&id, _)| id)
+                .collect();
+            if mismatched.is_empty() {
+                return;
+            }
+            assert!(
+                Instant::now() < deadline,
+                "{} parts are alive but not indexed, or indexed but dead, e.g. {:?}",
+                mismatched.len(),
+                &mismatched[..mismatched.len().min(8)]
+            );
+            std::thread::sleep(Duration::from_millis(1));
+        }
     }
 
     #[test]
@@ -455,7 +456,7 @@ mod tests {
         // levels=2, fanout=2 => 2 base assemblies under 2 complex nodes.
         assert_eq!(bench.base_assemblies.len(), 4);
         let expected_parts = (cfg.composite_pool * cfg.parts_per_composite) as usize;
-        assert_eq!(bench.registry.physical_len(), expected_parts);
+        assert_eq!(indexed_parts(&bench, &rt), expected_parts);
         bench
             .audit(&rt)
             .expect("freshly built graph must audit clean");
@@ -513,57 +514,92 @@ mod tests {
         workload.verify(&rt).expect("graph must stay consistent");
     }
 
-    /// Removed parts are physically freed: however long SM1/SM2 churn runs,
-    /// the registry is as large as the live population, not as the history.
+    /// The audit reads one snapshot of state that lives entirely in the
+    /// STM, so every audit passes while writers run.
     #[test]
-    fn registry_does_not_grow_with_run_length() {
+    fn audits_pass_while_writers_run() {
+        let rt = TmRuntime::new();
+        let workload = Sb7Workload::new(&rt, Sb7Config::tiny(), Sb7Mix::WriteDominated);
+        let bench = Arc::clone(workload.bench());
+        let workload: Arc<dyn TxWorkload> = Arc::new(workload);
+        let writers_done = AtomicBool::new(false);
+        let audits = std::thread::scope(|s| {
+            let auditor = s.spawn(|| {
+                let mut audits = 0u64;
+                loop {
+                    if let Err(e) = bench.audit(&rt) {
+                        panic!("audit {audits} failed mid-flight: {e}");
+                    }
+                    audits += 1;
+                    if writers_done.load(Ordering::Acquire) {
+                        return audits;
+                    }
+                }
+            });
+            crate::harness::run_fixed_steps(&rt, &workload, 4, 20_000 * stress_factor(), 0xA0D1);
+            writers_done.store(true, Ordering::Release);
+            auditor.join().expect("auditor panicked")
+        });
+        assert!(audits > 1, "only {audits} audit ran");
+    }
+
+    /// Removed parts are freed: however long SM1/SM2 churn runs, the live
+    /// parts are the indexed ones, not the history.
+    #[test]
+    fn removed_parts_die_with_their_list() {
         for config in [Sb7Config::tiny(), Sb7Config::default()] {
             let rt = TmRuntime::new();
             let workload = Sb7Workload::new(&rt, config, Sb7Mix::WriteDominated);
             let bench = Arc::clone(workload.bench());
-            let built = bench.registry.physical_len();
+            let built = indexed_parts(&bench, &rt);
+            let mut watched = HashMap::new();
 
             // One thread, structural modifications only.
             let mut rng = StdRng::seed_from_u64(0x5B7);
-            let mut withdrawn = Vec::new();
-            for _ in 0..20_000 * stress_factor() {
+            for i in 0..20_000 * stress_factor() {
+                if i % 500 == 0 {
+                    watch_listed_parts(&bench, &rt, &mut watched);
+                }
                 if rng.random_bool(0.5) {
                     ops::sm1_add_part(&bench, &rt, &mut rng);
-                } else if withdrawn.len() < 8 {
-                    let before = registry_ids(&bench);
-                    ops::sm2_remove_part(&bench, &rt, &mut rng);
-                    withdrawn.extend(before.difference(&registry_ids(&bench)));
                 } else {
                     ops::sm2_remove_part(&bench, &rt, &mut rng);
                 }
             }
-            assert_registry_is_the_live_population(&bench, &rt);
-            assert!(!withdrawn.is_empty(), "no SM2 removed anything");
-            for id in withdrawn {
-                assert!(
-                    bench.registry.get(id).is_none(),
-                    "removed part {id} resolves"
-                );
-                assert_eq!(rt.read_only(|tx| bench.part_index.get(tx, id)), None);
-            }
+            watch_listed_parts(&bench, &rt, &mut watched);
+            assert!(
+                watched.len() > built + 100,
+                "too few parts came and went: {} watched",
+                watched.len()
+            );
+            assert_alive_is_indexed(&bench, &rt, &watched);
 
             // Four threads, the whole write-dominated mix.
             let workload: Arc<dyn TxWorkload> = Arc::new(workload);
             crate::harness::run_fixed_steps(&rt, &workload, 4, 5_000 * stress_factor(), 0xC0DE);
-            assert_registry_is_the_live_population(&bench, &rt);
+            watch_listed_parts(&bench, &rt, &mut watched);
+            assert_alive_is_indexed(&bench, &rt, &watched);
 
             // SM1 and SM2 are equally likely, so the population random-walks
             // around its built size; the ids handed out show how much history
-            // the registry would hold had it kept every part.
+            // the heap would hold had it kept every part.
             let created = bench.next_part_id.load(Ordering::Relaxed) as usize - 1;
             assert!(
                 created > 4 * built,
                 "churn too short to tell: {created} ids"
             );
+            let alive = watched
+                .values()
+                .filter(|part| part.strong_count() > 0)
+                .count();
+            assert_eq!(
+                alive,
+                indexed_parts(&bench, &rt),
+                "every indexed part is watched"
+            );
             assert!(
-                bench.registry.physical_len() < created / 2,
-                "registry holds {} of {created} parts ever created",
-                bench.registry.physical_len()
+                alive < created / 2,
+                "{alive} of {created} parts ever created are alive"
             );
         }
     }
@@ -601,8 +637,8 @@ mod tests {
         }
     }
 
-    /// An SM1 that unwinds before its transaction commits takes its
-    /// published part back; one that unwinds after the commit leaves it.
+    /// An SM1 that unwinds before its transaction commits leaves its part
+    /// dead; one that unwinds after the commit leaves it indexed and alive.
     #[test]
     fn an_unwinding_sm1_leaves_no_orphan() {
         for after_commit in [false, true] {
@@ -614,19 +650,22 @@ mod tests {
                 .scheduler_arc(Arc::clone(&scheduler) as Arc<dyn TxScheduler>)
                 .build();
             let bench = Sb7::build(&rt, Sb7Config::tiny(), Sb7Mix::WriteDominated);
-            let built = bench.registry.physical_len();
-            let mut rng = StdRng::seed_from_u64(7);
+            let built = indexed_parts(&bench, &rt);
+            let part = AtomicPart::new(bench.next_part_id.fetch_add(1, Ordering::Relaxed), 7);
+            let watched = HashMap::from([(part.id, Arc::downgrade(&part))]);
 
             scheduler.armed.store(true, Ordering::SeqCst);
             let unwound = catch_unwind(AssertUnwindSafe(|| {
-                ops::sm1_add_part(&bench, &rt, &mut rng);
+                ops::link_part(&bench, &rt, 0, part, 7);
             }));
             assert!(unwound.is_err(), "the armed hook must have fired");
             assert!(!scheduler.armed.load(Ordering::SeqCst));
 
-            let committed = usize::from(after_commit);
-            assert_eq!(bench.registry.physical_len(), built + committed);
-            assert_registry_is_the_live_population(&bench, &rt);
+            assert_eq!(
+                indexed_parts(&bench, &rt),
+                built + usize::from(after_commit)
+            );
+            assert_alive_is_indexed(&bench, &rt, &watched);
         }
     }
 }

@@ -9,10 +9,10 @@ use rand::rngs::StdRng;
 use rand::Rng;
 use shrink_stm::{TVar, TmRuntime, Tx, TxRead, TxResult};
 
-use super::{AssemblyChildren, AtomicPart, Sb7};
+use super::{AssemblyChildren, AtomicPart, BaseAssembly, ComplexAssembly, Sb7};
 
 /// Executes one operation drawn from the benchmark's mix.
-pub(crate) fn step(bench: &Arc<Sb7>, rt: &TmRuntime, rng: &mut StdRng) {
+pub(crate) fn step(bench: &Sb7, rt: &TmRuntime, rng: &mut StdRng) {
     let read_roll: u32 = rng.random_range(0..100);
     if read_roll < bench.mix.read_pct() {
         // STMBench7 mixes one long traversal into ~20 read operations when
@@ -47,30 +47,39 @@ fn random_composite(bench: &Sb7, rng: &mut StdRng) -> usize {
     rng.random_range(0..bench.composites.len())
 }
 
+/// Resolves part `id` through the part index and its composite's list,
+/// cloning only the one handle found.
+fn find_part(bench: &Sb7, tx: &mut impl TxRead, id: u64) -> TxResult<Option<Arc<AtomicPart>>> {
+    let Some(cid) = bench.part_index.get(tx, id)? else {
+        return Ok(None);
+    };
+    tx.read_with(&bench.composites[cid as usize].parts, |parts| {
+        parts.iter().find(|part| part.id == id).cloned()
+    })
+}
+
 /// OP1-style index query: look a part up and read its payload and
 /// connections. Pure reads, so it takes the lock-free read-only path —
 /// as do the other `st_`/`op_scan` operations below.
-fn st_query_part(bench: &Arc<Sb7>, rt: &TmRuntime, rng: &mut StdRng) {
+fn st_query_part(bench: &Sb7, rt: &TmRuntime, rng: &mut StdRng) {
     let id = random_part_id(bench, rng);
     rt.read_only(|tx| {
-        if bench.part_index.get(tx, id)?.is_some() {
-            if let Some(part) = bench.registry.get(id) {
-                let _ = tx.read(&part.x)?;
-                let _ = tx.read(&part.y)?;
-                let _ = tx.read(&part.build_date)?;
-                let _ = tx.read_with(&part.to, Vec::len)?;
-            }
+        if let Some(part) = find_part(bench, tx, id)? {
+            let _ = tx.read(&part.x)?;
+            let _ = tx.read(&part.y)?;
+            let _ = tx.read(&part.build_date)?;
+            let _ = tx.read_with(&part.to, Vec::len)?;
         }
         Ok(())
     });
 }
 
 /// T6/ST-style traversal of one composite's atomic-part graph.
-fn st_traverse_composite(bench: &Arc<Sb7>, rt: &TmRuntime, rng: &mut StdRng) {
-    let cid = random_composite(bench, rng);
-    let composite = Arc::clone(&bench.composites[cid]);
+fn st_traverse_composite(bench: &Sb7, rt: &TmRuntime, rng: &mut StdRng) {
+    let composite = &bench.composites[random_composite(bench, rng)];
     rt.read_only(|tx| {
         let root = tx.read(&composite.root_part)?;
+        let parts = tx.read(&composite.parts)?;
         let mut visited: HashSet<u64> = HashSet::new();
         let mut frontier = vec![root];
         let mut checksum: i64 = 0;
@@ -78,7 +87,7 @@ fn st_traverse_composite(bench: &Arc<Sb7>, rt: &TmRuntime, rng: &mut StdRng) {
             if !visited.insert(id) || visited.len() > 256 {
                 continue;
             }
-            if let Some(part) = bench.registry.get(id) {
+            if let Some(part) = parts.iter().find(|part| part.id == id) {
                 checksum = checksum.wrapping_add(tx.read(&part.x)?);
                 tx.read_with(&part.to, |to| {
                     frontier.extend(to.iter().filter(|next| !visited.contains(next)));
@@ -91,10 +100,10 @@ fn st_traverse_composite(bench: &Arc<Sb7>, rt: &TmRuntime, rng: &mut StdRng) {
 
 /// ST1-style walk from the design root to a base assembly, then into one of
 /// its composites' documents.
-fn st_assembly_path(bench: &Arc<Sb7>, rt: &TmRuntime, rng: &mut StdRng) {
+fn st_assembly_path(bench: &Sb7, rt: &TmRuntime, rng: &mut StdRng) {
     let turns: u64 = rng.random();
     rt.read_only(|tx| {
-        let mut node = Arc::clone(&bench.design_root);
+        let mut node = &bench.design_root;
         let mut turn = turns;
         let base = loop {
             let _ = tx.read(&node.date)?;
@@ -102,44 +111,41 @@ fn st_assembly_path(bench: &Arc<Sb7>, rt: &TmRuntime, rng: &mut StdRng) {
                 AssemblyChildren::Complex(children) => {
                     let pick = (turn % children.len() as u64) as usize;
                     turn /= children.len() as u64;
-                    node = Arc::clone(&children[pick]);
+                    node = &children[pick];
                 }
                 AssemblyChildren::Base(bases) => {
-                    break Arc::clone(&bases[(turn % bases.len() as u64) as usize]);
+                    break &bench.base_assemblies[bases[(turn % bases.len() as u64) as usize]];
                 }
             }
         };
-        let components = tx.read(&base.components)?;
-        if let Some(&cid) = components.first() {
+        let first = tx.read_with(&base.components, |components| components.first().copied())?;
+        if let Some(cid) = first {
             let composite = &bench.composites[cid as usize];
-            let text = tx.read(&composite.doc_text)?;
-            return Ok(text.len());
+            return tx.read_with(&composite.doc_text, |text| text.len());
         }
         Ok(0)
     });
 }
 
 /// OP-style document scan.
-fn op_scan_document(bench: &Arc<Sb7>, rt: &TmRuntime, rng: &mut StdRng) {
-    let cid = random_composite(bench, rng);
-    let composite = Arc::clone(&bench.composites[cid]);
+fn op_scan_document(bench: &Sb7, rt: &TmRuntime, rng: &mut StdRng) {
+    let composite = &bench.composites[random_composite(bench, rng)];
     rt.read_only(|tx| {
-        let text = tx.read(&composite.doc_text)?;
-        Ok(text.bytes().filter(|&b| b == b'c').count())
+        tx.read_with(&composite.doc_text, |text| {
+            text.bytes().filter(|&b| b == b'c').count()
+        })
     });
 }
 
 /// T2-style short update of one atomic part.
-fn op_update_part(bench: &Arc<Sb7>, rt: &TmRuntime, rng: &mut StdRng) {
+fn op_update_part(bench: &Sb7, rt: &TmRuntime, rng: &mut StdRng) {
     let id = random_part_id(bench, rng);
     let stamp: u64 = rng.random_range(0..4096);
     rt.run(|tx| {
-        if bench.part_index.get(tx, id)?.is_some() {
-            if let Some(part) = bench.registry.get(id) {
-                tx.modify(&part.x, |x| x + 1)?;
-                tx.modify(&part.y, |y| y - 1)?;
-                tx.write(&part.build_date, stamp)?;
-            }
+        if let Some(part) = find_part(bench, tx, id)? {
+            tx.modify(&part.x, |x| x + 1)?;
+            tx.modify(&part.y, |y| y - 1)?;
+            tx.write(&part.build_date, stamp)?;
         }
         Ok(())
     });
@@ -147,110 +153,89 @@ fn op_update_part(bench: &Arc<Sb7>, rt: &TmRuntime, rng: &mut StdRng) {
 
 /// SM1: create an atomic part, wire it into a composite and the index, and
 /// stamp the assembly spine above a random base assembly.
-pub(super) fn sm1_add_part(bench: &Arc<Sb7>, rt: &TmRuntime, rng: &mut StdRng) {
+pub(super) fn sm1_add_part(bench: &Sb7, rt: &TmRuntime, rng: &mut StdRng) {
     let cid = random_composite(bench, rng);
-    let composite = Arc::clone(&bench.composites[cid]);
-    let new_id = bench.next_part_id.fetch_add(1, Ordering::Relaxed);
     // Physical allocation outside the transaction; logical insertion inside.
     let part = Arc::new(AtomicPart {
-        id: new_id,
+        id: bench.next_part_id.fetch_add(1, Ordering::Relaxed),
         x: TVar::new(rng.random_range(0..1000)),
         y: TVar::new(rng.random_range(0..1000)),
         build_date: TVar::new(rng.random_range(0..4096)),
         to: TVar::new(Vec::new()),
     });
-    bench.registry.publish(Arc::clone(&part));
-    let undo = UndoPublish {
-        bench,
-        rt,
-        id: new_id,
-    };
     let turns: u64 = rng.random();
+    link_part(bench, rt, cid, part, turns);
+}
+
+/// SM1's transaction: appends `part` to composite `cid`'s list, connects it
+/// both ways with an existing part and indexes it. Until that commits the
+/// only handle is `part` itself, so a call that unwinds first frees it.
+pub(super) fn link_part(
+    bench: &Sb7,
+    rt: &TmRuntime,
+    cid: usize,
+    part: Arc<AtomicPart>,
+    turns: u64,
+) {
+    let composite = &bench.composites[cid];
     rt.run(|tx| {
-        let mut parts = tx.read(&composite.parts)?;
-        let anchor = parts[(turns % parts.len() as u64) as usize];
-        parts.push(new_id);
-        tx.write(&composite.parts, parts)?;
-        tx.write(&part.to, vec![anchor])?;
+        let (anchor, grown) = tx.read_with(&composite.parts, |parts| {
+            let anchor = Arc::clone(&parts[(turns % parts.len() as u64) as usize]);
+            let mut grown = Vec::with_capacity(parts.len() + 1);
+            grown.extend(parts.iter().cloned());
+            grown.push(Arc::clone(&part));
+            (anchor, grown)
+        })?;
+        tx.write(&composite.parts, grown)?;
+        tx.write(&part.to, vec![anchor.id])?;
         // Link the anchor back so the new part is reachable.
-        if let Some(anchor_part) = bench.registry.get(anchor) {
-            let mut to = tx.read(&anchor_part.to)?;
-            to.push(new_id);
-            tx.write(&anchor_part.to, to)?;
-        }
-        bench.part_index.insert(tx, new_id, cid as u64)?;
+        tx.modify(&anchor.to, |mut to| {
+            to.push(part.id);
+            to
+        })?;
+        bench.part_index.insert(tx, part.id, cid as u64)?;
         stamp_spine(bench, tx, turns)
     });
-    std::mem::forget(undo);
 }
 
-/// Withdraws the part `sm1_add_part` published if the call unwinds, so an
-/// aborted creation leaves no orphan in the registry.
-struct UndoPublish<'a> {
-    bench: &'a Sb7,
-    rt: &'a TmRuntime,
-    id: u64,
-}
-
-impl Drop for UndoPublish<'_> {
-    fn drop(&mut self) {
-        // A panic can also come out of `rt.run` *after* the commit (a
-        // scheduler's commit hook): then the index names the part and it
-        // has to stay resolvable.
-        let linked = self
-            .rt
-            .read_only(|tx| self.bench.part_index.get(tx, self.id))
-            .is_some();
-        if !linked {
-            self.bench.registry.withdraw(self.id);
-        }
-    }
-}
-
-/// SM2: delete a non-root atomic part from a composite, and free it once
-/// the deletion has committed.
-pub(super) fn sm2_remove_part(bench: &Arc<Sb7>, rt: &TmRuntime, rng: &mut StdRng) {
-    let cid = random_composite(bench, rng);
-    let composite = Arc::clone(&bench.composites[cid]);
+/// SM2: delete a non-root atomic part from a composite. The part dies with
+/// the list the commit retires.
+pub(super) fn sm2_remove_part(bench: &Sb7, rt: &TmRuntime, rng: &mut StdRng) {
+    let composite = &bench.composites[random_composite(bench, rng)];
     let turns: u64 = rng.random();
-    let removed = rt.run(|tx| {
-        let mut parts = tx.read(&composite.parts)?;
-        if parts.len() <= 1 {
-            return Ok(None);
-        }
+    rt.run(|tx| {
         let root = tx.read(&composite.root_part)?;
-        let pick = (turns % parts.len() as u64) as usize;
-        let victim = parts[pick];
-        if victim == root {
-            return Ok(None);
-        }
-        parts.remove(pick);
-        tx.write(&composite.parts, parts.clone())?;
+        let removal = tx.read_with(&composite.parts, |parts| {
+            let pick = (turns % parts.len() as u64) as usize;
+            (parts.len() > 1 && parts[pick].id != root).then(|| {
+                let mut kept = Vec::with_capacity(parts.len() - 1);
+                kept.extend_from_slice(&parts[..pick]);
+                kept.extend_from_slice(&parts[pick + 1..]);
+                (parts[pick].id, kept)
+            })
+        })?;
+        let Some((victim, kept)) = removal else {
+            return Ok(());
+        };
         bench.part_index.remove(tx, victim)?;
         // Unlink every reference to the victim within the composite.
-        for &id in &parts {
-            if let Some(part) = bench.registry.get(id) {
-                let pruned = tx.read_with(&part.to, |to| {
-                    to.contains(&victim)
-                        .then(|| to.iter().copied().filter(|&t| t != victim).collect())
-                })?;
-                if let Some(pruned) = pruned {
-                    tx.write(&part.to, pruned)?;
-                }
+        for part in &kept {
+            let pruned = tx.read_with(&part.to, |to| {
+                to.contains(&victim)
+                    .then(|| to.iter().copied().filter(|&t| t != victim).collect())
+            })?;
+            if let Some(pruned) = pruned {
+                tx.write(&part.to, pruned)?;
             }
         }
-        stamp_spine(bench, tx, turns)?;
-        Ok(Some(victim))
+        tx.write(&composite.parts, kept)?;
+        stamp_spine(bench, tx, turns)
     });
-    if let Some(victim) = removed {
-        bench.registry.withdraw(victim);
-    }
 }
 
 /// OP-style document rewrite.
-fn op_update_document(bench: &Arc<Sb7>, rt: &TmRuntime, rng: &mut StdRng) {
-    let cid = random_composite(bench, rng);
-    let composite = Arc::clone(&bench.composites[cid]);
+fn op_update_document(bench: &Sb7, rt: &TmRuntime, rng: &mut StdRng) {
+    let composite = &bench.composites[random_composite(bench, rng)];
     let revision: u64 = rng.random();
     rt.run(|tx| {
         tx.write(
@@ -264,8 +249,8 @@ fn op_update_document(bench: &Arc<Sb7>, rt: &TmRuntime, rng: &mut StdRng) {
 }
 
 /// SM-style swap of one base assembly's component reference.
-fn sm_swap_component(bench: &Arc<Sb7>, rt: &TmRuntime, rng: &mut StdRng) {
-    let base = Arc::clone(&bench.base_assemblies[rng.random_range(0..bench.base_assemblies.len())]);
+fn sm_swap_component(bench: &Sb7, rt: &TmRuntime, rng: &mut StdRng) {
+    let base = &bench.base_assemblies[rng.random_range(0..bench.base_assemblies.len())];
     let replacement = bench.composites[random_composite(bench, rng)].id;
     let turns: u64 = rng.random();
     rt.run(|tx| {
@@ -286,13 +271,9 @@ fn sm_swap_component(bench: &Arc<Sb7>, rt: &TmRuntime, rng: &mut StdRng) {
 /// paper's figures all run with this operation disabled. Running it on the
 /// lock-free path means it can never abort a writer, however long it takes
 /// — it restarts itself on revalidation failure instead.
-fn t1_long_traversal(bench: &Arc<Sb7>, rt: &TmRuntime) {
+fn t1_long_traversal(bench: &Sb7, rt: &TmRuntime) {
     rt.read_only(|tx| {
-        fn walk(
-            bench: &Arc<Sb7>,
-            tx: &mut impl TxRead,
-            node: &Arc<super::ComplexAssembly>,
-        ) -> TxResult<usize> {
+        fn walk(bench: &Sb7, tx: &mut impl TxRead, node: &ComplexAssembly) -> TxResult<usize> {
             let _ = tx.read(&node.date)?;
             let mut parts = 0;
             match &node.children {
@@ -302,8 +283,8 @@ fn t1_long_traversal(bench: &Arc<Sb7>, rt: &TmRuntime) {
                     }
                 }
                 AssemblyChildren::Base(bases) => {
-                    for base in bases {
-                        for cid in tx.read(&base.components)? {
+                    for &base in bases {
+                        for cid in tx.read(&bench.base_assemblies[base].components)? {
                             let composite = &bench.composites[cid as usize];
                             parts += tx.read_with(&composite.parts, Vec::len)?;
                         }
@@ -320,8 +301,8 @@ fn t1_long_traversal(bench: &Arc<Sb7>, rt: &TmRuntime) {
 /// shared traversal footprint) and bumping only the leaf complex assembly's
 /// date — structural modifications contend on the `fanout^(levels-1)` leaf
 /// assemblies but not on the single root.
-fn stamp_spine(bench: &Arc<Sb7>, tx: &mut Tx<'_>, turns: u64) -> TxResult<()> {
-    let mut node = Arc::clone(&bench.design_root);
+fn stamp_spine(bench: &Sb7, tx: &mut Tx<'_>, turns: u64) -> TxResult<()> {
+    let mut node = &bench.design_root;
     let mut turn = turns;
     loop {
         match &node.children {
@@ -329,7 +310,7 @@ fn stamp_spine(bench: &Arc<Sb7>, tx: &mut Tx<'_>, turns: u64) -> TxResult<()> {
                 let _ = tx.read(&node.date)?;
                 let pick = (turn % children.len() as u64) as usize;
                 turn /= children.len() as u64;
-                node = Arc::clone(&children[pick]);
+                node = &children[pick];
             }
             AssemblyChildren::Base(_) => {
                 return tx.modify(&node.date, |d| d + 1);
@@ -339,29 +320,28 @@ fn stamp_spine(bench: &Arc<Sb7>, tx: &mut Tx<'_>, turns: u64) -> TxResult<()> {
 }
 
 /// Collects assembly ids depth-first for the uniqueness audit.
-fn collect_assembly_ids(node: &Arc<super::ComplexAssembly>, out: &mut Vec<u64>) {
+fn collect_assembly_ids(bases: &[BaseAssembly], node: &ComplexAssembly, out: &mut Vec<u64>) {
     out.push(node.id);
     match &node.children {
         AssemblyChildren::Complex(children) => {
             for child in children {
-                collect_assembly_ids(child, out);
+                collect_assembly_ids(bases, child, out);
             }
         }
-        AssemblyChildren::Base(bases) => {
-            for base in bases {
-                out.push(base.id);
-            }
-        }
+        AssemblyChildren::Base(leaves) => out.extend(leaves.iter().map(|&base| bases[base].id)),
     }
 }
 
-/// Full-graph consistency audit (one big transaction).
+/// Full-graph consistency audit (one read-only transaction).
 pub(crate) fn audit(bench: &Sb7, rt: &TmRuntime) -> Result<(), String> {
-    // Structural checks outside the transaction: assembly ids are unique,
-    // documents carry their composite's title, and the physical part
-    // registry covers at least the logical population.
+    // Structural checks outside the transaction, on what never changes:
+    // assembly ids are unique and documents carry their composite's title.
     let mut assembly_ids = Vec::new();
-    collect_assembly_ids(&bench.design_root, &mut assembly_ids);
+    collect_assembly_ids(
+        &bench.base_assemblies,
+        &bench.design_root,
+        &mut assembly_ids,
+    );
     let unique: HashSet<u64> = assembly_ids.iter().copied().collect();
     if unique.len() != assembly_ids.len() {
         return Err("duplicate assembly ids".to_string());
@@ -374,7 +354,7 @@ pub(crate) fn audit(bench: &Sb7, rt: &TmRuntime) -> Result<(), String> {
             ));
         }
     }
-    rt.run(|tx| {
+    rt.read_only(|tx| {
         let mut indexed_parts = 0usize;
         for composite in &bench.composites {
             let parts = tx.read(&composite.parts)?;
@@ -382,20 +362,21 @@ pub(crate) fn audit(bench: &Sb7, rt: &TmRuntime) -> Result<(), String> {
                 return Ok(Err(format!("composite {} has no parts", composite.id)));
             }
             let root = tx.read(&composite.root_part)?;
-            if !parts.contains(&root) {
+            let part_set: HashSet<u64> = parts.iter().map(|part| part.id).collect();
+            if !part_set.contains(&root) {
                 return Ok(Err(format!(
                     "composite {} root {root} not in its part list",
                     composite.id
                 )));
             }
-            let part_set: HashSet<u64> = parts.iter().copied().collect();
             if part_set.len() != parts.len() {
                 return Ok(Err(format!(
                     "composite {} part list has duplicates",
                     composite.id
                 )));
             }
-            for &id in &parts {
+            for part in &parts {
+                let id = part.id;
                 match bench.part_index.get(tx, id)? {
                     Some(owner) if owner == composite.id => {}
                     Some(owner) => {
@@ -406,10 +387,6 @@ pub(crate) fn audit(bench: &Sb7, rt: &TmRuntime) -> Result<(), String> {
                     }
                     None => return Ok(Err(format!("part {id} missing from index"))),
                 }
-                let part = match bench.registry.get(id) {
-                    Some(p) => p,
-                    None => return Ok(Err(format!("part {id} missing from registry"))),
-                };
                 for target in tx.read(&part.to)? {
                     if !part_set.contains(&target) {
                         return Ok(Err(format!(
@@ -425,12 +402,6 @@ pub(crate) fn audit(bench: &Sb7, rt: &TmRuntime) -> Result<(), String> {
         if index_len != indexed_parts {
             return Ok(Err(format!(
                 "index holds {index_len} parts, composites hold {indexed_parts}"
-            )));
-        }
-        if bench.registry.physical_len() < indexed_parts {
-            return Ok(Err(format!(
-                "registry holds {} parts, fewer than the {indexed_parts} logically alive",
-                bench.registry.physical_len()
             )));
         }
         // Base assemblies reference pool composites only.
